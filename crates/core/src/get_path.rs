@@ -327,7 +327,7 @@ fn check_chunks(
             }
         }
         match striper.decode_value(&mut shards, w.len as usize) {
-            Ok(value) => eckv_store::fnv1a_64(&value) == w.digest,
+            Ok(value) => eckv_store::xxh64(&value) == w.digest,
             Err(_) => false,
         }
     } else {

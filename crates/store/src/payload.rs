@@ -11,8 +11,12 @@ use core::fmt;
 /// store and engine need from a shared value buffer.
 pub type Bytes = std::sync::Arc<[u8]>;
 
-/// FNV-1a 64-bit hash, the digest used for end-to-end integrity checks and
-/// for consistent hashing.
+/// FNV-1a 64-bit hash: the **key** hash.
+///
+/// It drives hash-ring placement, the Zipfian key scramble, repair
+/// rotations and synthetic-payload seeds. Its output is frozen: changing
+/// it would move every key's placement, every model metric and the golden
+/// traces. Value bytes are digested by [`xxh64`] instead.
 ///
 /// ```
 /// assert_ne!(eckv_store::fnv1a_64(b"a"), eckv_store::fnv1a_64(b"b"));
@@ -25,6 +29,87 @@ pub fn fnv1a_64(data: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
+}
+
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+fn read_u64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b[..8].try_into().expect("8 bytes"))
+}
+
+fn xxh64_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+fn xxh64_merge(acc: u64, lane: u64) -> u64 {
+    (acc ^ xxh64_round(0, lane))
+        .wrapping_mul(P1)
+        .wrapping_add(P4)
+}
+
+/// XXH64 with seed 0: the **value** digest, used end to end to check that
+/// the bytes a GET returns (directly or after decoding) are the bytes the
+/// SET wrote.
+///
+/// Four independent 8-byte lanes per 32-byte stripe keep the multipliers
+/// busy in parallel, where byte-serial FNV-1a is one multiply per byte in
+/// a single dependency chain (~16× slower on 64 KiB values).
+///
+/// ```
+/// assert_eq!(eckv_store::xxh64(b""), 0xEF46_DB37_51D8_E999);
+/// assert_eq!(eckv_store::xxh64(b"a"), 0xD24E_C4F1_A98C_6E5B);
+/// ```
+pub fn xxh64(data: &[u8]) -> u64 {
+    let stripes = data.chunks_exact(32);
+    let mut tail = stripes.remainder();
+    let mut h = if data.len() >= 32 {
+        let mut v = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        for stripe in stripes {
+            for (acc, lane) in v.iter_mut().zip(stripe.chunks_exact(8)) {
+                *acc = xxh64_round(*acc, read_u64(lane));
+            }
+        }
+        let h = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        v.iter().fold(h, |h, &acc| xxh64_merge(h, acc))
+    } else {
+        P5
+    };
+    h = h.wrapping_add(data.len() as u64);
+    while tail.len() >= 8 {
+        h = (h ^ xxh64_round(0, read_u64(tail)))
+            .rotate_left(27)
+            .wrapping_mul(P1)
+            .wrapping_add(P4);
+        tail = &tail[8..];
+    }
+    if tail.len() >= 4 {
+        let word = u32::from_le_bytes(tail[..4].try_into().expect("4 bytes"));
+        h = (h ^ u64::from(word).wrapping_mul(P1))
+            .rotate_left(23)
+            .wrapping_mul(P2)
+            .wrapping_add(P3);
+        tail = &tail[4..];
+    }
+    for &b in tail {
+        h = (h ^ u64::from(b).wrapping_mul(P5))
+            .rotate_left(11)
+            .wrapping_mul(P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
 }
 
 /// A key-value store value.
@@ -56,7 +141,7 @@ pub enum Payload {
     Synthetic {
         /// Logical length in bytes.
         len: u64,
-        /// Integrity digest (stands in for the FNV of the real bytes).
+        /// Integrity digest (stands in for the [`xxh64`] of the real bytes).
         digest: u64,
     },
 }
@@ -100,11 +185,11 @@ impl Payload {
         self.len() == 0
     }
 
-    /// Integrity digest: FNV of the bytes for inline values, the stored
-    /// digest for synthetic ones.
+    /// Integrity digest: [`xxh64`] of the bytes for inline values, the
+    /// stored digest for synthetic ones.
     pub fn digest(&self) -> u64 {
         match self {
-            Payload::Inline(b) => fnv1a_64(b),
+            Payload::Inline(b) => xxh64(b),
             Payload::Synthetic { digest, .. } => *digest,
         }
     }
@@ -144,6 +229,55 @@ mod tests {
         assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn xxh64_matches_known_vectors() {
+        assert_eq!(xxh64(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(xxh64(b"a"), 0xD24E_C4F1_A98C_6E5B);
+        assert_eq!(xxh64(b"abc"), 0x44BC_2CF5_AD77_0999);
+        // 39 bytes: one stripe, then the 8-, 4- and 1-byte tails.
+        assert_eq!(
+            xxh64(b"Nobody inspects the spammish repetition"),
+            0xFBCE_A83C_8A37_8BF1
+        );
+    }
+
+    #[test]
+    fn xxh64_sees_every_bit_flip_and_the_length() {
+        // 0..=72 covers no stripe, one and two 32-byte stripes, and every
+        // combination of the 8-, 4- and 1-byte tails.
+        for len in 0..=72usize {
+            let base: Vec<u8> = (0..len).map(|i| (i * 37 + len) as u8).collect();
+            let h = xxh64(&base);
+            for pos in 0..len {
+                for bit in 0..8 {
+                    let mut flipped = base.clone();
+                    flipped[pos] ^= 1 << bit;
+                    assert_ne!(xxh64(&flipped), h, "len {len} byte {pos} bit {bit}");
+                }
+            }
+            let mut longer = base.clone();
+            longer.push(0);
+            assert_ne!(xxh64(&longer), h, "len {len} plus a zero byte");
+        }
+    }
+
+    #[test]
+    fn xxh64_of_a_seeded_64k_buffer_is_frozen() {
+        // Pins the function itself, so a faster rewrite cannot silently
+        // change its output.
+        let mut x: u64 = 0x2545_F491_4F6C_DD1D;
+        let buf: Vec<u8> = (0..64 << 10)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        assert_eq!(xxh64(&buf), 0x6093_8B1A_B62D_443E);
+        assert_eq!(Payload::inline(buf.clone()).digest(), xxh64(&buf));
     }
 
     #[test]
