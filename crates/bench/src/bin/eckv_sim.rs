@@ -521,29 +521,24 @@ fn print_report(world: &Rc<World>) {
         mem.pct_used(),
         mem.evictions,
     );
+    // Per-server lines cover the same phase as the metrics above.
     let span = world.metrics.borrow().elapsed().as_secs_f64();
-    for (i, srv) in world.cluster.servers.iter().enumerate() {
-        let st = srv.borrow().stats();
-        let (tx, rx) = world
-            .cluster
-            .net
-            .borrow()
-            .nic_busy(world.cluster.server_node(i));
-        let pct = |d: eckv_simnet::SimDuration| {
-            if span > 0.0 {
-                100.0 * d.as_secs_f64() / span
-            } else {
-                0.0
-            }
-        };
+    let pct = |d: eckv_simnet::SimDuration| {
+        if span > 0.0 {
+            100.0 * d.as_secs_f64() / span
+        } else {
+            0.0
+        }
+    };
+    for (i, c) in world.phase_server_counters().into_iter().enumerate() {
         println!(
             "  server {i}: {} items, {} sets, {} hits, {} misses, nic tx {:.0}% rx {:.0}%{}",
-            st.items,
-            st.sets,
-            st.hits,
-            st.misses,
-            pct(tx),
-            pct(rx),
+            world.cluster.servers[i].borrow().stats().items,
+            c.sets,
+            c.hits,
+            c.misses,
+            pct(c.nic_tx),
+            pct(c.nic_rx),
             if world.cluster.is_server_alive(i) {
                 ""
             } else {

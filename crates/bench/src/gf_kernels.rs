@@ -111,7 +111,7 @@ pub fn kernel_table(quick: bool) -> Table {
 }
 
 /// The table plus the measured `mul_slice_xor` best-vs-scalar speedup at
-/// 64 KiB (the acceptance-criterion cell).
+/// 64 KiB (the headline cell).
 pub fn kernel_table_with_speedup(quick: bool) -> (Table, f64) {
     build(target_bytes(quick))
 }
@@ -157,13 +157,13 @@ fn build(target: usize) -> (Table, f64) {
     (t, headline_speedup)
 }
 
-/// One-line verdict on the ISSUE acceptance criterion (`mul_slice_xor`
-/// ≥ 4x scalar on a SIMD host), asserted in the printed report only — CI
+/// One-line verdict on the SIMD speedup target (`mul_slice_xor` ≥ 4x
+/// scalar on a SIMD host), asserted in the printed report only — CI
 /// hardware varies too much to gate on throughput.
 pub fn speedup_verdict(speedup: f64) -> String {
     let best = eckv_gf::kernels::best_supported_backend();
     if best == Backend::Scalar {
-        return "no SIMD backend on this host; speedup criterion not applicable".to_owned();
+        return "no SIMD backend on this host; speedup target not applicable".to_owned();
     }
     let verdict = if speedup >= 4.0 { "PASS" } else { "MISS" };
     format!("{verdict}: mul_slice_xor 64K best backend = {speedup:.1}x scalar (target >= 4x)")

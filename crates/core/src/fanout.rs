@@ -580,22 +580,17 @@ fn maybe_arm_hedge(state: &Rc<RefCell<Inner>>, sim: &mut Simulation) {
     });
 }
 
-/// The standard client-driven read io: issues Get RPCs from `client`'s
-/// ARPE thread, reserving one post overhead per request at issue time.
-/// `shard_keys` maps slots to chunk keys (erasure) rather than the plain
-/// key (replication). `note_deaths` updates the client's failure view on
-/// transport errors (foreground reads); repair reads judge liveness by
-/// ground truth at scan time and leave the views alone.
 /// The standard client-driven write io: issues Set RPCs from `client`'s
 /// ARPE thread, one post overhead per request reserved at the wave's
 /// reference instant (writes go out back to back after admission/encode).
 /// `pick` maps a slot to the key/payload pair to post there — the plain
-/// key and full value for replication, the slot's chunk for erasure.
+/// key and full value for replication, the slot's chunk for erasure —
+/// plus an optional stale key the same request retires on that server.
 pub(crate) fn client_set_io(
     world: &Rc<World>,
     client: usize,
     prio: rpc::RpcPriority,
-    pick: impl Fn(usize) -> (Arc<str>, Payload) + 'static,
+    pick: impl Fn(usize) -> (Arc<str>, Payload, Option<Arc<str>>) + 'static,
 ) -> ShardIo {
     let world = world.clone();
     let client_node = world.cluster.client_node(client);
@@ -603,10 +598,10 @@ pub(crate) fn client_set_io(
     Box::new(move |sim, issue, reply| {
         let issue_at = world.reserve_client_cpu(client, issue.from, post);
         let server = world.cluster.servers[issue.srv].clone();
-        let (wire_key, payload) = pick(issue.slot);
+        let (wire_key, payload, stale) = pick(issue.slot);
         let world2 = world.clone();
         let srv = issue.srv;
-        rpc::set(
+        rpc::set_retiring(
             &world.cluster.net,
             &server,
             sim,
@@ -614,6 +609,7 @@ pub(crate) fn client_set_io(
             client_node,
             wire_key,
             payload,
+            stale,
             prio,
             move |sim, r| {
                 reply(
@@ -639,6 +635,12 @@ pub(crate) fn client_set_io(
     })
 }
 
+/// The standard client-driven read io: issues Get RPCs from `client`'s
+/// ARPE thread, reserving one post overhead per request at issue time.
+/// `shard_keys` maps slots to chunk keys (erasure) rather than the plain
+/// key (replication). `note_deaths` updates the client's failure view on
+/// transport errors (foreground reads); repair reads judge liveness by
+/// ground truth at scan time and leave the views alone.
 pub(crate) fn client_get_io(
     world: &Rc<World>,
     client: usize,

@@ -65,4 +65,4 @@ pub use metrics::{Metrics, OpResult, TimelinePoint};
 pub use ops::{Op, OpKind};
 pub use repair::{drain_server, join_server, repair_server, start_repair, RepairReport};
 pub use scheme::{Scheme, Side};
-pub use world::{AdmissionConfig, EngineConfig, HedgeConfig, RepairConfig, World};
+pub use world::{AdmissionConfig, EngineConfig, HedgeConfig, RepairConfig, ServerCounters, World};

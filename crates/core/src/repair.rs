@@ -873,6 +873,7 @@ fn write_to_new_holder(
     at: SimTime,
     store_key: Arc<str>,
     value: Payload,
+    stale: Option<Arc<str>>,
     to: usize,
     read: u64,
     done: RepairDone,
@@ -881,7 +882,7 @@ fn write_to_new_holder(
     let written = value.len();
     let dest = world.cluster.servers[to].clone();
     let world2 = world.clone();
-    rpc::set(
+    rpc::set_retiring(
         &world.cluster.net,
         &dest,
         sim,
@@ -889,6 +890,7 @@ fn write_to_new_holder(
         client_node,
         store_key,
         value,
+        stale,
         rpc::RpcPriority::Repair,
         move |sim, reply| match reply {
             Ok(_) => {
@@ -968,12 +970,14 @@ fn migrate_erasure_shard(
             };
             let read = chunk.len();
             let at = sim.now();
+            let stale = world2.scheme.is_replica_slot(slot).then(|| key.clone());
             write_to_new_holder(
                 &world2,
                 sim,
                 at,
                 World::shard_key(&key, slot),
                 chunk,
+                stale,
                 to,
                 read,
                 done,
@@ -1065,12 +1069,14 @@ fn migrate_reconstruct_shard(
                 t_dec,
                 w.len,
             );
+            let stale = world2.scheme.is_replica_slot(slot).then(|| key.clone());
             write_to_new_holder(
                 &world2,
                 sim,
                 dec_done,
                 World::shard_key(&key, slot),
                 rebuilt,
+                stale,
                 to,
                 read,
                 done,
@@ -1140,7 +1146,7 @@ fn migrate_replica(
             };
             let read = value.len();
             let at = sim.now();
-            write_to_new_holder(&world2, sim, at, key, value, to, read, done);
+            write_to_new_holder(&world2, sim, at, key, value, None, to, read, done);
         }),
     );
     debug_assert!(launched, "a live source existed at the pre-check");

@@ -230,6 +230,13 @@ impl Scheme {
         }
     }
 
+    /// Whether chunk slot `slot` is also a replica slot: under the hybrid
+    /// scheme its holder may keep a plain copy of an earlier, small value
+    /// of the same key, which a chunk write there must retire.
+    pub(crate) fn is_replica_slot(&self, slot: usize) -> bool {
+        matches!(*self, Scheme::Hybrid { replicas, .. } if slot < replicas)
+    }
+
     /// The hybrid parameters, if this is a hybrid scheme.
     pub fn hybrid_params(&self) -> Option<(u64, usize, usize, usize)> {
         match *self {

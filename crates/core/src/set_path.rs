@@ -151,7 +151,7 @@ fn set_parallel_replicated(
     };
     let key2 = key.clone();
     let io = client_set_io(world, client, rpc::RpcPriority::Foreground, move |_slot| {
-        (key2.clone(), payload.clone())
+        (key2.clone(), payload.clone(), None)
     });
     let world2 = world.clone();
     let launched = FanOut::launch(
@@ -313,7 +313,10 @@ fn sync_step(
 }
 
 /// Era-CE-*: encode at the client, then fan the `k + m` chunks out to the
-/// believed-alive chunk holders through the write-mode fan-out.
+/// believed-alive chunk holders through the write-mode fan-out. Under the
+/// hybrid scheme the chunk posts to replica slots also retire the plain
+/// key, so a value that outgrew replication leaves no stale copy for the
+/// read probe to find.
 fn set_era_client_encode(
     world: &Rc<World>,
     sim: &mut Simulation,
@@ -365,8 +368,10 @@ fn set_era_client_encode(
         hedge_node: client_node,
     };
     let key2 = key.clone();
+    let scheme = world.scheme;
     let io = client_set_io(world, client, rpc::RpcPriority::Foreground, move |slot| {
-        (World::shard_key(&key2, slot), shards[slot].clone())
+        let stale = scheme.is_replica_slot(slot).then(|| key2.clone());
+        (World::shard_key(&key2, slot), shards[slot].clone(), stale)
     });
     let world2 = world.clone();
     let launched = FanOut::launch(

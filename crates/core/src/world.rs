@@ -403,6 +403,8 @@ pub struct World {
     pub(crate) repair: RefCell<Option<crate::repair::OnlineRepair>>,
     /// Report of the most recently completed repair.
     pub(crate) last_repair: std::cell::Cell<Option<crate::repair::RepairReport>>,
+    /// Per-server counters at the last [`World::reset_metrics`].
+    phase_start: RefCell<Vec<ServerCounters>>,
 }
 
 impl World {
@@ -468,6 +470,7 @@ impl World {
             trace,
             repair: RefCell::new(None),
             last_repair: std::cell::Cell::new(None),
+            phase_start: RefCell::new(Vec::new()),
         })
     }
 
@@ -498,6 +501,46 @@ impl World {
             fresh.timeline = Some(Vec::new());
         }
         *self.metrics.borrow_mut() = fresh;
+        *self.phase_start.borrow_mut() = self.server_counters();
+    }
+
+    /// Every server's cumulative counters since the world was built.
+    fn server_counters(&self) -> Vec<ServerCounters> {
+        let net = self.cluster.net.borrow();
+        (0..self.cluster.servers.len())
+            .map(|i| {
+                let st = self.cluster.servers[i].borrow().stats();
+                let (nic_tx, nic_rx) = net.nic_busy(self.cluster.server_node(i));
+                ServerCounters {
+                    sets: st.sets,
+                    hits: st.hits,
+                    misses: st.misses,
+                    nic_tx,
+                    nic_rx,
+                }
+            })
+            .collect()
+    }
+
+    /// Every server's counters since the last [`World::reset_metrics`]:
+    /// the same window as [`Metrics::elapsed`], so NIC busy time over
+    /// that span is a true utilization.
+    pub fn phase_server_counters(&self) -> Vec<ServerCounters> {
+        let start = self.phase_start.borrow();
+        self.server_counters()
+            .into_iter()
+            .enumerate()
+            .map(|(i, now)| {
+                let base = start.get(i).copied().unwrap_or_default();
+                ServerCounters {
+                    sets: now.sets - base.sets,
+                    hits: now.hits - base.hits,
+                    misses: now.misses - base.misses,
+                    nic_tx: now.nic_tx - base.nic_tx,
+                    nic_rx: now.nic_rx - base.nic_rx,
+                }
+            })
+            .collect()
     }
 
     /// Adjusts the per-op application think time for subsequent phases.
@@ -705,6 +748,22 @@ impl World {
             evictions: s.evictions,
         }
     }
+}
+
+/// One server's traffic counters over a window (see
+/// [`World::phase_server_counters`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServerCounters {
+    /// Set requests processed.
+    pub sets: u64,
+    /// Get hits.
+    pub hits: u64,
+    /// Get misses.
+    pub misses: u64,
+    /// Time the server's NIC spent transmitting.
+    pub nic_tx: SimDuration,
+    /// Time the server's NIC spent receiving.
+    pub nic_rx: SimDuration,
 }
 
 /// Aggregate memory usage of the server cluster.

@@ -46,7 +46,6 @@ mod crs;
 mod error;
 mod liberation;
 mod lrc;
-pub mod parallel;
 mod rs_van;
 pub mod schedule;
 mod stripe;

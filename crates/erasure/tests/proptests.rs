@@ -1,160 +1,163 @@
-// The proptest suites need the external `proptest` crate, which cannot be
-// fetched in offline builds. They are gated behind the off-by-default
-// `extern-dev-deps` cargo feature; see the workspace Cargo.toml to re-enable.
-#![cfg(feature = "extern-dev-deps")]
 //! Property tests: encode -> erase (<= m) -> reconstruct == identity.
 
-use eckv_erasure::{CodecKind, Striper};
-use proptest::prelude::*;
+use std::sync::{Arc, Mutex, OnceLock};
 
-fn erase_pattern(n: usize, m: usize, seed: u64) -> Vec<usize> {
-    // Pick up to m distinct indices pseudo-randomly from 0..n.
-    let mut idx: Vec<usize> = (0..n).collect();
-    let mut state = seed | 1;
-    for i in (1..n).rev() {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        let j = (state % (i as u64 + 1)) as usize;
-        idx.swap(i, j);
-    }
-    let count = (seed % (m as u64 + 1)) as usize;
-    idx.truncate(count);
-    idx
+use eckv_erasure::{CodecKind, ErasureCodec, Lrc, Striper};
+use eckv_gf::kernels::{active_backend, force_backend, ALL_BACKENDS};
+use eckv_simnet::check::{check, vec_of};
+use eckv_simnet::SimRng;
+
+const CASES: u64 = 64;
+
+fn bytes(rng: &mut SimRng, len: std::ops::Range<usize>) -> Vec<u8> {
+    vec_of(rng, len, |r| r.next_u64() as u8)
 }
 
-fn roundtrip(kind: CodecKind, k: usize, m: usize, value: &[u8], seed: u64) {
-    let striper = Striper::from(kind.build(k, m).expect("valid shape"));
-    let stripe = striper.encode_value(value);
-    let n = k + m;
+/// A roundtrip case: value, shape and up to `m` distinct erased shards.
+#[derive(Debug)]
+struct Case {
+    value: Vec<u8>,
+    k: usize,
+    m: usize,
+    erased: Vec<usize>,
+}
+
+fn gen_case(rng: &mut SimRng, max_k: usize, m: Option<usize>) -> Case {
+    let value = bytes(rng, 0..4096);
+    let k = 1 + rng.index(max_k);
+    let m = m.unwrap_or_else(|| 1 + rng.index(4));
+    let mut erased: Vec<usize> = (0..k + m).collect();
+    rng.shuffle(&mut erased);
+    erased.truncate(rng.index(m + 1));
+    Case {
+        value,
+        k,
+        m,
+        erased,
+    }
+}
+
+fn roundtrip(kind: CodecKind, c: &Case) {
+    let striper = Striper::from(kind.build(c.k, c.m).expect("valid shape"));
+    let stripe = striper.encode_value(&c.value);
     let mut shards: Vec<Option<Vec<u8>>> = stripe.shards.iter().cloned().map(Some).collect();
-    for e in erase_pattern(n, m, seed) {
+    for &e in &c.erased {
         shards[e] = None;
     }
     let got = striper
         .decode_value(&mut shards, stripe.original_len)
         .expect("within tolerance");
-    assert_eq!(got, value);
+    assert_eq!(got, c.value);
     // Repair must regenerate parity identical to the original encode.
     for (i, s) in shards.iter().enumerate() {
         assert_eq!(s.as_ref().unwrap(), &stripe.shards[i], "shard {i}");
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+#[test]
+fn rs_van_roundtrips() {
+    check(
+        CASES,
+        |rng| gen_case(rng, 7, None),
+        |c| roundtrip(CodecKind::RsVan, c),
+    );
+}
 
-    #[test]
-    fn rs_van_roundtrips(
-        value in proptest::collection::vec(any::<u8>(), 0..4096),
-        k in 1usize..8,
-        m in 1usize..5,
-        seed in any::<u64>(),
-    ) {
-        roundtrip(CodecKind::RsVan, k, m, &value, seed);
-    }
+#[test]
+fn cauchy_roundtrips() {
+    check(
+        CASES,
+        |rng| gen_case(rng, 7, None),
+        |c| roundtrip(CodecKind::CauchyRs, c),
+    );
+}
 
-    #[test]
-    fn cauchy_roundtrips(
-        value in proptest::collection::vec(any::<u8>(), 0..4096),
-        k in 1usize..8,
-        m in 1usize..5,
-        seed in any::<u64>(),
-    ) {
-        roundtrip(CodecKind::CauchyRs, k, m, &value, seed);
-    }
+#[test]
+fn liberation_roundtrips() {
+    check(
+        CASES,
+        |rng| gen_case(rng, 11, Some(2)),
+        |c| roundtrip(CodecKind::Liberation, c),
+    );
+}
 
-    #[test]
-    fn liberation_roundtrips(
-        value in proptest::collection::vec(any::<u8>(), 0..4096),
-        k in 1usize..12,
-        seed in any::<u64>(),
-    ) {
-        roundtrip(CodecKind::Liberation, k, 2, &value, seed);
-    }
-
-    #[test]
-    fn lrc_roundtrips_exactly_when_the_oracle_says_recoverable(
-        value in proptest::collection::vec(any::<u8>(), 1..2048),
-        lost_mask in proptest::collection::vec(any::<bool>(), 8),
-    ) {
-        use eckv_erasure::{ErasureCodec, Lrc, Striper};
-        use std::sync::Arc;
+#[test]
+fn lrc_roundtrips_exactly_when_the_oracle_says_recoverable() {
+    // Every one of the 2^8 loss patterns of LRC(4, 2, 2), each with its
+    // own random value.
+    let mut rng = SimRng::seed_from_u64(0x1c);
+    for mask in 0u32..1 << 8 {
+        let value = bytes(&mut rng, 1..2048);
         let lrc = Lrc::new(4, 2, 2).expect("valid");
-        let lost: Vec<usize> = lost_mask
-            .iter()
-            .enumerate()
-            .filter(|(_, &l)| l)
-            .map(|(i, _)| i)
-            .collect();
+        let lost: Vec<usize> = (0..8).filter(|&i| mask >> i & 1 == 1).collect();
         let recoverable = lrc.is_recoverable(&lost);
         let striper = Striper::new(Arc::new(lrc) as Arc<dyn ErasureCodec>);
         let stripe = striper.encode_value(&value);
-        let mut shards: Vec<Option<Vec<u8>>> =
-            stripe.shards.iter().cloned().map(Some).collect();
-        let present = 8 - lost.len();
+        let mut shards: Vec<Option<Vec<u8>>> = stripe.shards.iter().cloned().map(Some).collect();
         for &i in &lost {
             shards[i] = None;
         }
         match striper.decode_value(&mut shards, stripe.original_len) {
             Ok(got) => {
-                prop_assert!(recoverable, "decode succeeded on an unrecoverable pattern");
-                prop_assert_eq!(got, value);
+                assert!(recoverable, "decode succeeded on unrecoverable {lost:?}");
+                assert_eq!(got, value, "lost {lost:?}");
             }
-            Err(_) => {
-                // The trait-level shape check also rejects < k survivors.
-                prop_assert!(!recoverable || present < 4);
-            }
+            // The trait-level shape check also rejects < k survivors.
+            Err(_) => assert!(!recoverable || 8 - lost.len() < 4, "lost {lost:?}"),
         }
     }
+}
 
-    #[test]
-    fn stripes_are_backend_invariant(
-        value in proptest::collection::vec(any::<u8>(), 0..4096),
-    ) {
-        // GF arithmetic is exact, so a stripe encoded under any kernel
-        // backend must be byte-identical — this is what keeps golden
-        // traces stable whatever hardware runs the suite.
-        use std::sync::{Mutex, OnceLock};
-        use eckv_gf::kernels::{active_backend, force_backend, ALL_BACKENDS};
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        let _guard = LOCK
-            .get_or_init(Mutex::default)
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let prev = active_backend();
-        for kind in CodecKind::ALL {
-            let striper = Striper::from(kind.build(3, 2).unwrap());
-            let mut want = None;
-            for backend in ALL_BACKENDS {
-                if !backend.is_supported() {
-                    continue;
-                }
-                force_backend(backend);
-                let stripe = striper.encode_value(&value);
-                match &want {
-                    None => want = Some(stripe),
-                    Some(w) => prop_assert_eq!(
-                        &stripe, w, "{} stripe diverges on {:?}", kind, backend
-                    ),
+#[test]
+fn stripes_are_backend_invariant() {
+    // GF arithmetic is exact, so a stripe encoded under any kernel
+    // backend must be byte-identical — this is what keeps golden traces
+    // stable whatever hardware runs the suite.
+    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+    let _guard = LOCK
+        .get_or_init(Mutex::default)
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let prev = active_backend();
+    check(
+        CASES,
+        |rng| bytes(rng, 0..4096),
+        |value| {
+            for kind in CodecKind::ALL {
+                let striper = Striper::from(kind.build(3, 2).unwrap());
+                let mut want = None;
+                for backend in ALL_BACKENDS {
+                    if !backend.is_supported() {
+                        continue;
+                    }
+                    force_backend(backend);
+                    let stripe = striper.encode_value(value);
+                    match &want {
+                        None => want = Some(stripe),
+                        Some(w) => assert_eq!(&stripe, w, "{kind} stripe diverges on {backend:?}"),
+                    }
                 }
             }
-        }
-        force_backend(prev);
-    }
+        },
+    );
+    force_backend(prev);
+}
 
-    #[test]
-    fn codecs_agree_on_data_shards(
-        value in proptest::collection::vec(any::<u8>(), 1..2048),
-    ) {
-        // All systematic codes must lay out the data shards identically
-        // modulo alignment padding: concatenated data shards start with the
-        // original value.
-        for kind in CodecKind::ALL {
-            let striper = Striper::from(kind.build(3, 2).unwrap());
-            let stripe = striper.encode_value(&value);
-            let joined: Vec<u8> = stripe.shards[..3].concat();
-            prop_assert_eq!(&joined[..value.len()], &value[..], "{}", kind);
-        }
-    }
+#[test]
+fn codecs_agree_on_data_shards() {
+    // All systematic codes must lay out the data shards identically
+    // modulo alignment padding: concatenated data shards start with the
+    // original value.
+    check(
+        CASES,
+        |rng| bytes(rng, 1..2048),
+        |value| {
+            for kind in CodecKind::ALL {
+                let striper = Striper::from(kind.build(3, 2).unwrap());
+                let stripe = striper.encode_value(value);
+                let joined: Vec<u8> = stripe.shards[..3].concat();
+                assert_eq!(&joined[..value.len()], &value[..], "{kind}");
+            }
+        },
+    );
 }

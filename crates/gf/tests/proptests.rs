@@ -1,181 +1,147 @@
-// The proptest suites need the external `proptest` crate, which cannot be
-// fetched in offline builds. They are gated behind the off-by-default
-// `extern-dev-deps` cargo feature; see the workspace Cargo.toml to re-enable.
-#![cfg(feature = "extern-dev-deps")]
-//! Property-based tests for the GF(2^8) algebra.
+//! Property tests for the GF(2^8) algebra. Small domains (element pairs,
+//! row subsets) are enumerated outright; the rest are sampled.
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use eckv_gf::{BitMatrix, Gf256, Matrix};
+use eckv_simnet::check::check;
+use eckv_simnet::SimRng;
 
-use eckv_gf::kernels::{active_backend, force_backend, ALL_BACKENDS};
-use eckv_gf::{slice, BitMatrix, Gf256, Matrix};
-use proptest::prelude::*;
-
-/// The kernel backend selector is process-global; properties that force
-/// backends serialize on this lock (tests in one binary share threads).
-fn backend_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(Mutex::default)
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
+#[test]
+fn field_axioms() {
+    // Every pair (a, b); the third operand of the three-element laws is
+    // drawn per pair.
+    let mut rng = SimRng::seed_from_u64(0x6f);
+    for a in 0..=255u8 {
+        for b in 0..=255u8 {
+            let c = Gf256::new(rng.next_u64() as u8);
+            let (a, b) = (Gf256::new(a), Gf256::new(b));
+            // Commutativity
+            assert_eq!(a + b, b + a);
+            assert_eq!(a * b, b * a);
+            // Associativity
+            assert_eq!((a + b) + c, a + (b + c));
+            assert_eq!((a * b) * c, a * (b * c));
+            // Distributivity
+            assert_eq!(a * (b + c), a * b + a * c);
+            // Identities
+            assert_eq!(a + Gf256::ZERO, a);
+            assert_eq!(a * Gf256::ONE, a);
+            // Characteristic 2
+            assert_eq!(a + a, Gf256::ZERO);
+        }
+    }
 }
 
-proptest! {
-    #[test]
-    fn field_axioms(a in any::<u8>(), b in any::<u8>(), c in any::<u8>()) {
-        let (a, b, c) = (Gf256::new(a), Gf256::new(b), Gf256::new(c));
-        // Commutativity
-        prop_assert_eq!(a + b, b + a);
-        prop_assert_eq!(a * b, b * a);
-        // Associativity
-        prop_assert_eq!((a + b) + c, a + (b + c));
-        prop_assert_eq!((a * b) * c, a * (b * c));
-        // Distributivity
-        prop_assert_eq!(a * (b + c), a * b + a * c);
-        // Identities
-        prop_assert_eq!(a + Gf256::ZERO, a);
-        prop_assert_eq!(a * Gf256::ONE, a);
-        // Characteristic 2
-        prop_assert_eq!(a + a, Gf256::ZERO);
-    }
-
-    #[test]
-    fn division_inverts_multiplication(a in any::<u8>(), b in 1u8..) {
-        let (a, b) = (Gf256::new(a), Gf256::new(b));
-        prop_assert_eq!((a * b) / b, a);
-    }
-
-    #[test]
-    fn pow_is_homomorphic(a in 1u8.., e1 in 0usize..1000, e2 in 0usize..1000) {
-        let a = Gf256::new(a);
-        prop_assert_eq!(a.pow(e1) * a.pow(e2), a.pow(e1 + e2));
-    }
-
-    #[test]
-    fn mul_slice_xor_matches_scalar(c in any::<u8>(), data in proptest::collection::vec(any::<u8>(), 0..256), acc in any::<u8>()) {
-        let mut dst = vec![acc; data.len()];
-        slice::mul_slice_xor(c, &data, &mut dst);
-        for (i, &s) in data.iter().enumerate() {
-            prop_assert_eq!(dst[i], acc ^ Gf256::mul_bytes(c, s));
+#[test]
+fn division_inverts_multiplication() {
+    for a in 0..=255u8 {
+        for b in 1..=255u8 {
+            let (a, b) = (Gf256::new(a), Gf256::new(b));
+            assert_eq!((a * b) / b, a);
         }
     }
+}
 
-    #[test]
-    fn kernels_agree_across_backends(
-        c in any::<u8>(),
-        data in proptest::collection::vec(any::<u8>(), 0..513),
-        acc in any::<u8>(),
-        off in 0usize..16,
-    ) {
-        // Every supported instruction-set backend must produce identical
-        // bytes for the same (multiplier, unaligned source, accumulator).
-        let off = off.min(data.len());
-        let src = &data[off..];
-        let _guard = backend_lock();
-        let prev = active_backend();
-        let mut want: Option<(Vec<u8>, Vec<u8>)> = None;
-        for backend in ALL_BACKENDS {
-            if !backend.is_supported() {
-                continue;
-            }
-            force_backend(backend);
-            let mut mac = vec![acc; src.len()];
-            slice::mul_slice_xor(c, src, &mut mac);
-            let mut set = vec![acc; src.len()];
-            slice::mul_slice(c, src, &mut set);
-            match &want {
-                None => want = Some((mac, set)),
-                Some((wm, ws)) => {
-                    prop_assert_eq!(&mac, wm, "mul_slice_xor diverges on {:?}", backend);
-                    prop_assert_eq!(&set, ws, "mul_slice diverges on {:?}", backend);
+#[test]
+fn pow_is_homomorphic() {
+    check(
+        256,
+        |rng| {
+            (
+                rng.range_u64(1, 256) as u8,
+                rng.index(1000),
+                rng.index(1000),
+            )
+        },
+        |&(a, e1, e2)| {
+            let a = Gf256::new(a);
+            assert_eq!(a.pow(e1) * a.pow(e2), a.pow(e1 + e2));
+        },
+    );
+}
+
+#[test]
+fn random_invertible_matrix_roundtrips() {
+    check(
+        256,
+        |rng| {
+            let n = 1 + rng.index(7);
+            let mut m = Matrix::zero(n, n);
+            for r in 0..n {
+                for c in 0..n {
+                    m.set(r, c, rng.next_u64() as u8);
                 }
             }
-        }
-        force_backend(prev);
-    }
+            m
+        },
+        |m| {
+            // Singular draws are rare and carry no claim.
+            if let Ok(inv) = m.invert() {
+                assert!(m.mul(&inv).is_identity());
+                assert!(inv.mul(m).is_identity());
+            }
+        },
+    );
+}
 
-    #[test]
-    fn xor_slice_matches_scalar(a in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let b: Vec<u8> = a.iter().map(|x| x.wrapping_mul(31).wrapping_add(7)).collect();
-        let mut dst = b.clone();
-        slice::xor_slice(&a, &mut dst);
-        for i in 0..a.len() {
-            prop_assert_eq!(dst[i], a[i] ^ b[i]);
+#[test]
+fn bitmatrix_inverse_roundtrips() {
+    check(
+        256,
+        |rng| {
+            let n = 1 + rng.index(23);
+            let mut m = BitMatrix::zero(n, n);
+            for r in 0..n {
+                for c in 0..n {
+                    m.set(r, c, rng.next_u64() & 1 == 1);
+                }
+            }
+            m
+        },
+        |m| {
+            if let Ok(inv) = m.invert() {
+                assert!(m.mul(&inv).is_identity());
+                assert!(inv.mul(m).is_identity());
+            }
+        },
+    );
+}
+
+#[test]
+fn gf256_bitmatrix_expansion_respects_products() {
+    let expand = |x: u8| {
+        let mut m = Matrix::zero(1, 1);
+        m.set(0, 0, x);
+        BitMatrix::from_gf256_matrix(&m)
+    };
+    let table: Vec<BitMatrix> = (0..=255u8).map(expand).collect();
+    for a in 0..=255u8 {
+        for b in 0..=255u8 {
+            assert_eq!(
+                table[a as usize].mul(&table[b as usize]),
+                table[Gf256::mul_bytes(a, b) as usize],
+                "a={a} b={b}"
+            );
         }
     }
+}
 
-    #[test]
-    fn random_invertible_matrix_roundtrips(seed in any::<u64>(), n in 1usize..8) {
-        // Build a random matrix; skip the (rare) singular draws.
-        let mut state = seed | 1;
-        let mut next = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state & 0xFF) as u8
-        };
-        let mut m = Matrix::zero(n, n);
-        for r in 0..n {
-            for c in 0..n {
-                m.set(r, c, next());
+#[test]
+fn vandermonde_any_k_rows_invertible() {
+    // Every k-subset of the rows, for every shape the sampled version
+    // drew from (k < 6, up to 3 extra rows).
+    fn subsets(rows: usize, k: usize) -> Vec<Vec<usize>> {
+        (0u32..1 << rows)
+            .filter(|mask| mask.count_ones() as usize == k)
+            .map(|mask| (0..rows).filter(|&r| mask >> r & 1 == 1).collect())
+            .collect()
+    }
+    for k in 1..6 {
+        for extra in 0..4 {
+            let m = Matrix::vandermonde(k + extra, k);
+            for chosen in subsets(k + extra, k) {
+                let sub = m.select_rows(&chosen);
+                assert!(sub.invert().is_ok(), "rows {chosen:?} must be independent");
             }
         }
-        if let Ok(inv) = m.invert() {
-            prop_assert!(m.mul(&inv).is_identity());
-            prop_assert!(inv.mul(&m).is_identity());
-        }
-    }
-
-    #[test]
-    fn bitmatrix_inverse_roundtrips(seed in any::<u64>(), n in 1usize..24) {
-        let mut state = seed | 1;
-        let mut next = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut m = BitMatrix::zero(n, n);
-        for r in 0..n {
-            for c in 0..n {
-                m.set(r, c, next() & 1 == 1);
-            }
-        }
-        if let Ok(inv) = m.invert() {
-            prop_assert!(m.mul(&inv).is_identity());
-            prop_assert!(inv.mul(&m).is_identity());
-        }
-    }
-
-    #[test]
-    fn gf256_bitmatrix_expansion_respects_products(a in any::<u8>(), b in any::<u8>()) {
-        let mut ma = Matrix::zero(1, 1);
-        ma.set(0, 0, a);
-        let mut mb = Matrix::zero(1, 1);
-        mb.set(0, 0, b);
-        let mut mab = Matrix::zero(1, 1);
-        mab.set(0, 0, Gf256::mul_bytes(a, b));
-        let ba = BitMatrix::from_gf256_matrix(&ma);
-        let bb = BitMatrix::from_gf256_matrix(&mb);
-        let bab = BitMatrix::from_gf256_matrix(&mab);
-        prop_assert_eq!(ba.mul(&bb), bab);
-    }
-
-    #[test]
-    fn vandermonde_any_k_rows_invertible(k in 1usize..6, extra in 0usize..4, pick in any::<u64>()) {
-        let rows = k + extra;
-        let m = Matrix::vandermonde(rows, k);
-        // Pick k distinct rows pseudo-randomly.
-        let mut chosen: Vec<usize> = (0..rows).collect();
-        let mut state = pick | 1;
-        for i in (1..chosen.len()).rev() {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let j = (state % (i as u64 + 1)) as usize;
-            chosen.swap(i, j);
-        }
-        chosen.truncate(k);
-        let sub = m.select_rows(&chosen);
-        prop_assert!(sub.invert().is_ok(), "rows {:?} must be independent", chosen);
     }
 }

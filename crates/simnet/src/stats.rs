@@ -353,65 +353,70 @@ mod tests {
             .collect()
     }
 
+    /// Up to `max` samples (at least `min`), per property case.
+    fn sample_set(rng: &mut crate::SimRng, min: usize, max: usize) -> Vec<SimDuration> {
+        let n = min + rng.index(max - min);
+        random_samples(rng, n)
+    }
+
     #[test]
     fn property_percentiles_nondecreasing_in_p() {
-        let mut rng = crate::SimRng::seed_from_u64(0x5ca1ab1e);
-        for trial in 0..50 {
-            let mut h = Histogram::new();
-            for d in random_samples(&mut rng, 1 + (trial * 37) % 400) {
-                h.record(d);
-            }
-            let ps: Vec<f64> = (0..=200).map(|i| i as f64 / 2.0).collect();
-            let vs = h.percentiles(&ps);
-            for (w, pair) in vs.windows(2).enumerate() {
-                assert!(
-                    pair[1] >= pair[0],
-                    "trial {trial}: p{} = {} < p{} = {}",
-                    ps[w + 1],
-                    pair[1],
-                    ps[w],
-                    pair[0]
-                );
-            }
-            assert!(vs[0] >= h.min() && *vs.last().unwrap() <= h.max());
-        }
+        crate::check::check(
+            50,
+            |rng| sample_set(rng, 1, 400),
+            |samples| {
+                let mut h = Histogram::new();
+                for &d in samples {
+                    h.record(d);
+                }
+                let ps: Vec<f64> = (0..=200).map(|i| i as f64 / 2.0).collect();
+                let vs = h.percentiles(&ps);
+                for (w, pair) in vs.windows(2).enumerate() {
+                    assert!(
+                        pair[1] >= pair[0],
+                        "p{} = {} < p{} = {}",
+                        ps[w + 1],
+                        pair[1],
+                        ps[w],
+                        pair[0]
+                    );
+                }
+                assert!(vs[0] >= h.min() && *vs.last().unwrap() <= h.max());
+            },
+        );
     }
 
     #[test]
     fn property_merge_equals_concatenated_samples() {
-        let mut rng = crate::SimRng::seed_from_u64(0xdecade);
-        for trial in 0..50 {
-            let xs = random_samples(&mut rng, (trial * 31) % 300);
-            let ys = random_samples(&mut rng, 1 + (trial * 53) % 300);
+        crate::check::check(
+            50,
+            |rng| (sample_set(rng, 0, 300), sample_set(rng, 1, 300)),
+            |(xs, ys)| {
+                let mut merged = Histogram::new();
+                let mut other = Histogram::new();
+                let mut concat = Histogram::new();
+                for &d in xs {
+                    merged.record(d);
+                    concat.record(d);
+                }
+                for &d in ys {
+                    other.record(d);
+                    concat.record(d);
+                }
+                merged.merge(&other);
 
-            let mut merged = Histogram::new();
-            let mut other = Histogram::new();
-            let mut concat = Histogram::new();
-            for &d in &xs {
-                merged.record(d);
-                concat.record(d);
-            }
-            for &d in &ys {
-                other.record(d);
-                concat.record(d);
-            }
-            merged.merge(&other);
-
-            // Count, mean, min, and max are tracked exactly, so they must
-            // agree exactly; the bucket arrays are summed element-wise, so
-            // every percentile agrees exactly too (not just within bucket
-            // error).
-            assert_eq!(merged.count(), concat.count(), "trial {trial}");
-            assert_eq!(merged.mean(), concat.mean(), "trial {trial}");
-            assert_eq!(merged.min(), concat.min(), "trial {trial}");
-            assert_eq!(merged.max(), concat.max(), "trial {trial}");
-            for p in [0.0, 1.0, 10.0, 50.0, 90.0, 95.0, 99.0, 99.9, 100.0] {
-                assert_eq!(
-                    merged.percentile(p),
-                    concat.percentile(p),
-                    "trial {trial}, p{p}"
-                );
-            }
-        }
+                // Count, mean, min, and max are tracked exactly, so they
+                // must agree exactly; the bucket arrays are summed
+                // element-wise, so every percentile agrees exactly too
+                // (not just within bucket error).
+                assert_eq!(merged.count(), concat.count());
+                assert_eq!(merged.mean(), concat.mean());
+                assert_eq!(merged.min(), concat.min());
+                assert_eq!(merged.max(), concat.max());
+                for p in [0.0, 1.0, 10.0, 50.0, 90.0, 95.0, 99.0, 99.9, 100.0] {
+                    assert_eq!(merged.percentile(p), concat.percentile(p), "p{p}");
+                }
+            },
+        );
     }
 }

@@ -1,184 +1,183 @@
-// The proptest suites need the external `proptest` crate, which cannot be
-// fetched in offline builds. They are gated behind the off-by-default
-// `extern-dev-deps` cargo feature; see the workspace Cargo.toml to re-enable.
-#![cfg(feature = "extern-dev-deps")]
 //! Property tests for the simulation substrate.
 
-use eckv_simnet::{FifoResource, Histogram, SimDuration, SimRng, SimTime, Simulation, WorkerPool};
-use proptest::prelude::*;
+use eckv_simnet::check::{check, check_seq, vec_of};
+use eckv_simnet::{
+    ClusterProfile, FifoResource, Histogram, Network, NodeId, SimDuration, SimRng, SimTime,
+    Simulation, TransportKind, WorkerPool,
+};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-proptest! {
-    #[test]
-    fn events_always_execute_in_nondecreasing_time_order(
-        delays in proptest::collection::vec(0u64..1_000_000, 1..100),
-    ) {
-        let mut sim = Simulation::new();
-        let times: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
-        for d in &delays {
-            let times = times.clone();
-            sim.schedule_in(SimDuration::from_nanos(*d), move |sim| {
-                times.borrow_mut().push(sim.now().as_nanos());
-            });
-        }
-        sim.run();
-        let times = times.borrow();
-        prop_assert_eq!(times.len(), delays.len());
-        prop_assert!(times.windows(2).all(|w| w[0] <= w[1]));
-    }
+#[test]
+fn events_always_execute_in_nondecreasing_time_order() {
+    check_seq(
+        256,
+        |rng| ((), vec_of(rng, 1..100, |r| r.range_u64(0, 1_000_000))),
+        |(_, delays)| {
+            let mut sim = Simulation::new();
+            let times: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
+            for &d in delays {
+                let times = times.clone();
+                sim.schedule_in(SimDuration::from_nanos(d), move |sim| {
+                    times.borrow_mut().push(sim.now().as_nanos());
+                });
+            }
+            sim.run();
+            let times = times.borrow();
+            assert_eq!(times.len(), delays.len());
+            assert!(times.windows(2).all(|w| w[0] <= w[1]));
+        },
+    );
+}
 
-    #[test]
-    fn fifo_resource_never_overlaps_reservations(
-        jobs in proptest::collection::vec((0u64..10_000, 1u64..5_000), 1..100),
-    ) {
-        let mut r = FifoResource::new("r");
-        let mut intervals: Vec<(u64, u64)> = Vec::new();
-        // Submissions must arrive in nondecreasing time order (as they do
-        // from the event loop).
-        let mut jobs = jobs;
-        jobs.sort_by_key(|j| j.0);
-        for (at, dur) in jobs {
-            let end = r.reserve(SimTime::from_nanos(at), SimDuration::from_nanos(dur));
-            let start = end.as_nanos() - dur;
-            intervals.push((start, end.as_nanos()));
-        }
-        for w in intervals.windows(2) {
-            prop_assert!(w[0].1 <= w[1].0, "overlap: {:?}", w);
-        }
-    }
+#[test]
+fn fifo_resource_never_overlaps_reservations() {
+    check_seq(
+        256,
+        |rng| {
+            let job = |r: &mut SimRng| (r.range_u64(0, 10_000), r.range_u64(1, 5_000));
+            ((), vec_of(rng, 1..100, job))
+        },
+        |(_, jobs)| {
+            let mut r = FifoResource::new("r");
+            let mut intervals: Vec<(u64, u64)> = Vec::new();
+            // Submissions must arrive in nondecreasing time order (as they
+            // do from the event loop).
+            let mut jobs = jobs.clone();
+            jobs.sort_by_key(|j| j.0);
+            for (at, dur) in jobs {
+                let end = r.reserve(SimTime::from_nanos(at), SimDuration::from_nanos(dur));
+                let start = end.as_nanos() - dur;
+                intervals.push((start, end.as_nanos()));
+            }
+            for w in intervals.windows(2) {
+                assert!(w[0].1 <= w[1].0, "overlap: {w:?}");
+            }
+        },
+    );
+}
 
-    #[test]
-    fn worker_pool_busy_time_is_conserved(
-        jobs in proptest::collection::vec(1u64..10_000, 1..80),
-        workers in 1usize..8,
-    ) {
+#[test]
+fn worker_pool_busy_time_is_conserved() {
+    check_seq(
+        256,
+        |rng| {
+            let workers = 1 + rng.index(7);
+            (workers, vec_of(rng, 1..80, |r| r.range_u64(1, 10_000)))
+        },
+        |(workers, jobs)| {
+            let mut p = WorkerPool::new("p", *workers);
+            let mut total = 0u64;
+            for &d in jobs {
+                p.reserve(SimTime::ZERO, SimDuration::from_nanos(d));
+                total += d;
+            }
+            assert_eq!(p.busy_time().as_nanos(), total);
+            assert_eq!(p.reservations(), jobs.len() as u64);
+        },
+    );
+}
+
+#[test]
+fn pool_with_more_workers_finishes_no_later() {
+    fn makespan(workers: usize, jobs: &[u64]) -> u64 {
         let mut p = WorkerPool::new("p", workers);
-        let mut total = 0u64;
-        for d in &jobs {
-            p.reserve(SimTime::ZERO, SimDuration::from_nanos(*d));
-            total += d;
-        }
-        prop_assert_eq!(p.busy_time().as_nanos(), total);
-        prop_assert_eq!(p.reservations(), jobs.len() as u64);
+        jobs.iter()
+            .map(|&d| {
+                p.reserve(SimTime::ZERO, SimDuration::from_nanos(d))
+                    .as_nanos()
+            })
+            .max()
+            .unwrap_or(0)
     }
+    check_seq(
+        256,
+        |rng| ((), vec_of(rng, 1..60, |r| r.range_u64(1, 10_000))),
+        |(_, jobs)| assert!(makespan(4, jobs) <= makespan(1, jobs)),
+    );
+}
 
-    #[test]
-    fn pool_with_more_workers_finishes_no_later(
-        jobs in proptest::collection::vec(1u64..10_000, 1..60),
-    ) {
-        fn makespan(workers: usize, jobs: &[u64]) -> u64 {
-            let mut p = WorkerPool::new("p", workers);
-            jobs.iter()
-                .map(|&d| p.reserve(SimTime::ZERO, SimDuration::from_nanos(d)).as_nanos())
-                .max()
-                .unwrap_or(0)
-        }
-        let narrow = makespan(1, &jobs);
-        let wide = makespan(4, &jobs);
-        prop_assert!(wide <= narrow);
-    }
+#[test]
+fn histogram_percentiles_bracket_all_samples() {
+    check_seq(
+        256,
+        |rng| ((), vec_of(rng, 1..200, |r| r.range_u64(1, 10_000_000_000))),
+        |(_, samples)| {
+            let mut h = Histogram::new();
+            for &s in samples {
+                h.record(SimDuration::from_nanos(s));
+            }
+            assert_eq!(h.count(), samples.len() as u64);
+            assert!(h.percentile(0.0) >= h.min());
+            assert!(h.percentile(100.0) <= h.max());
+            // Mean must be exact.
+            let exact = samples.iter().sum::<u64>() / samples.len() as u64;
+            assert_eq!(h.mean().as_nanos(), exact);
+        },
+    );
+}
 
-    #[test]
-    fn histogram_percentiles_bracket_all_samples(
-        samples in proptest::collection::vec(1u64..10_000_000_000, 1..200),
-    ) {
-        let mut h = Histogram::new();
-        for &s in &samples {
-            h.record(SimDuration::from_nanos(s));
-        }
-        prop_assert_eq!(h.count(), samples.len() as u64);
-        let p0 = h.percentile(0.0);
-        let p100 = h.percentile(100.0);
-        prop_assert!(p0 >= h.min());
-        prop_assert!(p100 <= h.max());
-        // Mean must be exact.
-        let exact: u64 = samples.iter().sum::<u64>() / samples.len() as u64;
-        prop_assert_eq!(h.mean().as_nanos(), exact);
+/// FIFO NICs on both ends: no reordering between one sender/receiver
+/// pair, regardless of message sizes and protocols.
+fn assert_pair_delivers_in_send_order(sizes: &[usize]) {
+    let cfg = ClusterProfile::RiQdr.net_config(TransportKind::Rdma);
+    let net = Network::new(2, cfg);
+    let mut sim = Simulation::new();
+    let order: Rc<RefCell<Vec<usize>>> = Rc::new(RefCell::new(Vec::new()));
+    for (i, &bytes) in sizes.iter().enumerate() {
+        let order = order.clone();
+        Network::send(
+            &net,
+            &mut sim,
+            SimTime::ZERO,
+            NodeId(0),
+            NodeId(1),
+            bytes,
+            move |_, d| {
+                assert!(d.is_delivered());
+                order.borrow_mut().push(i);
+            },
+        );
     }
+    sim.run();
+    let order = order.borrow();
+    assert_eq!(order.len(), sizes.len());
+    assert!(
+        order.windows(2).all(|w| w[0] < w[1]),
+        "reordered: {order:?}"
+    );
+}
 
-    #[test]
-    fn same_pair_messages_deliver_in_send_order(
-        sizes in proptest::collection::vec(64usize..100_000, 1..30),
-    ) {
-        use eckv_simnet::{ClusterProfile, Network, NodeId, TransportKind};
-        let cfg = ClusterProfile::RiQdr.net_config(TransportKind::Rdma);
-        let net = Network::new(2, cfg);
-        let mut sim = Simulation::new();
-        let order: Rc<RefCell<Vec<usize>>> = Rc::new(RefCell::new(Vec::new()));
-        for (i, &bytes) in sizes.iter().enumerate() {
-            let order = order.clone();
-            Network::send(
-                &net,
-                &mut sim,
-                SimTime::ZERO,
-                NodeId(0),
-                NodeId(1),
-                bytes,
-                move |_, d| {
-                    assert!(d.is_delivered());
-                    order.borrow_mut().push(i);
-                },
-            );
-        }
-        sim.run();
-        let order = order.borrow();
-        prop_assert_eq!(order.len(), sizes.len());
-        // FIFO NICs on both ends: no reordering between one sender/receiver
-        // pair, regardless of message sizes and protocols.
-        prop_assert!(order.windows(2).all(|w| w[0] < w[1]), "reordered: {:?}", order);
-    }
+#[test]
+fn same_pair_messages_deliver_in_send_order() {
+    // A rendezvous-sized message followed by an eager one: the two
+    // shapes that once overtook each other.
+    assert_pair_delivers_in_send_order(&[16385, 64]);
+    assert_pair_delivers_in_send_order(&[1740, 64]);
+    check_seq(
+        256,
+        |rng| {
+            (
+                (),
+                vec_of(rng, 1..30, |r| r.range_u64(64, 100_000) as usize),
+            )
+        },
+        |(_, sizes)| assert_pair_delivers_in_send_order(sizes),
+    );
+}
 
-    #[test]
-    fn histogram_percentiles_nondecreasing_in_p(
-        samples in proptest::collection::vec(1u64..10_000_000_000, 1..200),
-    ) {
-        let mut h = Histogram::new();
-        for &s in &samples {
-            h.record(SimDuration::from_nanos(s));
-        }
-        let ps: Vec<f64> = (0..=100).map(|i| i as f64).collect();
-        let vs = h.percentiles(&ps);
-        for (i, w) in vs.windows(2).enumerate() {
-            prop_assert!(w[1] >= w[0], "p{} < p{}", i + 1, i);
-        }
-    }
-
-    #[test]
-    fn histogram_merge_equals_concatenated_samples(
-        xs in proptest::collection::vec(1u64..10_000_000_000, 0..150),
-        ys in proptest::collection::vec(1u64..10_000_000_000, 1..150),
-    ) {
-        let mut merged = Histogram::new();
-        let mut other = Histogram::new();
-        let mut concat = Histogram::new();
-        for &s in &xs {
-            merged.record(SimDuration::from_nanos(s));
-            concat.record(SimDuration::from_nanos(s));
-        }
-        for &s in &ys {
-            other.record(SimDuration::from_nanos(s));
-            concat.record(SimDuration::from_nanos(s));
-        }
-        merged.merge(&other);
-        // Exactly-tracked statistics agree exactly; bucket arrays sum
-        // element-wise, so percentiles agree exactly as well.
-        prop_assert_eq!(merged.count(), concat.count());
-        prop_assert_eq!(merged.mean(), concat.mean());
-        prop_assert_eq!(merged.min(), concat.min());
-        prop_assert_eq!(merged.max(), concat.max());
-        for p in [0.0, 10.0, 50.0, 95.0, 99.0, 99.9, 100.0] {
-            prop_assert_eq!(merged.percentile(p), concat.percentile(p), "p{}", p);
-        }
-    }
-
-    #[test]
-    fn rng_fork_streams_do_not_collide(seed in any::<u64>()) {
-        let mut parent = SimRng::seed_from_u64(seed);
-        let mut a = parent.fork();
-        let mut b = parent.fork();
-        let va: Vec<u64> = (0..32).map(|_| a.next_u64()).collect();
-        let vb: Vec<u64> = (0..32).map(|_| b.next_u64()).collect();
-        prop_assert_ne!(va, vb);
-    }
+#[test]
+fn rng_fork_streams_do_not_collide() {
+    check(
+        256,
+        |rng| rng.next_u64(),
+        |&seed| {
+            let mut parent = SimRng::seed_from_u64(seed);
+            let mut a = parent.fork();
+            let mut b = parent.fork();
+            let va: Vec<u64> = (0..32).map(|_| a.next_u64()).collect();
+            let vb: Vec<u64> = (0..32).map(|_| b.next_u64()).collect();
+            assert_ne!(va, vb);
+        },
+    );
 }

@@ -100,6 +100,30 @@ pub fn set<F>(
 ) where
     F: FnOnce(&mut Simulation, Result<SetReply, RpcError>) + 'static,
 {
+    set_retiring(
+        net, server, sim, start, client, key, payload, None, prio, on_reply,
+    );
+}
+
+/// [`set`] that, when admitted, first deletes `stale` (another key) from
+/// the server in the same request. The hybrid scheme's chunked rewrite
+/// uses it to retire the plain replica an earlier small value left on a
+/// replica holder, at no extra message.
+#[allow(clippy::too_many_arguments)]
+pub fn set_retiring<F>(
+    net: &Rc<RefCell<Network>>,
+    server: &Rc<RefCell<KvServer>>,
+    sim: &mut Simulation,
+    start: SimTime,
+    client: NodeId,
+    key: Arc<str>,
+    payload: Payload,
+    stale: Option<Arc<str>>,
+    prio: RpcPriority,
+    on_reply: F,
+) where
+    F: FnOnce(&mut Simulation, Result<SetReply, RpcError>) + 'static,
+{
     let server_node = server.borrow().node();
     let request_bytes = REQUEST_OVERHEAD + key.len() + payload.len() as usize;
     let net2 = net.clone();
@@ -120,7 +144,13 @@ pub fn set<F>(
                     });
                     return;
                 }
-                let (done, outcome) = server.borrow_mut().process_set(at, key, payload);
+                let (done, outcome) = {
+                    let mut server = server.borrow_mut();
+                    if let Some(stale) = &stale {
+                        server.delete(stale);
+                    }
+                    server.process_set(at, key, payload)
+                };
                 Network::send(
                     &net2,
                     sim,

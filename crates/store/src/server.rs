@@ -198,6 +198,15 @@ impl KvServer {
         (done, outcome)
     }
 
+    /// Removes `key` from RAM and flash. Costs no worker time: it only
+    /// ever rides on another request.
+    pub fn delete(&mut self, key: &str) {
+        self.store.delete(key);
+        if let Some(ssd) = &mut self.ssd {
+            ssd.delete(key);
+        }
+    }
+
     /// Processes a Get arriving at `now`; returns the completion instant
     /// and the value, if present.
     pub fn process_get(&mut self, now: SimTime, key: &str) -> (SimTime, Option<Payload>) {
@@ -324,6 +333,18 @@ mod tests {
             narrow_span.as_nanos() >= wide_span.as_nanos() * 7,
             "{wide_span} vs {narrow_span}"
         );
+    }
+
+    #[test]
+    fn delete_reaches_a_value_spilled_to_flash() {
+        let mut s = KvServer::new(NodeId(0), 1, 64 << 10, ServerCosts::default())
+            .with_ssd(SsdSpec::RI_QDR_PCIE);
+        s.process_set(SimTime::ZERO, "old".into(), Payload::synthetic(40 << 10, 1));
+        // The second value evicts the first from RAM into flash.
+        s.process_set(SimTime::ZERO, "new".into(), Payload::synthetic(40 << 10, 2));
+        assert!(s.process_get(SimTime::ZERO, "old").1.is_some());
+        s.delete("old");
+        assert!(s.process_get(SimTime::ZERO, "old").1.is_none());
     }
 
     #[test]

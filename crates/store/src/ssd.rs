@@ -131,6 +131,11 @@ impl SsdTier {
         }
     }
 
+    /// Drops `key` from flash.
+    pub fn delete(&mut self, key: &str) {
+        self.store.delete(key);
+    }
+
     /// Flash-tier storage statistics (evictions here are true data loss).
     pub fn stats(&self) -> StoreStats {
         self.store.stats()

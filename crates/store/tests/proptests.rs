@@ -1,15 +1,11 @@
-// The proptest suites need the external `proptest` crate, which cannot be
-// fetched in offline builds. They are gated behind the off-by-default
-// `extern-dev-deps` cargo feature; see the workspace Cargo.toml to re-enable.
-#![cfg(feature = "extern-dev-deps")]
 //! Model-based property tests: the slab/LRU store against a naive
 //! reference model, and ring invariants.
 
 use std::sync::Arc;
 
-use eckv_simnet::SimTime;
+use eckv_simnet::check::{check, check_seq, vec_of};
+use eckv_simnet::{SimRng, SimTime};
 use eckv_store::{chunk_size_for, HashRing, Payload, StoreNode, ITEM_OVERHEAD};
-use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
 enum StoreOp {
@@ -18,12 +14,16 @@ enum StoreOp {
     Delete { key: u8 },
 }
 
-fn op_strategy() -> impl Strategy<Value = StoreOp> {
-    prop_oneof![
-        (any::<u8>(), 1u16..5000).prop_map(|(key, len)| StoreOp::Set { key, len }),
-        any::<u8>().prop_map(|key| StoreOp::Get { key }),
-        any::<u8>().prop_map(|key| StoreOp::Delete { key }),
-    ]
+fn gen_op(rng: &mut SimRng) -> StoreOp {
+    let key = rng.next_u64() as u8;
+    match rng.index(3) {
+        0 => StoreOp::Set {
+            key,
+            len: rng.range_u64(1, 5000) as u16,
+        },
+        1 => StoreOp::Get { key },
+        _ => StoreOp::Delete { key },
+    }
 }
 
 /// A naive reference: ordered list of (key, len), most recent last.
@@ -67,79 +67,96 @@ impl ModelLru {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+#[test]
+fn store_matches_reference_lru_model() {
+    check_seq(
+        64,
+        |rng| (rng.range_u64(8, 64), vec_of(rng, 1..200, gen_op)),
+        |(capacity_kb, ops)| {
+            let capacity = capacity_kb * 1024;
+            let mut store = StoreNode::new(capacity);
+            let mut model = ModelLru {
+                capacity,
+                ..ModelLru::default()
+            };
+            for op in ops {
+                match *op {
+                    StoreOp::Set { key, len } => {
+                        let k: Arc<str> = format!("key-{key}").into();
+                        store.set(k, Payload::synthetic(len as u64, key as u64));
+                        model.set(key, len);
+                    }
+                    StoreOp::Get { key } => {
+                        let got = store.get_at(&format!("key-{key}"), SimTime::ZERO);
+                        let want = model.get(key);
+                        assert_eq!(
+                            got.map(|p| p.len()),
+                            want.map(u64::from),
+                            "get({key}) diverged"
+                        );
+                    }
+                    StoreOp::Delete { key } => {
+                        let got = store.delete(&format!("key-{key}"));
+                        let want = model.delete(key);
+                        assert_eq!(got, want, "delete({key}) diverged");
+                    }
+                }
+                // Accounting invariants hold after every op.
+                let st = store.stats();
+                assert!(st.used_bytes <= st.capacity_bytes);
+                assert_eq!(st.used_bytes, model.used());
+                assert_eq!(st.items, model.entries.len() as u64);
+            }
+        },
+    );
+}
 
-    #[test]
-    fn store_matches_reference_lru_model(
-        ops in proptest::collection::vec(op_strategy(), 1..200),
-        capacity_kb in 8u64..64,
-    ) {
-        let capacity = capacity_kb * 1024;
-        let mut store = StoreNode::new(capacity);
-        let mut model = ModelLru {
-            capacity,
-            ..ModelLru::default()
-        };
-        for op in ops {
-            match op {
-                StoreOp::Set { key, len } => {
-                    let k: Arc<str> = format!("key-{key}").into();
-                    store.set(k, Payload::synthetic(len as u64, key as u64));
-                    model.set(key, len);
-                }
-                StoreOp::Get { key } => {
-                    let got = store.get_at(&format!("key-{key}"), SimTime::ZERO);
-                    let want = model.get(key);
-                    prop_assert_eq!(
-                        got.map(|p| p.len()),
-                        want.map(u64::from),
-                        "get({}) diverged", key
-                    );
-                }
-                StoreOp::Delete { key } => {
-                    let got = store.delete(&format!("key-{key}"));
-                    let want = model.delete(key);
-                    prop_assert_eq!(got, want, "delete({}) diverged", key);
+#[test]
+fn ring_lookup_agrees_with_linear_scan() {
+    const ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789";
+    let key = |rng: &mut SimRng| -> String {
+        vec_of(rng, 1..25, |r| ALPHABET[r.index(ALPHABET.len())] as char)
+            .into_iter()
+            .collect()
+    };
+    check_seq(
+        64,
+        |rng| (1 + rng.index(11), vec_of(rng, 1..50, key)),
+        |(servers, keys)| {
+            let servers = *servers;
+            let ring = HashRing::new(servers, 64);
+            for key in keys {
+                let p = ring.primary_for(key.as_bytes());
+                assert!(p < servers);
+                // servers_for is the primary followed by consecutive indices.
+                let n = servers.min(4);
+                let s = ring.servers_for(key.as_bytes(), n).expect("n <= servers");
+                for (i, &srv) in s.iter().enumerate() {
+                    assert_eq!(srv, (p + i) % servers);
                 }
             }
-            // Accounting invariants hold after every op.
-            let st = store.stats();
-            prop_assert!(st.used_bytes <= st.capacity_bytes);
-            prop_assert_eq!(st.used_bytes, model.used());
-            prop_assert_eq!(st.items, model.entries.len() as u64);
-        }
-    }
+        },
+    );
+}
 
-    #[test]
-    fn ring_lookup_agrees_with_linear_scan(
-        servers in 1usize..12,
-        keys in proptest::collection::vec(proptest::string::string_regex("[a-z0-9]{1,24}").unwrap(), 1..50),
-    ) {
-        let ring = HashRing::new(servers, 64);
-        for key in &keys {
-            let p = ring.primary_for(key.as_bytes());
-            prop_assert!(p < servers);
-            // servers_for is the primary followed by consecutive indices.
-            let n = servers.min(4);
-            let s = ring.servers_for(key.as_bytes(), n).expect("n <= servers");
-            for (i, &srv) in s.iter().enumerate() {
-                prop_assert_eq!(srv, (p + i) % servers);
-            }
-        }
-    }
-
-    #[test]
-    fn payload_shards_are_injective_per_index(
-        len in 1u64..1_000_000,
-        seed in any::<u64>(),
-        shard_len in 1u64..100_000,
-    ) {
-        let v = Payload::synthetic(len, seed);
-        let digests: Vec<u64> = (0..8).map(|i| v.shard(i, shard_len).digest()).collect();
-        let mut unique = digests.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        prop_assert_eq!(unique.len(), digests.len(), "shard digests must differ");
-    }
+#[test]
+fn payload_shards_are_injective_per_index() {
+    check(
+        64,
+        |rng| {
+            (
+                rng.range_u64(1, 1_000_000),
+                rng.next_u64(),
+                rng.range_u64(1, 100_000),
+            )
+        },
+        |&(len, seed, shard_len)| {
+            let v = Payload::synthetic(len, seed);
+            let digests: Vec<u64> = (0..8).map(|i| v.shard(i, shard_len).digest()).collect();
+            let mut unique = digests.clone();
+            unique.sort_unstable();
+            unique.dedup();
+            assert_eq!(unique.len(), digests.len(), "shard digests must differ");
+        },
+    );
 }

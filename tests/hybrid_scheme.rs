@@ -167,3 +167,59 @@ fn scheme_accessors_for_hybrid() {
     assert!(s.hybrid_params().is_some());
     assert!(s.erasure_params().is_some());
 }
+
+/// Writes a small then a large value under one key and reads it back.
+fn overwrite_across_the_threshold(validate: bool) -> (u64, u64, u64) {
+    let world = World::new(
+        EngineConfig::new(
+            ClusterConfig::new(ClusterProfile::RiQdr, 5, 1),
+            Scheme::hybrid(4096, 3, 2),
+        )
+        .validate(validate),
+    );
+    let mut sim = Simulation::new();
+    eckv::core::driver::run_workload(
+        &world,
+        &mut sim,
+        vec![vec![
+            Op::set_synthetic("k", 3160, 1),
+            Op::set_synthetic("k", 7475, 2),
+        ]],
+    );
+    world.reset_metrics();
+    eckv::core::driver::run_workload(&world, &mut sim, vec![vec![Op::get("k")]]);
+    let m = world.metrics.borrow();
+    (m.errors, m.integrity_errors, m.bytes_read)
+}
+
+#[test]
+fn a_large_overwrite_of_a_small_value_is_what_reads_return() {
+    // The chunked rewrite must retire the plain replica the small write
+    // left behind, or the replica probe keeps serving the old value.
+    assert_eq!(overwrite_across_the_threshold(true), (0, 0, 7475));
+    assert_eq!(overwrite_across_the_threshold(false), (0, 0, 7475));
+}
+
+#[test]
+fn a_chunk_migrated_back_onto_a_former_replica_holder_retires_its_copy() {
+    // A join moves the key's primary slot away (the old primary keeps
+    // its plain copy), a chunked rewrite retires the copies in the group,
+    // and a drain moves the slot back: the returning chunk must retire
+    // the copy the old primary still holds.
+    let world = World::new(EngineConfig::new(
+        ClusterConfig::new(ClusterProfile::RiQdr, 5, 1).max_servers(6),
+        Scheme::hybrid(4096, 3, 2),
+    ));
+    let mut sim = Simulation::new();
+    let set = |len, version| vec![vec![Op::set_synthetic("x26", len, version)]];
+    eckv::core::driver::run_workload(&world, &mut sim, set(1860, 1));
+    let joined = eckv::core::join_server(&world, &mut sim).expect("a spare is provisioned");
+    sim.run();
+    eckv::core::driver::run_workload(&world, &mut sim, set(7888, 2));
+    eckv::core::drain_server(&world, &mut sim, joined);
+    sim.run();
+    world.reset_metrics();
+    eckv::core::driver::run_workload(&world, &mut sim, vec![vec![Op::get("x26")]]);
+    let m = world.metrics.borrow();
+    assert_eq!((m.errors, m.integrity_errors, m.bytes_read), (0, 0, 7888));
+}
