@@ -6,36 +6,42 @@
 //! a chunk or replica there has lost redundancy. [`start_repair`] seeds a
 //! background queue of those keys (sorted — the deterministic scan order)
 //! and rebuilds them, client-driven, while the simulation keeps serving
-//! foreground operations:
+//! foreground operations.
 //!
-//! * **Erasure schemes** fetch `k` surviving chunks, decode, re-encode the
-//!   lost shard and store it on the replacement — the classic erasure
-//!   *repair amplification*: `k` chunk reads per lost chunk. Survivor sets
-//!   rotate per key (by key hash) so a mass repair spreads its reads, and
-//!   a dead or empty holder is topped up from untried survivors the way
-//!   the GET path late-binds.
-//! * **Replication schemes** copy the value from any live replica —
-//!   1x read per lost copy, the repair-cost advantage replication keeps.
+//! The same engine drives **repair-driven migration**: a membership
+//! change ([`join_server`], [`drain_server`]) reassigns O(1/N) of the
+//! virtual shards, and every key in a moved vshard becomes a
+//! `RepairTask::Migrate` on the same queue. Migration is repair with a
+//! different destination, so both task kinds run one pipeline — fetch
+//! from the survivors, decode if sharded, write to the destination:
+//!
+//! * **Full copies** (replication, small hybrid values) are fetched from
+//!   any live holder, topped up from the next one when a holder is dead
+//!   or has lost its copy — 1x read per lost copy, the repair-cost
+//!   advantage replication keeps. A rebuild rotates the holders by key
+//!   hash so a mass repair spreads its reads; a migration asks the
+//!   vacated holder first.
+//! * **Erasure chunks** are copied verbatim from the vacated holder when a
+//!   migration has a live one. Otherwise — and always for a rebuild — the
+//!   chunk is reconstructed: fetch `k` survivors (rotated by key hash,
+//!   topped up from untried survivors the way the GET path late-binds),
+//!   decode, re-encode the lost shard. That is the classic erasure
+//!   *repair amplification*: `k` chunk reads per lost chunk.
+//! * **Every write** goes through one tail with one `repair_shard` event
+//!   and one pair of read/write counters, so repair and migration traffic
+//!   compare directly in traces.
 //!
 //! Three policies shape the interference with foreground traffic
 //! ([`RepairConfig`]): a concurrency window, a token-bucket **bandwidth
 //! throttle** that paces key issue in sim-time, and **degraded-read
 //! priority promotion** — a GET that had to decode moves its key to the
 //! front of the queue so hot keys exit degraded mode first while cold
-//! keys wait for the background scan.
+//! keys wait for the background scan. Migration runs under the same three.
 //!
 //! The offline [`repair_server`] wrapper keeps the old stop-the-world
 //! contract: unthrottled, no foreground load, runs to quiescence. The
 //! returned [`RepairReport`] quantifies the repair-amplification
 //! trade-off either way.
-//!
-//! The same engine drives **repair-driven migration**: a membership
-//! change ([`join_server`], [`drain_server`]) reassigns O(1/N) of the
-//! virtual shards, and every key in a moved vshard becomes a
-//! `RepairTask::Migrate` on the same queue — copied (or, when the old
-//! holder is unreachable, reconstructed from `k` survivors) to its new
-//! holder under the same window, throttle, and degraded-read promotion
-//! as a rebuild. Migration is repair with a different destination.
 
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
@@ -44,16 +50,17 @@ use std::sync::Arc;
 use eckv_simnet::{trace_codec, CodecOp, SimDuration, SimTime, Simulation, TraceEvent};
 use eckv_store::{fnv1a_64, rpc, Bytes, Payload};
 
-use crate::fanout::{client_get_io, FanOut, FanOutSpec, Liveness, QuorumPolicy, Settled};
+use crate::fanout::{client_get_io, FanOut, FanOutSpec, Liveness, QuorumPolicy, Settled, ShardIo};
 use crate::scheme::Scheme;
 use crate::world::{RepairConfig, World};
 
 /// Outcome of one server repair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepairReport {
     /// Keys that had lost a chunk/replica on the failed server.
     pub keys_repaired: u64,
-    /// Keys that could not be repaired (insufficient survivors).
+    /// Keys that could not be repaired (insufficient or undecodable
+    /// survivors).
     pub keys_lost: u64,
     /// Bytes read from surviving servers to drive the repair.
     pub bytes_read: u64,
@@ -66,8 +73,12 @@ pub struct RepairReport {
 /// One unit of background data movement on the repair queue.
 #[derive(Debug, Clone)]
 enum RepairTask {
-    /// Rebuild the chunk/replica a key lost on the replaced server.
-    Rebuild(Arc<str>),
+    /// Rebuild chunk/copy `slot` of `key` on the replaced server `to`.
+    Rebuild {
+        key: Arc<str>,
+        slot: usize,
+        to: usize,
+    },
     /// Move chunk `slot` of `key` from its previous holder to the new
     /// one a membership change assigned (`from` usually still serves it,
     /// so this is a 1x copy; reconstruction is the fallback).
@@ -82,8 +93,52 @@ enum RepairTask {
 impl RepairTask {
     fn key(&self) -> &Arc<str> {
         match self {
-            RepairTask::Rebuild(key) | RepairTask::Migrate { key, .. } => key,
+            RepairTask::Rebuild { key, .. } | RepairTask::Migrate { key, .. } => key,
         }
+    }
+}
+
+/// How a key is stored on its placement group under the current scheme —
+/// the one place a hybrid value's size class is looked up.
+#[derive(Debug, Clone, Copy)]
+enum Layout {
+    /// One erasure chunk per slot; any `k` of them rebuild another.
+    Sharded,
+    /// Full copies on the group's first `n` slots.
+    Copies(usize),
+    /// One unreplicated copy (`NoRep`): it can move, but nothing
+    /// redundant exists to rebuild it from.
+    Unprotected,
+}
+
+impl Layout {
+    fn of(world: &World, key: &str) -> Layout {
+        match world.scheme {
+            Scheme::Erasure { .. } => Layout::Sharded,
+            Scheme::SyncRep { replicas } | Scheme::AsyncRep { replicas } => {
+                Layout::Copies(replicas)
+            }
+            // The class was decided by the value's size at write time.
+            Scheme::Hybrid {
+                threshold,
+                replicas,
+                ..
+            } => {
+                let len = world.expected.borrow().get(key).map_or(0, |w| w.len);
+                if len > threshold {
+                    Layout::Sharded
+                } else {
+                    Layout::Copies(replicas)
+                }
+            }
+            Scheme::NoRep => Layout::Unprotected,
+        }
+    }
+
+    /// Whether slot `slot` of the group stores anything (a small hybrid
+    /// value only occupies its first `replicas` slots).
+    fn holds(self, slot: usize) -> bool {
+        !matches!(self, Layout::Copies(n) if slot >= n)
     }
 }
 
@@ -92,9 +147,9 @@ impl RepairTask {
 /// degraded key to the front.
 #[derive(Debug)]
 pub(crate) struct OnlineRepair {
-    /// The replaced server (`Some` = rebuild mode; `None` = the queue
-    /// holds only migration work from a membership change).
-    failed: Option<usize>,
+    /// Whether this rebuilds a replaced server (`false` = the queue holds
+    /// only migration work from a membership change).
+    rebuild: bool,
     /// Tasks awaiting rebuild/migration, in background-scan order
     /// (sorted) except where promotion reordered them.
     queue: VecDeque<RepairTask>,
@@ -111,6 +166,21 @@ pub(crate) struct OnlineRepair {
     report: RepairReport,
     /// When the repair started.
     started: SimTime,
+}
+
+impl OnlineRepair {
+    fn new(rebuild: bool, queue: VecDeque<RepairTask>, cfg: RepairConfig, now: SimTime) -> Self {
+        OnlineRepair {
+            rebuild,
+            queue,
+            in_flight: 0,
+            window: cfg.window,
+            bandwidth: cfg.bandwidth,
+            next_free: now,
+            report: RepairReport::default(),
+            started: now,
+        }
+    }
 }
 
 /// Replaces `failed` with an empty node and starts rebuilding every lost
@@ -150,38 +220,36 @@ fn start_repair_with(world: &Rc<World>, sim: &mut Simulation, failed: usize, cfg
     }
 
     // Every written key whose placement includes the replaced server has
-    // lost redundancy. Sorted: HashMap iteration order is per-instance
-    // random, and the queue order is observable (trace determinism, and
-    // the promotion test measures against the scan position).
-    let mut keys: Vec<Arc<str>> = world
+    // lost redundancy in the slot it held. Sorted: HashMap iteration order
+    // is per-instance random, and the queue order is observable (trace
+    // determinism, and the promotion test measures against the scan
+    // position).
+    let mut lost: Vec<(Arc<str>, usize)> = world
         .expected
         .borrow()
         .keys()
-        .filter(|k| world.targets(k).contains(&failed))
-        .cloned()
+        .filter_map(|k| {
+            Some((
+                k.clone(),
+                world.targets(k).iter().position(|&s| s == failed)?,
+            ))
+        })
         .collect();
-    keys.sort();
+    lost.sort();
 
     {
         let mut m = world.metrics.borrow_mut();
-        m.repair_queue_depth_hwm = m.repair_queue_depth_hwm.max(keys.len() as u64);
+        m.repair_queue_depth_hwm = m.repair_queue_depth_hwm.max(lost.len() as u64);
     }
-    *world.repair.borrow_mut() = Some(OnlineRepair {
-        failed: Some(failed),
-        queue: keys.into_iter().map(RepairTask::Rebuild).collect(),
-        in_flight: 0,
-        window: cfg.window,
-        bandwidth: cfg.bandwidth,
-        next_free: sim.now(),
-        report: RepairReport {
-            keys_repaired: 0,
-            keys_lost: 0,
-            bytes_read: 0,
-            bytes_written: 0,
-            elapsed: SimDuration::ZERO,
-        },
-        started: sim.now(),
-    });
+    let queue = lost
+        .into_iter()
+        .map(|(key, slot)| RepairTask::Rebuild {
+            key,
+            slot,
+            to: failed,
+        })
+        .collect();
+    *world.repair.borrow_mut() = Some(OnlineRepair::new(true, queue, cfg, sim.now()));
     pump_repair(world, sim);
 }
 
@@ -239,72 +307,27 @@ pub(crate) fn note_degraded_read(world: &World, at: SimTime, key: &Arc<str>) {
     }
 }
 
-/// Estimated repair traffic for `key` (survivor reads plus the
-/// replacement write) — the token-bucket debit, and the `bytes` payload
-/// of its `repair_started` event.
-fn repair_cost(world: &World, failed: usize, key: &Arc<str>) -> u64 {
+/// Estimated traffic of one task (source reads plus the destination
+/// write) — the token-bucket debit, and the `bytes` payload of its
+/// `repair_started` event. A chunk rebuild reads `k` survivors (the
+/// repair amplification); a migration is priced as its 1x direct copy.
+fn task_cost(world: &World, task: &RepairTask) -> u64 {
+    let key = task.key();
     let len = world.expected.borrow().get(key).map_or(0, |w| w.len);
-    match world.scheme {
-        Scheme::Erasure { k, .. } => world.shard_len(len) * (k as u64 + 1),
-        Scheme::SyncRep { .. } | Scheme::AsyncRep { .. } => len * 2,
-        Scheme::Hybrid {
-            threshold,
-            replicas,
-            k,
-            ..
-        } => {
-            if len <= threshold {
-                let holds_copy = world
-                    .targets(key)
-                    .into_iter()
-                    .take(replicas)
-                    .any(|s| s == failed);
-                if holds_copy {
-                    len * 2
-                } else {
-                    0
-                }
-            } else {
-                world.shard_len(len) * (k as u64 + 1)
-            }
+    let (slot, rebuild) = match *task {
+        RepairTask::Rebuild { slot, .. } => (slot, true),
+        RepairTask::Migrate { slot, .. } => (slot, false),
+    };
+    match Layout::of(world, key) {
+        Layout::Sharded => {
+            let (k, ..) = world.scheme.erasure_params().expect("erasure scheme");
+            let reads = if rebuild { k as u64 } else { 1 };
+            world.shard_len(len) * (reads + 1)
         }
-        Scheme::NoRep => 0,
-    }
-}
-
-/// Estimated migration traffic for one moved chunk of `key` (the source
-/// read plus the new-holder write) — the token-bucket debit. Migration
-/// moves one chunk per key, so the erasure cost is 2x a shard, not the
-/// k+1 repair amplification.
-fn migrate_cost(world: &World, key: &Arc<str>) -> u64 {
-    let len = world.expected.borrow().get(key).map_or(0, |w| w.len);
-    match world.scheme {
-        Scheme::Erasure { .. } => world.shard_len(len) * 2,
-        Scheme::SyncRep { .. } | Scheme::AsyncRep { .. } | Scheme::NoRep => len * 2,
-        Scheme::Hybrid { threshold, .. } => {
-            if len <= threshold {
-                len * 2
-            } else {
-                world.shard_len(len) * 2
-            }
-        }
-    }
-}
-
-/// Whether slot `slot` of `key` stores anything under the current scheme
-/// (a small hybrid value only occupies its first `replicas` slots, so a
-/// reassignment of a later slot moves no data).
-fn carries_data(world: &World, key: &Arc<str>, slot: usize) -> bool {
-    match world.scheme {
-        Scheme::Hybrid {
-            threshold,
-            replicas,
-            ..
-        } => {
-            let len = world.expected.borrow().get(key).map_or(0, |w| w.len);
-            len > threshold || slot < replicas
-        }
-        _ => true,
+        // The replaced server held no copy, or held the only one.
+        Layout::Copies(n) if rebuild && slot >= n => 0,
+        Layout::Unprotected if rebuild => 0,
+        Layout::Copies(_) | Layout::Unprotected => len * 2,
     }
 }
 
@@ -321,7 +344,6 @@ enum PumpStep {
     /// Release one task, after `wait` if the pacer held it back.
     Issue {
         task: RepairTask,
-        failed: Option<usize>,
         cost: u64,
         wait: SimDuration,
     },
@@ -345,7 +367,7 @@ pub(crate) fn pump_repair(world: &Rc<World>, sim: &mut Simulation) {
                     PumpStep::Finished {
                         keys: s.report.keys_repaired + s.report.keys_lost,
                         report: s.report,
-                        rebuild: s.failed.is_some(),
+                        rebuild: s.rebuild,
                     }
                 }
             } else if s.in_flight >= s.window {
@@ -354,14 +376,7 @@ pub(crate) fn pump_repair(world: &Rc<World>, sim: &mut Simulation) {
                 let task = s.queue.pop_front().expect("checked non-empty");
                 // world.repair and world.expected are distinct cells, so
                 // the cost estimate can read the catalogue here.
-                let cost = match &task {
-                    RepairTask::Rebuild(key) => repair_cost(
-                        world,
-                        s.failed.expect("rebuilds carry a failed server"),
-                        key,
-                    ),
-                    RepairTask::Migrate { key, .. } => migrate_cost(world, key),
-                };
+                let cost = task_cost(world, &task);
                 let now = sim.now();
                 let earliest = if s.next_free > now { s.next_free } else { now };
                 if let Some(rate) = s.bandwidth {
@@ -373,7 +388,6 @@ pub(crate) fn pump_repair(world: &Rc<World>, sim: &mut Simulation) {
                 s.in_flight += 1;
                 PumpStep::Issue {
                     task,
-                    failed: s.failed,
                     cost,
                     wait: earliest.since(now),
                 }
@@ -406,12 +420,7 @@ pub(crate) fn pump_repair(world: &Rc<World>, sim: &mut Simulation) {
                 }
                 return;
             }
-            PumpStep::Issue {
-                task,
-                failed,
-                cost,
-                wait,
-            } => {
+            PumpStep::Issue { task, cost, wait } => {
                 if wait > SimDuration::ZERO {
                     if world.trace.is_enabled() {
                         world.trace.emit(
@@ -424,10 +433,10 @@ pub(crate) fn pump_repair(world: &Rc<World>, sim: &mut Simulation) {
                     }
                     let world2 = world.clone();
                     sim.schedule_in(wait, move |sim| {
-                        issue_repair_task(&world2, sim, failed, task, cost);
+                        issue_repair_task(&world2, sim, task, cost);
                     });
                 } else {
-                    issue_repair_task(world, sim, failed, task, cost);
+                    issue_repair_task(world, sim, task, cost);
                 }
             }
         }
@@ -438,7 +447,8 @@ pub(crate) fn pump_repair(world: &Rc<World>, sim: &mut Simulation) {
 enum RepairOutcome {
     /// The lost chunk/replica is back on the replacement.
     Repaired,
-    /// Insufficient survivors (or nothing redundant existed): final.
+    /// Insufficient survivors, an undecodable stripe, or nothing
+    /// redundant existed: final.
     Lost,
     /// Admission control refused a survivor read or the replacement
     /// write. The servers are overloaded, not failed — the key goes back
@@ -448,15 +458,9 @@ enum RepairOutcome {
 
 type RepairDone = Box<dyn FnOnce(&mut Simulation, RepairOutcome, u64, u64)>;
 
-/// Dispatches the rebuild or migration of one key per the scheme, with a
-/// completion that books the outcome and re-pumps the queue.
-fn issue_repair_task(
-    world: &Rc<World>,
-    sim: &mut Simulation,
-    failed: Option<usize>,
-    task: RepairTask,
-    cost: u64,
-) {
+/// Starts one task with a completion that books the outcome and re-pumps
+/// the queue.
+fn issue_repair_task(world: &Rc<World>, sim: &mut Simulation, task: RepairTask, cost: u64) {
     if world.trace.is_enabled() {
         world.trace.emit(
             sim.now(),
@@ -502,117 +506,183 @@ fn issue_repair_task(
         },
     );
     let prev = world.trace.set_span_scope(span);
-    match task {
-        RepairTask::Rebuild(key) => {
-            let failed = failed.expect("rebuilds carry a failed server");
-            match world.scheme {
-                Scheme::Erasure { .. } => repair_erasure_key(world, sim, failed, key, done),
-                Scheme::SyncRep { .. } | Scheme::AsyncRep { .. } => {
-                    let targets = world.targets(&key);
-                    repair_replica_key(world, sim, failed, key, targets, done)
-                }
-                Scheme::Hybrid {
-                    threshold,
-                    replicas,
-                    ..
-                } => {
-                    // How the key was protected depends on its size at
-                    // write time.
-                    let len = world.expected.borrow().get(&key).map_or(0, |w| w.len);
-                    if len <= threshold {
-                        let targets: Vec<usize> =
-                            world.targets(&key).into_iter().take(replicas).collect();
-                        if targets.contains(&failed) {
-                            repair_replica_key(world, sim, failed, key, targets, done)
-                        } else {
-                            // The replaced server held no copy of this key.
-                            done(sim, RepairOutcome::Repaired, 0, 0);
-                        }
-                    } else {
-                        repair_erasure_key(world, sim, failed, key, done)
-                    }
-                }
-                Scheme::NoRep => {
-                    // Nothing redundant exists; the data is simply gone.
-                    done(sim, RepairOutcome::Lost, 0, 0);
-                }
-            }
-        }
+    run_task(world, sim, task, done);
+    world.trace.set_span_scope(prev);
+}
+
+/// Where a task's bytes land: `store_key` on server `to`, retiring the
+/// plain copy `stale` there in the same request.
+#[derive(Clone)]
+struct Dest {
+    to: usize,
+    store_key: Arc<str>,
+    stale: Option<Arc<str>>,
+}
+
+/// What a copy falls back to when no source served the value and none
+/// shed.
+type OnMiss = Box<dyn FnOnce(&mut Simulation, RepairDone)>;
+
+/// The pipeline every task runs: fetch from the survivors, decode if
+/// sharded, write to the destination. A rebuild and a migration differ
+/// only in the source list they hand the fetch and in the destination.
+fn run_task(world: &Rc<World>, sim: &mut Simulation, task: RepairTask, done: RepairDone) {
+    let (key, slot, to, from) = match task {
+        RepairTask::Rebuild { key, slot, to } => (key, slot, to, None),
         RepairTask::Migrate {
             key,
             slot,
             from,
             to,
-        } => {
-            let sharded = match world.scheme {
-                Scheme::Erasure { .. } => true,
-                Scheme::SyncRep { .. } | Scheme::AsyncRep { .. } | Scheme::NoRep => false,
-                Scheme::Hybrid { threshold, .. } => {
-                    let len = world.expected.borrow().get(&key).map_or(0, |w| w.len);
-                    len > threshold
-                }
-            };
-            if sharded {
-                migrate_erasure_shard(world, sim, key, slot, from, to, done)
-            } else {
-                // Full-copy schemes: any current holder can source the
-                // move, preferring the vacated one.
-                let sources: Vec<usize> = match world.scheme {
-                    Scheme::NoRep => vec![from],
-                    scheme => {
-                        // Only the first `replicas` slots of the group
-                        // hold full copies.
-                        let copies = match scheme {
-                            Scheme::Hybrid { replicas, .. } => replicas,
-                            _ => world.scheme.servers_per_key(),
-                        };
-                        let mut s = vec![from];
-                        // Under-width membership has no valid placement;
-                        // the vacated holder is then the only source.
-                        s.extend(
-                            world
-                                .try_targets(&key)
-                                .unwrap_or_default()
-                                .into_iter()
-                                .take(copies)
-                                .filter(|&t| t != to && t != from),
-                        );
-                        s
-                    }
-                };
-                migrate_replica(world, sim, key, sources, to, done)
-            }
-        }
+        } => (key, slot, to, Some(from)),
+    };
+    let layout = Layout::of(world, &key);
+    if !layout.holds(slot) {
+        // The replaced server held no copy of this small hybrid value.
+        done(sim, RepairOutcome::Repaired, 0, 0);
+        return;
     }
-    world.trace.set_span_scope(prev);
+    let alive = |s: &usize| world.cluster.is_server_alive(*s);
+    let hedge_node = world.cluster.client_node(0);
+    if let Layout::Sharded = layout {
+        // A migration copies the chunk verbatim from its vacated holder:
+        // one source, so nothing to hedge against. A rebuild, or a source
+        // that is dead or empty, reconstructs from `k` survivors instead.
+        let dest = Dest {
+            to,
+            store_key: World::shard_key(&key, slot),
+            stale: (from.is_some() && world.scheme.is_replica_slot(slot)).then(|| key.clone()),
+        };
+        let spec = FanOutSpec {
+            candidates: from.filter(alive).map(|f| (slot, f)).into_iter().collect(),
+            pinned: 0,
+            policy: QuorumPolicy::single(false),
+            liveness: Liveness::PreFiltered,
+            hedge_node,
+        };
+        let io = client_get_io(world, 0, key.clone(), true, false, rpc::RpcPriority::Repair);
+        let (world2, dest2) = (world.clone(), dest.clone());
+        let on_miss: OnMiss =
+            Box::new(move |sim, done| reconstruct_to(&world2, sim, key, slot, dest2, done));
+        copy_to(world, sim, spec, io, dest, on_miss, done);
+        return;
+    }
+    // A full copy: any live holder of one serves it — the vacated holder
+    // first, then the key's other copy holders.
+    let others: Vec<usize> = match layout {
+        Layout::Copies(n) => world
+            .try_targets(&key)
+            .unwrap_or_default()
+            .into_iter()
+            .take(n)
+            .filter(|&t| t != to && Some(t) != from)
+            .collect(),
+        _ => Vec::new(),
+    };
+    let spec = FanOutSpec {
+        candidates: from
+            .into_iter()
+            .chain(others)
+            .filter(alive)
+            .enumerate()
+            .collect(),
+        pinned: 0,
+        policy: QuorumPolicy::read(1),
+        liveness: Liveness::PreFiltered,
+        hedge_node,
+    };
+    // A rebuild spreads a mass repair's reads by key hash; a migration
+    // keeps the vacated holder first so the common case stays its 1x copy.
+    let spec = match from {
+        None => spec.rotated_by(fnv1a_64(key.as_bytes())),
+        Some(_) => spec,
+    };
+    let io = client_get_io(
+        world,
+        0,
+        key.clone(),
+        false,
+        false,
+        rpc::RpcPriority::Repair,
+    );
+    let dest = Dest {
+        to,
+        store_key: key,
+        stale: None,
+    };
+    let lost: OnMiss = Box::new(|sim, done| done(sim, RepairOutcome::Lost, 0, 0));
+    copy_to(world, sim, spec, io, dest, lost, done);
 }
 
-/// Rebuilds the lost chunk of `key`: fetch `k` survivors through the
-/// shared fan-out core (rotated per key, topped up from untried survivors
-/// the way the GET path late-binds, hedged against stragglers), decode,
-/// store on the replacement.
-fn repair_erasure_key(
+/// Fetches one stored value — a full copy, or one chunk verbatim —
+/// through the caller's fan-out and writes it to `dest`. With no live
+/// candidate, or when every candidate came back dead or empty, `on_miss`
+/// takes over.
+fn copy_to(
     world: &Rc<World>,
     sim: &mut Simulation,
-    failed: usize,
-    key: Arc<str>,
+    spec: FanOutSpec,
+    io: ShardIo,
+    dest: Dest,
+    on_miss: OnMiss,
     done: RepairDone,
 ) {
-    let (k, _, _, _, _) = world.scheme.erasure_params().expect("erasure scheme");
-    let targets = world.targets(&key);
-    let lost_shard = targets
-        .iter()
-        .position(|&s| s == failed)
-        .expect("key was selected because it lives on the failed server");
+    if spec.candidates.is_empty() {
+        on_miss(sim, done);
+        return;
+    }
+    let world2 = world.clone();
+    let now = sim.now();
+    let launched = FanOut::launch(
+        world,
+        sim,
+        spec,
+        now,
+        io,
+        Box::new(move |sim, s: Settled| {
+            let shed = s.shed;
+            let Some((_, value)) = s.good.into_iter().next() else {
+                if shed > 0 {
+                    done(sim, RepairOutcome::Shed, 0, 0);
+                } else {
+                    on_miss(sim, done);
+                }
+                return;
+            };
+            let read = value.len();
+            let at = sim.now();
+            write_to_new_holder(&world2, sim, at, value, dest, read, done);
+        }),
+    );
+    debug_assert!(launched, "a live source existed at the pre-check");
+}
 
+/// Rebuilds chunk `slot` of `key` and writes it to `dest`: fetch `k`
+/// survivors of its group through the shared fan-out core (rotated per
+/// key, topped up from untried survivors the way the GET path late-binds,
+/// hedged against stragglers), decode on the client CPU, write.
+fn reconstruct_to(
+    world: &Rc<World>,
+    sim: &mut Simulation,
+    key: Arc<str>,
+    slot: usize,
+    dest: Dest,
+    done: RepairDone,
+) {
+    let (k, ..) = world.scheme.erasure_params().expect("erasure scheme");
+    let Ok(targets) = world.try_targets(&key) else {
+        // The membership dropped below the scheme width: no valid
+        // placement exists to rebuild into.
+        done(sim, RepairOutcome::Lost, 0, 0);
+        return;
+    };
     // Survivors: every other chunk holder that is alive (judged by ground
     // truth at scan time — repair does not consult or update client
     // views).
     let survivors: Vec<(usize, usize)> = targets
-        .iter()
+        .into_iter()
         .enumerate()
-        .filter(|&(i, &s)| i != lost_shard && world.cluster.is_server_alive(s))
-        .map(|(i, &s)| (i, s))
+        .filter(|&(i, s)| i != slot && world.cluster.is_server_alive(s))
         .collect();
     if survivors.len() < k {
         done(sim, RepairOutcome::Lost, 0, 0);
@@ -631,12 +701,12 @@ fn repair_erasure_key(
     .rotated_by(fnv1a_64(key.as_bytes()));
     let io = client_get_io(world, 0, key.clone(), true, false, rpc::RpcPriority::Repair);
     let world2 = world.clone();
-    let from = sim.now();
+    let now = sim.now();
     let launched = FanOut::launch(
         world,
         sim,
         spec,
-        from,
+        now,
         io,
         Box::new(move |sim, s: Settled| {
             let read: u64 = s.good.iter().map(|(_, c)| c.len()).sum();
@@ -649,19 +719,18 @@ fn repair_erasure_key(
                 done(sim, outcome, read, 0);
                 return;
             }
-            let chunks: Vec<(usize, Option<Payload>)> = s
-                .good
-                .into_iter()
-                .take(k)
-                .map(|(i, c)| (i, Some(c)))
-                .collect();
-            // Decode + re-encode the lost shard on the client CPU.
+            let chunks: Vec<(usize, Payload)> = s.good.into_iter().take(k).collect();
             let expected = world2.expected.borrow().get(&key).copied();
             let Some(w) = expected else {
                 done(sim, RepairOutcome::Lost, read, 0);
                 return;
             };
-            let rebuilt = rebuild_shard(&world2, &chunks, lost_shard, w.len, w.digest);
+            // Survivor chunks that disagree in shape (a corrupt or
+            // truncated one) cannot be decoded: the key is lost.
+            let Some(rebuilt) = rebuild_shard(&world2, &chunks, slot, w.len, w.digest) else {
+                done(sim, RepairOutcome::Lost, read, 0);
+                return;
+            };
             let t_dec = world2
                 .decode_time(w.len, 1)
                 .max(world2.encode_time(w.len) / 2);
@@ -674,223 +743,66 @@ fn repair_erasure_key(
                 t_dec,
                 w.len,
             );
-            let written = rebuilt.len();
-            let replacement = world2.cluster.servers[failed].clone();
-            let world3 = world2.clone();
-            rpc::set(
-                &world2.cluster.net,
-                &replacement,
-                sim,
-                dec_done,
-                client_node,
-                World::shard_key(&key, lost_shard),
-                rebuilt,
-                rpc::RpcPriority::Repair,
-                move |sim, reply| match reply {
-                    Ok(_) => {
-                        if world3.trace.is_enabled() {
-                            let node = world3.cluster.server_node(failed);
-                            world3.trace.emit(
-                                sim.now(),
-                                TraceEvent::RepairShard {
-                                    node,
-                                    bytes: written,
-                                },
-                            );
-                            world3
-                                .trace
-                                .counter_add(client_node, "repair_read_bytes", read);
-                            world3
-                                .trace
-                                .counter_add(node, "repair_write_bytes", written);
-                        }
-                        done(sim, RepairOutcome::Repaired, read, written);
-                    }
-                    Err(rpc::RpcError::Shed(t)) => {
-                        world3.note_shed(t, client_node, failed, rpc::RpcPriority::Repair);
-                        done(sim, RepairOutcome::Shed, read, 0);
-                    }
-                    Err(rpc::RpcError::ServerDead(_)) => {
-                        done(sim, RepairOutcome::Lost, read, 0);
-                    }
-                },
-            );
+            write_to_new_holder(&world2, sim, dec_done, rebuilt, dest, read, done);
         }),
     );
     debug_assert!(launched, "k live survivors existed at the pre-check");
 }
 
-/// Reconstructs the payload of shard `lost_shard` from the fetched chunks.
+/// Reconstructs the payload of shard `lost_shard` from the fetched
+/// chunks, or `None` when they cannot be decoded.
 fn rebuild_shard(
     world: &World,
-    chunks: &[(usize, Option<Payload>)],
+    chunks: &[(usize, Payload)],
     lost_shard: usize,
     value_len: u64,
     value_digest: u64,
-) -> Payload {
-    let all_inline = chunks
-        .iter()
-        .all(|(_, c)| matches!(c, Some(Payload::Inline(_))));
-    if all_inline {
-        let striper = world.striper.as_ref().expect("erasure scheme");
-        let n = striper.codec().total_shards();
-        let mut shards: Vec<Option<Vec<u8>>> = vec![None; n];
-        for (idx, chunk) in chunks {
-            if let Some(Payload::Inline(b)) = chunk {
-                shards[*idx] = Some(b.to_vec());
-            }
-        }
-        striper
-            .codec()
-            .reconstruct(&mut shards)
-            .expect("k survivors suffice");
-        Payload::inline(Bytes::from(
-            shards[lost_shard].take().expect("reconstruct fills all"),
-        ))
-    } else {
+) -> Option<Payload> {
+    let all_inline = chunks.iter().all(|(_, c)| matches!(c, Payload::Inline(_)));
+    if !all_inline {
         let parent = Payload::Synthetic {
             len: value_len,
             digest: value_digest,
         };
-        parent.shard(lost_shard, world.shard_len(value_len))
+        return Some(parent.shard(lost_shard, world.shard_len(value_len)));
     }
+    let codec = world.striper.as_ref().expect("erasure scheme").codec();
+    let mut shards: Vec<Option<Vec<u8>>> = vec![None; codec.total_shards()];
+    for (idx, chunk) in chunks {
+        if let Payload::Inline(b) = chunk {
+            shards[*idx] = Some(b.to_vec());
+        }
+    }
+    codec.reconstruct(&mut shards).ok()?;
+    Some(Payload::inline(Bytes::from(shards[lost_shard].take()?)))
 }
 
-/// Re-copies a lost replica of `key` from a live replica holder (rotated
-/// per key so a mass repair spreads its reads). A single-fetch fan-out,
-/// so a straggling source can be hedged by racing the next holder.
-fn repair_replica_key(
-    world: &Rc<World>,
-    sim: &mut Simulation,
-    failed: usize,
-    key: Arc<str>,
-    targets: Vec<usize>,
-    done: RepairDone,
-) {
-    let client_node = world.cluster.client_node(0);
-    let live: Vec<(usize, usize)> = targets
-        .into_iter()
-        .filter(|&s| s != failed && world.cluster.is_server_alive(s))
-        .enumerate()
-        .collect();
-    if live.is_empty() {
-        done(sim, RepairOutcome::Lost, 0, 0);
-        return;
-    }
-    let spec = FanOutSpec {
-        candidates: live,
-        pinned: 0,
-        policy: QuorumPolicy::single(true),
-        liveness: Liveness::PreFiltered,
-        hedge_node: client_node,
-    }
-    .rotated_by(fnv1a_64(key.as_bytes()));
-    let io = client_get_io(
-        world,
-        0,
-        key.clone(),
-        false,
-        false,
-        rpc::RpcPriority::Repair,
-    );
-    let world2 = world.clone();
-    let from = sim.now();
-    let launched = FanOut::launch(
-        world,
-        sim,
-        spec,
-        from,
-        io,
-        Box::new(move |sim, s: Settled| {
-            let shed = s.shed;
-            let Some((_, value)) = s.good.into_iter().next() else {
-                let outcome = if shed > 0 {
-                    RepairOutcome::Shed
-                } else {
-                    RepairOutcome::Lost
-                };
-                done(sim, outcome, 0, 0);
-                return;
-            };
-            let read = value.len();
-            let written = value.len();
-            let replacement = world2.cluster.servers[failed].clone();
-            let at = sim.now();
-            let world3 = world2.clone();
-            rpc::set(
-                &world2.cluster.net,
-                &replacement,
-                sim,
-                at,
-                client_node,
-                key,
-                value,
-                rpc::RpcPriority::Repair,
-                move |sim, reply| match reply {
-                    // Same observability as the erasure path, so
-                    // replication-vs-erasure repair traffic is comparable.
-                    Ok(_) => {
-                        if world3.trace.is_enabled() {
-                            let node = world3.cluster.server_node(failed);
-                            world3.trace.emit(
-                                sim.now(),
-                                TraceEvent::RepairShard {
-                                    node,
-                                    bytes: written,
-                                },
-                            );
-                            world3
-                                .trace
-                                .counter_add(client_node, "repair_read_bytes", read);
-                            world3
-                                .trace
-                                .counter_add(node, "repair_write_bytes", written);
-                        }
-                        done(sim, RepairOutcome::Repaired, read, written);
-                    }
-                    Err(rpc::RpcError::Shed(t)) => {
-                        world3.note_shed(t, client_node, failed, rpc::RpcPriority::Repair);
-                        done(sim, RepairOutcome::Shed, read, 0);
-                    }
-                    Err(rpc::RpcError::ServerDead(_)) => {
-                        done(sim, RepairOutcome::Lost, read, 0);
-                    }
-                },
-            );
-        }),
-    );
-    debug_assert!(launched, "a live replica existed at the pre-check");
-}
-
-/// The shared migration write tail: stores `value` under `store_key` on
-/// the new holder `to`, with the same observability as a rebuild write
-/// (`repair_shard` event, read/write counters) so migration and repair
-/// traffic are directly comparable in traces.
-#[allow(clippy::too_many_arguments)]
+/// The one write tail: stores `value` at `dest` with the same
+/// observability for every task (`repair_shard` event, read/write
+/// counters), so migration and repair traffic compare directly in traces.
 fn write_to_new_holder(
     world: &Rc<World>,
     sim: &mut Simulation,
     at: SimTime,
-    store_key: Arc<str>,
     value: Payload,
-    stale: Option<Arc<str>>,
-    to: usize,
+    dest: Dest,
     read: u64,
     done: RepairDone,
 ) {
     let client_node = world.cluster.client_node(0);
     let written = value.len();
-    let dest = world.cluster.servers[to].clone();
+    let to = dest.to;
+    let server = world.cluster.servers[to].clone();
     let world2 = world.clone();
     rpc::set_retiring(
         &world.cluster.net,
-        &dest,
+        &server,
         sim,
         at,
         client_node,
-        store_key,
+        dest.store_key,
         value,
-        stale,
+        dest.stale,
         rpc::RpcPriority::Repair,
         move |sim, reply| match reply {
             Ok(_) => {
@@ -921,235 +833,6 @@ fn write_to_new_holder(
             }
         },
     );
-}
-
-/// Moves chunk `slot` of `key` to its new holder: a 1x direct copy from
-/// the vacated holder when it is reachable, falling back to a k-survivor
-/// reconstruction (the rebuild path) when it is dead or empty.
-fn migrate_erasure_shard(
-    world: &Rc<World>,
-    sim: &mut Simulation,
-    key: Arc<str>,
-    slot: usize,
-    from: usize,
-    to: usize,
-    done: RepairDone,
-) {
-    if !world.cluster.is_server_alive(from) {
-        migrate_reconstruct_shard(world, sim, key, slot, to, done);
-        return;
-    }
-    let client_node = world.cluster.client_node(0);
-    let spec = FanOutSpec {
-        candidates: vec![(slot, from)],
-        pinned: 0,
-        policy: QuorumPolicy::single(false),
-        liveness: Liveness::PreFiltered,
-        hedge_node: client_node,
-    };
-    let io = client_get_io(world, 0, key.clone(), true, false, rpc::RpcPriority::Repair);
-    let world2 = world.clone();
-    let now = sim.now();
-    let launched = FanOut::launch(
-        world,
-        sim,
-        spec,
-        now,
-        io,
-        Box::new(move |sim, s: Settled| {
-            let shed = s.shed;
-            let Some((_, chunk)) = s.good.into_iter().next() else {
-                if shed > 0 {
-                    done(sim, RepairOutcome::Shed, 0, 0);
-                } else {
-                    // The source lost the chunk (died mid-flight or was
-                    // wiped): reconstruct it from the other holders.
-                    migrate_reconstruct_shard(&world2, sim, key, slot, to, done);
-                }
-                return;
-            };
-            let read = chunk.len();
-            let at = sim.now();
-            let stale = world2.scheme.is_replica_slot(slot).then(|| key.clone());
-            write_to_new_holder(
-                &world2,
-                sim,
-                at,
-                World::shard_key(&key, slot),
-                chunk,
-                stale,
-                to,
-                read,
-                done,
-            );
-        }),
-    );
-    debug_assert!(launched, "the source was alive at the pre-check");
-}
-
-/// Rebuilds chunk `slot` of `key` from `k` survivors in its new group and
-/// stores it on the new holder — the migration fallback when the vacated
-/// holder cannot serve the chunk. Identical to a rebuild except for the
-/// destination.
-fn migrate_reconstruct_shard(
-    world: &Rc<World>,
-    sim: &mut Simulation,
-    key: Arc<str>,
-    slot: usize,
-    to: usize,
-    done: RepairDone,
-) {
-    let (k, _, _, _, _) = world.scheme.erasure_params().expect("erasure scheme");
-    let Ok(targets) = world.try_targets(&key) else {
-        // The membership dropped below the scheme width: no valid
-        // placement exists to rebuild into.
-        done(sim, RepairOutcome::Lost, 0, 0);
-        return;
-    };
-    let survivors: Vec<(usize, usize)> = targets
-        .iter()
-        .enumerate()
-        .filter(|&(i, &s)| i != slot && world.cluster.is_server_alive(s))
-        .map(|(i, &s)| (i, s))
-        .collect();
-    if survivors.len() < k {
-        done(sim, RepairOutcome::Lost, 0, 0);
-        return;
-    }
-    let client_node = world.cluster.client_node(0);
-    let spec = FanOutSpec {
-        candidates: survivors,
-        pinned: 0,
-        policy: QuorumPolicy::read(k),
-        liveness: Liveness::PreFiltered,
-        hedge_node: client_node,
-    }
-    .rotated_by(fnv1a_64(key.as_bytes()));
-    let io = client_get_io(world, 0, key.clone(), true, false, rpc::RpcPriority::Repair);
-    let world2 = world.clone();
-    let from = sim.now();
-    let launched = FanOut::launch(
-        world,
-        sim,
-        spec,
-        from,
-        io,
-        Box::new(move |sim, s: Settled| {
-            let read: u64 = s.good.iter().map(|(_, c)| c.len()).sum();
-            if s.good.len() < k {
-                let outcome = if s.shed > 0 {
-                    RepairOutcome::Shed
-                } else {
-                    RepairOutcome::Lost
-                };
-                done(sim, outcome, read, 0);
-                return;
-            }
-            let chunks: Vec<(usize, Option<Payload>)> = s
-                .good
-                .into_iter()
-                .take(k)
-                .map(|(i, c)| (i, Some(c)))
-                .collect();
-            let expected = world2.expected.borrow().get(&key).copied();
-            let Some(w) = expected else {
-                done(sim, RepairOutcome::Lost, read, 0);
-                return;
-            };
-            let rebuilt = rebuild_shard(&world2, &chunks, slot, w.len, w.digest);
-            let t_dec = world2
-                .decode_time(w.len, 1)
-                .max(world2.encode_time(w.len) / 2);
-            let dec_done = world2.reserve_client_cpu(0, s.last, t_dec);
-            trace_codec(
-                &world2.trace,
-                client_node,
-                CodecOp::Decode,
-                s.last,
-                t_dec,
-                w.len,
-            );
-            let stale = world2.scheme.is_replica_slot(slot).then(|| key.clone());
-            write_to_new_holder(
-                &world2,
-                sim,
-                dec_done,
-                World::shard_key(&key, slot),
-                rebuilt,
-                stale,
-                to,
-                read,
-                done,
-            );
-        }),
-    );
-    debug_assert!(launched, "k live survivors existed at the pre-check");
-}
-
-/// Moves a full copy of `key` to its new holder, sourcing it from the
-/// vacated holder first and topping up from the other copy holders when
-/// the preferred source is dead or empty.
-fn migrate_replica(
-    world: &Rc<World>,
-    sim: &mut Simulation,
-    key: Arc<str>,
-    sources: Vec<usize>,
-    to: usize,
-    done: RepairDone,
-) {
-    let client_node = world.cluster.client_node(0);
-    let live: Vec<(usize, usize)> = sources
-        .into_iter()
-        .filter(|&s| world.cluster.is_server_alive(s))
-        .enumerate()
-        .collect();
-    if live.is_empty() {
-        done(sim, RepairOutcome::Lost, 0, 0);
-        return;
-    }
-    // No rotation: the vacated holder leads so the common case stays a
-    // 1x copy; `read(1)` late-binds the next holder on a dead/empty
-    // source.
-    let spec = FanOutSpec {
-        candidates: live,
-        pinned: 0,
-        policy: QuorumPolicy::read(1),
-        liveness: Liveness::PreFiltered,
-        hedge_node: client_node,
-    };
-    let io = client_get_io(
-        world,
-        0,
-        key.clone(),
-        false,
-        false,
-        rpc::RpcPriority::Repair,
-    );
-    let world2 = world.clone();
-    let from = sim.now();
-    let launched = FanOut::launch(
-        world,
-        sim,
-        spec,
-        from,
-        io,
-        Box::new(move |sim, s: Settled| {
-            let shed = s.shed;
-            let Some((_, value)) = s.good.into_iter().next() else {
-                let outcome = if shed > 0 {
-                    RepairOutcome::Shed
-                } else {
-                    RepairOutcome::Lost
-                };
-                done(sim, outcome, 0, 0);
-                return;
-            };
-            let read = value.len();
-            let at = sim.now();
-            write_to_new_holder(&world2, sim, at, key, value, None, to, read, done);
-        }),
-    );
-    debug_assert!(launched, "a live source existed at the pre-check");
 }
 
 /// Adds the next provisioned spare to the cluster: claims its ring
@@ -1199,7 +882,7 @@ fn apply_membership_change(
     moves: Vec<eckv_store::VShardMove>,
 ) {
     assert!(
-        !matches!(&*world.repair.borrow(), Some(s) if s.failed.is_some()),
+        !matches!(&*world.repair.borrow(), Some(s) if s.rebuild),
         "cannot reconfigure membership during an active rebuild"
     );
     if moves.is_empty() {
@@ -1234,12 +917,14 @@ fn apply_membership_change(
         .into_iter()
         .filter_map(|key| {
             let m = by_vshard.get(&world.cluster.vshard_of(key.as_bytes()))?;
-            carries_data(world, &key, m.slot).then_some(RepairTask::Migrate {
-                key,
-                slot: m.slot,
-                from: m.from,
-                to: m.to,
-            })
+            Layout::of(world, &key)
+                .holds(m.slot)
+                .then_some(RepairTask::Migrate {
+                    key,
+                    slot: m.slot,
+                    from: m.from,
+                    to: m.to,
+                })
         })
         .collect();
     if world.trace.is_enabled() {
@@ -1251,7 +936,6 @@ fn apply_membership_change(
             },
         );
     }
-    let cfg = world.cfg.repair;
     {
         let mut slot = world.repair.borrow_mut();
         let depth = match slot.as_mut() {
@@ -1263,22 +947,8 @@ fn apply_membership_change(
             }
             None => {
                 let depth = tasks.len();
-                *slot = Some(OnlineRepair {
-                    failed: None,
-                    queue: tasks.into(),
-                    in_flight: 0,
-                    window: cfg.window,
-                    bandwidth: cfg.bandwidth,
-                    next_free: sim.now(),
-                    report: RepairReport {
-                        keys_repaired: 0,
-                        keys_lost: 0,
-                        bytes_read: 0,
-                        bytes_written: 0,
-                        elapsed: SimDuration::ZERO,
-                    },
-                    started: sim.now(),
-                });
+                let queue = tasks.into();
+                *slot = Some(OnlineRepair::new(false, queue, world.cfg.repair, sim.now()));
                 depth
             }
         };

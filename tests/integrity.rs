@@ -105,3 +105,33 @@ fn tampered_parity_chunk_fails_a_decoding_read() {
         .expect("another key lost a data chunk with the same server");
     assert_eq!(read(&world, &mut sim, &untouched), outcome(0, true));
 }
+
+#[test]
+fn a_truncated_survivor_chunk_loses_one_key_instead_of_crashing_the_rebuild() {
+    let (world, mut sim) = loaded_world();
+    // RS(3,2) on 5 servers: every key keeps exactly k = 3 survivors once
+    // two servers are down, so a rebuild has no spare chunk to fall back
+    // on and must decode from the truncated one.
+    world.cluster.kill_server(0);
+    world.cluster.kill_server(1);
+    let chunk = (0..5)
+        .map(|s| format!("k3.s{s}"))
+        .find(|c| world.cluster.servers[2].borrow().store().contains(c))
+        .expect("server 2 holds a chunk of k3");
+    {
+        let mut server = world.cluster.servers[2].borrow_mut();
+        let store = server.store_mut();
+        let Some(Payload::Inline(bytes)) = store.peek(&chunk) else {
+            panic!("{chunk} holds inline bytes");
+        };
+        let short = bytes[..bytes.len() / 2].to_vec();
+        store.set(chunk.into(), Payload::inline(short));
+    }
+    let report = repair_server(&world, &mut sim, 0);
+    assert_eq!(report.keys_lost, 1, "only the truncated key is lost");
+    assert_eq!(report.keys_repaired, KEYS as u64 - 1);
+    for i in (0..KEYS).filter(|&i| i != 3) {
+        let key = format!("k{i}");
+        assert_eq!(read(&world, &mut sim, &key).errors, 0, "{key} reads back");
+    }
+}

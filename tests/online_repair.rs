@@ -251,6 +251,44 @@ fn slowed_survivor_delays_the_rebuild_without_changing_it() {
     );
 }
 
+#[test]
+fn replica_rebuild_tops_up_past_a_holder_that_lost_its_copy() {
+    let world = World::new(engine(
+        Scheme::AsyncRep { replicas: 3 },
+        1,
+        RepairConfig::default(),
+    ));
+    let mut sim = Simulation::new();
+    load_keys(&world, &mut sim, 16, |_| 4 << 10);
+    // Drop each key's copy on one surviving non-primary holder, as an
+    // eviction would: reads still hit the primary, but a rebuild that
+    // probes that holder first finds nothing there.
+    for i in 0..16 {
+        let key = format!("k{i:02}");
+        let targets = world.targets(&key);
+        let holder = *targets
+            .iter()
+            .rev()
+            .find(|&&s| s != FAILED)
+            .expect("a surviving holder");
+        world.cluster.servers[holder].borrow_mut().delete(&key);
+    }
+    world.cluster.kill_server(FAILED);
+    let report = repair_server(&world, &mut sim, FAILED);
+    assert!(report.keys_repaired > 0);
+    assert_eq!(
+        report.keys_lost, 0,
+        "an empty replica holder must be topped up, not doom the key"
+    );
+    world.reset_metrics();
+    let reads: Vec<Op> = (0..16).map(|i| Op::get(format!("k{i:02}"))).collect();
+    run_workload(&world, &mut sim, vec![reads]);
+    let m = world.metrics.borrow();
+    assert_eq!(m.get_count, 16);
+    assert_eq!(m.errors, 0, "every key reads back");
+    assert_eq!(m.integrity_errors, 0);
+}
+
 /// A fully traced online repair under foreground reads; returns the
 /// JSONL text.
 fn traced_online_repair() -> String {

@@ -5,7 +5,12 @@
 //! scheme — must keep producing the byte-identical JSONL trace captured
 //! before the refactor.
 //!
-//! Regenerate the golden file (only after an *intentional* trace change)
+//! A second golden, `repair_paths.jsonl`, pins the repair-queue paths the
+//! first one misses: replica rebuild, hybrid rebuild, direct chunk copies
+//! on a join, the reconstruct fallback of a drain under hedged reads, and
+//! replica migration.
+//!
+//! Regenerate the golden files (only after an *intentional* trace change)
 //! with:
 //!
 //! ```text
@@ -21,17 +26,63 @@ use eckv::simnet::{JsonlSink, Trace, TraceBus};
 
 /// Keys written (and read back) per scheme leg.
 const KEYS: usize = 16;
-/// The server killed and rebuilt online in the erasure leg.
+/// The server killed, rebuilt or drained in the disturbed legs.
 const DEAD: usize = 1;
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/fixed_topology.jsonl")
+fn golden_path(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../../tests/golden/{name}"))
 }
 
 /// Pinned value size of key `i`: 1..8 KiB, crossing the hybrid threshold
 /// both ways.
 fn len_of(i: usize) -> u64 {
     ((i % 8) as u64 + 1) * 1024
+}
+
+/// One traced leg: loads `KEYS` pinned values, lets `disturb` change the
+/// cluster, then reads every key back while any repair or migration it
+/// started is still running. Appends the trace to `out` under `## name`.
+fn leg(
+    out: &mut String,
+    name: &str,
+    cfg: EngineConfig,
+    disturb: impl FnOnce(&Rc<World>, &mut Simulation),
+) {
+    let sink = Rc::new(RefCell::new(JsonlSink::new()));
+    let mut bus = TraceBus::new();
+    bus.add_sink(sink.clone());
+    let world = World::new_traced(cfg.window(2), Trace::from_bus(bus));
+    let mut sim = Simulation::new();
+    let writes: Vec<Op> = (0..KEYS)
+        .map(|i| Op::set_synthetic(format!("g{i:02}"), len_of(i), i as u64))
+        .collect();
+    run_workload(&world, &mut sim, vec![writes]);
+    assert_eq!(
+        world.metrics.borrow().errors,
+        0,
+        "{name}: load must be clean"
+    );
+    disturb(&world, &mut sim);
+    let reads: Vec<Op> = (0..KEYS).map(|i| Op::get(format!("g{i:02}"))).collect();
+    enqueue_workload(&world, &mut sim, vec![reads]);
+    sim.run();
+    out.push_str("## ");
+    out.push_str(name);
+    out.push('\n');
+    out.push_str(sink.borrow().contents());
+}
+
+fn cluster(servers: usize, scheme: Scheme) -> EngineConfig {
+    EngineConfig::new(
+        ClusterConfig::new(ClusterProfile::RiQdr, servers, 1).max_servers(servers + 1),
+        scheme,
+    )
+}
+
+/// Kills `DEAD` and starts rebuilding it online.
+fn rebuild_online(world: &Rc<World>, sim: &mut Simulation) {
+    world.cluster.kill_server(DEAD);
+    start_repair(world, sim, DEAD);
 }
 
 /// The pinned fixed-topology scenario: three scheme legs, each traced
@@ -45,56 +96,105 @@ fn scenario() -> String {
         ("hybrid", Scheme::hybrid(4096, 3, 2), false),
     ];
     for (name, scheme, kill_and_repair) in legs {
-        let sink = Rc::new(RefCell::new(JsonlSink::new()));
-        let mut bus = TraceBus::new();
-        bus.add_sink(sink.clone());
-        let world = World::new_traced(
-            EngineConfig::new(ClusterConfig::new(ClusterProfile::RiQdr, 5, 1), scheme).window(2),
-            Trace::from_bus(bus),
-        );
-        let mut sim = Simulation::new();
-        let writes: Vec<Op> = (0..KEYS)
-            .map(|i| Op::set_synthetic(format!("g{i:02}"), len_of(i), i as u64))
-            .collect();
-        run_workload(&world, &mut sim, vec![writes]);
-        assert_eq!(
-            world.metrics.borrow().errors,
-            0,
-            "{name}: load must be clean"
-        );
-        if kill_and_repair {
-            world.cluster.kill_server(DEAD);
-            start_repair(&world, &mut sim, DEAD);
-        }
-        let reads: Vec<Op> = (0..KEYS).map(|i| Op::get(format!("g{i:02}"))).collect();
-        enqueue_workload(&world, &mut sim, vec![reads]);
-        sim.run();
-        out.push_str("## ");
-        out.push_str(name);
-        out.push('\n');
-        out.push_str(sink.borrow().contents());
+        let cfg = EngineConfig::new(ClusterConfig::new(ClusterProfile::RiQdr, 5, 1), scheme);
+        leg(&mut out, name, cfg, |world, sim| {
+            if kill_and_repair {
+                rebuild_online(world, sim);
+            }
+        });
     }
     out
 }
 
-#[test]
-fn fixed_topology_traces_match_the_pre_vshard_golden() {
-    let got = scenario();
-    let path = golden_path();
+/// The pinned repair-path scenario: one leg per data-movement path of the
+/// repair queue. No leg deletes a replica, so every replica source probed
+/// first holds its copy.
+fn repair_paths_scenario() -> String {
+    let mut out = String::new();
+    // Replica rebuild: a 1x copy from a live replica holder.
+    leg(
+        &mut out,
+        "async-rep rebuild",
+        cluster(5, Scheme::AsyncRep { replicas: 3 }),
+        rebuild_online,
+    );
+    // Replica copies for small values, chunk rebuilds for large ones, and
+    // small keys with no copy on the failed server.
+    leg(
+        &mut out,
+        "hybrid rebuild",
+        cluster(5, Scheme::hybrid(4096, 3, 2)),
+        rebuild_online,
+    );
+    // Every moved chunk is a direct copy from its vacated holder.
+    leg(
+        &mut out,
+        "era-ce-cd join",
+        cluster(5, Scheme::era_ce_cd(3, 2)),
+        |world, sim| {
+            join_server(world, sim).expect("a provisioned spare");
+        },
+    );
+    // The drained server is dead, so every moved chunk falls back to a
+    // hedged k-survivor reconstruction; the join that follows copies
+    // chunks directly, and those single-source copies never hedge.
+    leg(
+        &mut out,
+        "era-ce-cd hedged drain of a dead server, then join",
+        cluster(6, Scheme::era_ce_cd(3, 2)).hedge(HedgeConfig::after(SimDuration::from_micros(2))),
+        |world, sim| {
+            world.cluster.kill_server(DEAD);
+            drain_server(world, sim, DEAD);
+            sim.run();
+            join_server(world, sim).expect("a provisioned spare");
+        },
+    );
+    // Replica migration: the vacated holder sources each copy.
+    leg(
+        &mut out,
+        "async-rep drain",
+        cluster(5, Scheme::AsyncRep { replicas: 3 }),
+        |world, sim| drain_server(world, sim, DEAD),
+    );
+    out
+}
+
+/// Compares `got` with the blessed golden `name`, or rewrites the golden
+/// when `ECKV_BLESS_GOLDEN` is set.
+fn check_golden(name: &str, got: &str, why: &str) {
+    let path = golden_path(name);
     if std::env::var_os("ECKV_BLESS_GOLDEN").is_some() {
         std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir golden");
-        std::fs::write(&path, &got).expect("write golden");
+        std::fs::write(&path, got).expect("write golden");
         return;
     }
     let want = std::fs::read_to_string(&path)
         .expect("golden file missing; bless with ECKV_BLESS_GOLDEN=1");
     assert!(
         got == want,
-        "fixed-topology trace diverged from the pre-vshard golden \
-         ({} vs {} bytes); placement at fixed membership must be \
-         byte-identical to the direct ring lookup",
+        "{name}: trace diverged from the golden ({} vs {} bytes); {why}",
         got.len(),
         want.len()
+    );
+}
+
+#[test]
+fn fixed_topology_traces_match_the_pre_vshard_golden() {
+    check_golden(
+        "fixed_topology.jsonl",
+        &scenario(),
+        "placement at fixed membership must be byte-identical to the \
+         direct ring lookup",
+    );
+}
+
+#[test]
+fn repair_and_migration_traces_match_the_golden() {
+    check_golden(
+        "repair_paths.jsonl",
+        &repair_paths_scenario(),
+        "every repair-queue task must move the same bytes along the same \
+         path",
     );
 }
 
