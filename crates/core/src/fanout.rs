@@ -37,8 +37,9 @@ pub(crate) enum ShardReply {
         /// The shard, for read fan-outs.
         value: Option<Payload>,
     },
-    /// The holder answered but had nothing (read miss) — grounds for a
-    /// top-up, not a discovery.
+    /// The holder answered but had nothing (read miss) or stored nothing
+    /// (a write too large for its memory) — grounds for a top-up, not a
+    /// discovery.
     Empty {
         /// Completion instant.
         at: SimTime,
@@ -615,10 +616,11 @@ pub(crate) fn client_set_io(
                 reply(
                     sim,
                     match r {
-                        Ok(a) => ShardReply::Good {
+                        Ok(a) if a.outcome.is_stored() => ShardReply::Good {
                             at: a.at,
                             value: None,
                         },
+                        Ok(a) => ShardReply::Empty { at: a.at },
                         Err(rpc::RpcError::ServerDead(t)) => {
                             world2.mark_dead(client, srv);
                             ShardReply::Dead { at: t }

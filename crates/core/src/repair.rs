@@ -805,7 +805,7 @@ fn write_to_new_holder(
         dest.stale,
         rpc::RpcPriority::Repair,
         move |sim, reply| match reply {
-            Ok(_) => {
+            Ok(r) if r.outcome.is_stored() => {
                 if world2.trace.is_enabled() {
                     let node = world2.cluster.server_node(to);
                     world2.trace.emit(
@@ -828,7 +828,8 @@ fn write_to_new_holder(
                 world2.note_shed(t, client_node, to, rpc::RpcPriority::Repair);
                 done(sim, RepairOutcome::Shed, read, 0);
             }
-            Err(rpc::RpcError::ServerDead(_)) => {
+            // The destination cannot hold the value at all.
+            Ok(_) | Err(rpc::RpcError::ServerDead(_)) => {
                 done(sim, RepairOutcome::Lost, read, 0);
             }
         },

@@ -262,52 +262,54 @@ fn sync_step(
         key.clone(),
         payload.clone(),
         rpc::RpcPriority::Foreground,
-        move |sim, reply| match reply {
-            Ok(_) => sync_step(
+        move |sim, reply| {
+            // Blocking semantics: the op fails at the first broken link in
+            // the chain. A dead replica updates the view (the retry skips
+            // it); a shed replica stays in the view and a backed-off retry
+            // walks the same chain again, as does one that could not hold
+            // the value.
+            let t = match reply {
+                Ok(r) if r.outcome.is_stored() => {
+                    return sync_step(
+                        &world2,
+                        sim,
+                        client,
+                        key2,
+                        payload2,
+                        targets,
+                        idx + 1,
+                        op_start,
+                        done,
+                    );
+                }
+                Ok(r) => r.at,
+                Err(rpc::RpcError::ServerDead(t)) => {
+                    world2.mark_dead(client, srv);
+                    t
+                }
+                Err(rpc::RpcError::Shed(t)) => {
+                    world2.note_shed(t, client_node, srv, rpc::RpcPriority::Foreground);
+                    t
+                }
+            };
+            finish_op(
                 &world2,
                 sim,
-                client,
-                key2,
-                payload2,
-                targets,
-                idx + 1,
                 op_start,
+                OpOutcome {
+                    kind: OpKind::Set,
+                    at: t,
+                    request: post * (idx as u64 + 1),
+                    compute: SimDuration::ZERO,
+                    ok: false,
+                    integrity_ok: true,
+                    retryable: true,
+                    degraded: false,
+                    value_len,
+                    note_written: None,
+                },
                 done,
-            ),
-            Err(err) => {
-                // Blocking semantics: the op fails at the first broken
-                // link in the chain. A dead replica updates the view (the
-                // retry skips it); a shed replica stays in the view and a
-                // backed-off retry walks the same chain again.
-                let t = match err {
-                    rpc::RpcError::ServerDead(t) => {
-                        world2.mark_dead(client, srv);
-                        t
-                    }
-                    rpc::RpcError::Shed(t) => {
-                        world2.note_shed(t, client_node, srv, rpc::RpcPriority::Foreground);
-                        t
-                    }
-                };
-                finish_op(
-                    &world2,
-                    sim,
-                    op_start,
-                    OpOutcome {
-                        kind: OpKind::Set,
-                        at: t,
-                        request: post * (idx as u64 + 1),
-                        compute: SimDuration::ZERO,
-                        ok: false,
-                        integrity_ok: true,
-                        retryable: true,
-                        degraded: false,
-                        value_len,
-                        note_written: None,
-                    },
-                    done,
-                );
-            }
+            );
         },
     );
 }
@@ -543,15 +545,18 @@ fn set_era_server_encode(
             };
             let mut shards = shards;
             let own_chunk = std::mem::replace(&mut shards[encoder_pos], Payload::synthetic(0, 0));
-            encoder
-                .borrow_mut()
-                .store_mut()
-                .set(World::shard_key(&key, encoder_pos), own_chunk);
+            let own_stored = usize::from(
+                encoder
+                    .borrow_mut()
+                    .store_mut()
+                    .set(World::shard_key(&key, encoder_pos), own_chunk)
+                    .is_stored(),
+            );
 
             // Degenerate single-node stripe (k = 1, everyone else dead):
             // ack straight after the local store.
             if peers.is_empty() {
-                let ok = k <= 1;
+                let ok = k <= own_stored;
                 let world4 = world2.clone();
                 let key3 = key.clone();
                 Network::send(
@@ -620,10 +625,11 @@ fn set_era_server_encode(
                             reply(
                                 sim,
                                 match r {
-                                    Ok(a) => ShardReply::Good {
+                                    Ok(a) if a.outcome.is_stored() => ShardReply::Good {
                                         at: a.at,
                                         value: None,
                                     },
+                                    Ok(a) => ShardReply::Empty { at: a.at },
                                     Err(rpc::RpcError::ServerDead(t)) => {
                                         world3.mark_dead(client, srv);
                                         ShardReply::Dead { at: t }
@@ -653,7 +659,7 @@ fn set_era_server_encode(
                 io,
                 Box::new(move |sim, s: Settled| {
                     // Encoder's own chunk + successful peers.
-                    let ok = 1 + s.succeeded >= k;
+                    let ok = own_stored + s.succeeded >= k;
                     // Ack back to the client.
                     let world4 = world3.clone();
                     Network::send(

@@ -590,9 +590,17 @@ impl World {
             .targets_for(key.as_bytes(), self.scheme.servers_per_key())
     }
 
-    /// Storage key of erasure chunk `i` of `key`.
+    /// Storage key of erasure chunk `i` of `key`: `"{key}.s{i}"`, built
+    /// without the formatting machinery for single-digit indices.
     pub(crate) fn shard_key(key: &str, i: usize) -> Arc<str> {
-        format!("{key}.s{i}").into()
+        if i >= 10 {
+            return format!("{key}.s{i}").into();
+        }
+        let mut s = String::with_capacity(key.len() + 3);
+        s.push_str(key);
+        s.push_str(".s");
+        s.push(char::from(b'0' + i as u8));
+        s.into()
     }
 
     /// Shard length for a value of `len` bytes under the current codec.
@@ -839,6 +847,15 @@ mod tests {
     fn shard_keys_are_distinct() {
         assert_ne!(World::shard_key("k", 0), World::shard_key("k", 1));
         assert_ne!(World::shard_key("k", 0), World::shard_key("k2", 0));
+    }
+
+    #[test]
+    fn shard_key_matches_its_format_spelling() {
+        for key in ["", "k", "user:42", "g07.s3", "ключ"] {
+            for i in 0..=16 {
+                assert_eq!(&*World::shard_key(key, i), format!("{key}.s{i}"));
+            }
+        }
     }
 
     #[test]

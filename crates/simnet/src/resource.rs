@@ -7,7 +7,7 @@
 //! from the max(now, free_at) rule.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::{SimDuration, SimTime};
 
@@ -79,7 +79,10 @@ pub struct FifoResource {
     free_at: SimTime,
     busy: SimDuration,
     reservations: u64,
-    pending: BinaryHeap<Reverse<SimTime>>,
+    /// End instants of the reservations not yet pruned. A FIFO
+    /// reservation never ends before the one booked ahead of it, so this
+    /// stays sorted with plain pushes to the back.
+    pending: VecDeque<SimTime>,
     floor: SimTime,
     queue_hwm: u64,
     cap: Option<QueueCap>,
@@ -93,10 +96,17 @@ impl FifoResource {
             free_at: SimTime::ZERO,
             busy: SimDuration::ZERO,
             reservations: 0,
-            pending: BinaryHeap::new(),
+            pending: VecDeque::new(),
             floor: SimTime::ZERO,
             queue_hwm: 0,
             cap: None,
+        }
+    }
+
+    /// Drops the ended reservations at the front of the ledger.
+    fn drop_ended(&mut self) {
+        while matches!(self.pending.front(), Some(&t) if t <= self.floor) {
+            self.pending.pop_front();
         }
     }
 
@@ -150,9 +160,7 @@ impl FifoResource {
     /// the next real-clock arrival, silently under-reporting the backlog.
     pub fn prune(&mut self, now: SimTime) {
         self.floor = self.floor.max(now);
-        while matches!(self.pending.peek(), Some(&Reverse(t)) if t <= self.floor) {
-            self.pending.pop();
-        }
+        self.drop_ended();
         self.queue_hwm = self.queue_hwm.max(self.pending.len() as u64);
     }
 
@@ -168,10 +176,8 @@ impl FifoResource {
         self.free_at = end;
         self.busy += service;
         self.reservations += 1;
-        while matches!(self.pending.peek(), Some(&Reverse(t)) if t <= self.floor) {
-            self.pending.pop();
-        }
-        self.pending.push(Reverse(end));
+        self.drop_ended();
+        self.pending.push_back(end);
         self.queue_hwm = self.queue_hwm.max(self.pending.len() as u64);
         end
     }
@@ -187,11 +193,11 @@ impl FifoResource {
 
     /// Reservations still outstanding (queued or in service) at `now`.
     ///
-    /// Counted by time rather than from the lazily-compacted bookkeeping
-    /// heap, so an idle resource reports 0 without waiting for the next
+    /// Counted by time rather than from the lazily-compacted ledger, so an
+    /// idle resource reports 0 without waiting for the next
     /// [`FifoResource::prune`] call to drop drained entries.
     pub fn queue_depth(&self, now: SimTime) -> u64 {
-        self.pending.iter().filter(|&&Reverse(t)| t > now).count() as u64
+        (self.pending.len() - self.pending.partition_point(|&t| t <= now)) as u64
     }
 
     /// Highest queue depth ever observed.
@@ -546,6 +552,83 @@ mod tests {
             r.reserve(done, d(2));
         }
         assert_eq!(r.queue_depth(us(9)), 16);
+    }
+
+    /// The sorted-ledger `FifoResource` against the min-heap ledger it
+    /// replaced: the same random `reserve`/`prune`/`queue_depth` sequence
+    /// yields the same depths and high-water mark.
+    #[test]
+    fn fifo_ledger_matches_the_heap_ledger() {
+        #[derive(Default)]
+        struct HeapLedger {
+            free_at: SimTime,
+            pending: BinaryHeap<Reverse<SimTime>>,
+            floor: SimTime,
+            hwm: u64,
+        }
+        impl HeapLedger {
+            fn drop_ended(&mut self) {
+                while matches!(self.pending.peek(), Some(&Reverse(t)) if t <= self.floor) {
+                    self.pending.pop();
+                }
+            }
+            fn prune(&mut self, now: SimTime) {
+                self.floor = self.floor.max(now);
+                self.drop_ended();
+                self.hwm = self.hwm.max(self.pending.len() as u64);
+            }
+            fn reserve(&mut self, now: SimTime, service: SimDuration) -> SimTime {
+                let end = self.free_at.max(now) + service;
+                self.free_at = end;
+                self.drop_ended();
+                self.pending.push(Reverse(end));
+                self.hwm = self.hwm.max(self.pending.len() as u64);
+                end
+            }
+            fn queue_depth(&self, now: SimTime) -> u64 {
+                self.pending.iter().filter(|&&Reverse(t)| t > now).count() as u64
+            }
+        }
+
+        crate::check::check_seq(
+            64,
+            |rng| {
+                // (op, offset from the clock in ns, service in ns); the
+                // clock advances by up to 2 us per step, and reservations
+                // may be booked up to 5 us ahead of it.
+                let ops = crate::check::vec_of(rng, 1..300, |r| {
+                    (r.index(3), r.range_u64(0, 5_000), r.range_u64(0, 3_000))
+                });
+                ((), ops)
+            },
+            |((), ops)| {
+                let mut fifo = FifoResource::new("link");
+                let mut heap = HeapLedger::default();
+                let mut clock = 0u64;
+                for &(op, ahead, service) in ops {
+                    clock += ahead % 2_000;
+                    let now = SimTime::from_nanos(clock);
+                    match op {
+                        0 => {
+                            let at = SimTime::from_nanos(clock + ahead);
+                            let d = SimDuration::from_nanos(service);
+                            assert_eq!(fifo.reserve(at, d), heap.reserve(at, d));
+                        }
+                        1 => {
+                            fifo.prune(now);
+                            heap.prune(now);
+                        }
+                        _ => {
+                            let probe = SimTime::from_nanos(clock + ahead);
+                            assert_eq!(fifo.queue_depth(probe), heap.queue_depth(probe));
+                        }
+                    }
+                    assert_eq!(fifo.queue_depth(now), heap.queue_depth(now));
+                    assert_eq!(fifo.queue_hwm(), heap.hwm);
+                    assert_eq!(fifo.pending.len(), heap.pending.len());
+                }
+            },
+        );
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! `K/N` vs `1/F` ratio, so the store model charges chunk sizes, not item
 //! sizes.
 
+use std::sync::OnceLock;
+
 /// Fixed per-item metadata overhead (item header + hash-table entry),
 /// matching memcached's ~56-byte item header plus pointer overhead.
 pub const ITEM_OVERHEAD: u64 = 64;
@@ -55,6 +57,54 @@ impl SlabConfig {
     }
 }
 
+/// The slab classes of one [`SlabConfig`], computed once, so charging an
+/// item is a binary search instead of [`SlabConfig::chunk_size`]'s float
+/// loop (with identical results).
+#[derive(Debug)]
+pub(crate) struct SlabClasses {
+    /// Ascending chunk sizes below `max_chunk`, then `max_chunk` itself.
+    sizes: Vec<u64>,
+    max_chunk: u64,
+}
+
+impl SlabClasses {
+    /// Enumerates the classes of `cfg` with the loop's own arithmetic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is degenerate (`growth <= 1`).
+    fn new(cfg: &SlabConfig) -> Self {
+        assert!(cfg.growth > 1.0, "slab growth factor must exceed 1");
+        let mut sizes = Vec::new();
+        let mut chunk = cfg.min_chunk;
+        while chunk < cfg.max_chunk {
+            sizes.push(chunk);
+            chunk = ((chunk as f64) * cfg.growth).ceil() as u64;
+        }
+        sizes.push(cfg.max_chunk);
+        SlabClasses {
+            sizes,
+            max_chunk: cfg.max_chunk,
+        }
+    }
+
+    /// The classes of the default geometry, built on first use.
+    pub(crate) fn default_geometry() -> &'static SlabClasses {
+        static DEFAULT: OnceLock<SlabClasses> = OnceLock::new();
+        DEFAULT.get_or_init(|| SlabClasses::new(&SlabConfig::default()))
+    }
+
+    /// Same as [`SlabConfig::chunk_size`] for the geometry these classes
+    /// were built from.
+    pub(crate) fn chunk_size(&self, bytes: u64) -> u64 {
+        if bytes >= self.max_chunk {
+            return bytes.div_ceil(self.max_chunk) * self.max_chunk;
+        }
+        // The last class is `max_chunk > bytes`, so the search always lands.
+        self.sizes[self.sizes.partition_point(|&c| c < bytes)]
+    }
+}
+
 /// Chunk size under the default memcached geometry.
 ///
 /// ```
@@ -64,7 +114,7 @@ impl SlabConfig {
 /// assert!(chunk_size_for(10_000) >= 10_000);
 /// ```
 pub fn chunk_size_for(bytes: u64) -> u64 {
-    SlabConfig::default().chunk_size(bytes)
+    SlabClasses::default_geometry().chunk_size(bytes)
 }
 
 #[cfg(test)]
@@ -107,6 +157,33 @@ mod tests {
         let cfg = SlabConfig::default();
         let c = cfg.chunk_size((1 << 20) + 96);
         assert!(c < (1 << 20) * 13 / 10, "chunk {c} too wasteful");
+    }
+
+    /// The class table agrees with the float loop at and around every
+    /// class boundary, for the default geometry and for memcached's
+    /// `-f 1.07 -n 48 -I 1m` one.
+    #[test]
+    fn class_table_matches_the_float_loop_at_every_boundary() {
+        let tuned = SlabConfig {
+            min_chunk: 48,
+            growth: 1.07,
+            max_chunk: 1 << 20,
+        };
+        for cfg in [SlabConfig::default(), tuned] {
+            let classes = SlabClasses::new(&cfg);
+            assert_eq!(classes.sizes.last(), Some(&cfg.max_chunk));
+            let beyond = [cfg.max_chunk * 2, cfg.max_chunk * 3];
+            for &c in classes.sizes.iter().chain(&beyond) {
+                for bytes in [c.saturating_sub(1), c, c + 1] {
+                    assert_eq!(
+                        classes.chunk_size(bytes),
+                        cfg.chunk_size(bytes),
+                        "{cfg:?} at {bytes} bytes"
+                    );
+                }
+            }
+        }
+        assert!(SlabClasses::new(&tuned).sizes.len() > 100);
     }
 
     #[test]

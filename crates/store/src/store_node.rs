@@ -1,12 +1,19 @@
 //! One server's storage: hash table + LRU eviction + slab accounting.
+//!
+//! Items live in a slot slab (`Vec<Slot>`); the hash index maps each key
+//! to its slot, and the slots carry the links of one intrusive recency
+//! list, the O(1) doubly-linked LRU memcached keeps per slab class. A hit
+//! is one hash probe plus a relink to the tail, an overwrite swaps the
+//! payload in place, and eviction pops the head. Freed slots are chained
+//! through the same links and reused before the slab grows.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use eckv_simnet::SimTime;
 
 use crate::payload::Payload;
-use crate::slab::{SlabConfig, ITEM_OVERHEAD};
+use crate::slab::{SlabClasses, ITEM_OVERHEAD};
 
 /// Result of a Set on one node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,8 +26,16 @@ pub enum SetOutcome {
         /// Charged bytes of evicted items.
         evicted_bytes: u64,
     },
-    /// Item larger than the node's whole capacity; rejected.
+    /// Item larger than the node's whole capacity; rejected. Any older
+    /// value of the key is dropped, as memcached does for a failed set.
     TooLarge,
+}
+
+impl SetOutcome {
+    /// Whether the item was stored.
+    pub fn is_stored(self) -> bool {
+        self != SetOutcome::TooLarge
+    }
 }
 
 /// Running statistics of one store node.
@@ -47,13 +62,21 @@ pub struct StoreStats {
     pub expired: u64,
 }
 
+/// End of a slot list.
+const NIL: u32 = u32::MAX;
+
+/// One slot of the slab: a live item, or a free slot awaiting reuse.
 #[derive(Debug)]
-struct Item {
-    payload: Payload,
+struct Slot {
+    /// The key and its value; `None` while the slot is free.
+    entry: Option<(Arc<str>, Payload)>,
     charged: u64,
-    seq: u64,
     /// Absolute expiry instant; `None` = never (memcached `exptime 0`).
     expires_at: Option<SimTime>,
+    /// Neighbours in the recency list. A free slot chains the free list
+    /// through `next`.
+    prev: u32,
+    next: u32,
 }
 
 /// An LRU key-value store with slab-class memory accounting.
@@ -71,33 +94,33 @@ struct Item {
 /// ```
 #[derive(Debug)]
 pub struct StoreNode {
-    items: HashMap<Arc<str>, Item>,
-    /// Recency order: seq -> key; smallest seq is least recently used.
-    lru: BTreeMap<u64, Arc<str>>,
-    next_seq: u64,
+    slots: Vec<Slot>,
+    index: HashMap<Arc<str>, u32>,
+    /// Least recently used live slot: the next victim.
+    head: u32,
+    /// Most recently used live slot.
+    tail: u32,
+    /// First free slot.
+    free: u32,
     stats: StoreStats,
-    slab: SlabConfig,
+    classes: &'static SlabClasses,
 }
 
 impl StoreNode {
     /// Creates a node with `capacity_bytes` of cache memory.
     pub fn new(capacity_bytes: u64) -> Self {
         StoreNode {
-            items: HashMap::new(),
-            lru: BTreeMap::new(),
-            next_seq: 0,
+            slots: Vec::new(),
+            index: HashMap::new(),
+            head: NIL,
+            tail: NIL,
+            free: NIL,
             stats: StoreStats {
                 capacity_bytes,
                 ..StoreStats::default()
             },
-            slab: SlabConfig::default(),
+            classes: SlabClasses::default_geometry(),
         }
-    }
-
-    fn bump(&mut self) -> u64 {
-        let s = self.next_seq;
-        self.next_seq += 1;
-        s
     }
 
     /// Stores `payload` under `key` with no expiry, evicting LRU items if
@@ -129,48 +152,53 @@ impl StoreNode {
     ) -> SetOutcome {
         self.stats.sets += 1;
         let need = self
-            .slab
+            .classes
             .chunk_size(payload.len() + key.len() as u64 + ITEM_OVERHEAD);
         if need > self.stats.capacity_bytes {
+            if let Some(i) = self.index.remove(&key) {
+                self.release(i);
+            }
             return SetOutcome::TooLarge;
         }
-        // Replace an existing item first so its charge is released.
-        if let Some(old) = self.items.remove(&key) {
-            self.lru.remove(&old.seq);
-            self.stats.used_bytes -= old.charged;
-            self.stats.items -= 1;
+        // An overwritten item leaves the recency list and gives back its
+        // charge first, so eviction below never picks it.
+        let existing = self.index.get(&key).copied();
+        if let Some(i) = existing {
+            self.unlink(i);
+            self.stats.used_bytes -= self.slots[i as usize].charged;
         }
         let mut evicted = 0u64;
         while self.stats.used_bytes + need > self.stats.capacity_bytes {
-            let (&seq, _) = self
-                .lru
-                .iter()
-                .next()
-                .expect("used_bytes > 0 implies the LRU is non-empty");
-            let victim_key = self.lru.remove(&seq).expect("seq just observed");
-            let victim = self
-                .items
-                .remove(&victim_key)
-                .expect("lru and table are in sync");
-            self.stats.used_bytes -= victim.charged;
-            self.stats.items -= 1;
+            debug_assert_ne!(self.head, NIL, "used_bytes > 0 implies a live item");
+            let (charged, victim_key, victim) = self.release(self.head);
+            self.index.remove(&victim_key);
             self.stats.evictions += 1;
-            evicted += victim.charged;
-            spill(victim_key, victim.payload);
+            evicted += charged;
+            spill(victim_key, victim);
         }
-        let seq = self.bump();
-        self.items.insert(
-            key.clone(),
-            Item {
-                payload,
-                charged: need,
-                seq,
-                expires_at,
-            },
-        );
-        self.lru.insert(seq, key);
+        let i = match existing {
+            Some(i) => {
+                let slot = &mut self.slots[i as usize];
+                slot.entry.as_mut().expect("an indexed slot is live").1 = payload;
+                slot.charged = need;
+                slot.expires_at = expires_at;
+                i
+            }
+            None => {
+                let i = self.occupy(Slot {
+                    entry: Some((key.clone(), payload)),
+                    charged: need,
+                    expires_at,
+                    prev: NIL,
+                    next: NIL,
+                });
+                self.index.insert(key, i);
+                self.stats.items += 1;
+                i
+            }
+        };
+        self.push_tail(i);
         self.stats.used_bytes += need;
-        self.stats.items += 1;
         if evicted > 0 {
             self.stats.evicted_bytes += evicted;
             SetOutcome::StoredWithEviction {
@@ -184,27 +212,23 @@ impl StoreNode {
     /// Looks up `key` at instant `now`, refreshing its LRU position on hit
     /// and lazily dropping it if its TTL elapsed.
     pub fn get_at(&mut self, key: &str, now: SimTime) -> Option<Payload> {
-        // Borrow dance: find the seq first, then update.
-        let (seq, expired) = match self.items.get(key) {
-            Some(item) => (item.seq, item.expires_at.is_some_and(|t| now >= t)),
-            None => {
-                self.stats.misses += 1;
-                return None;
-            }
+        let Some(&i) = self.index.get(key) else {
+            self.stats.misses += 1;
+            return None;
         };
-        if expired {
-            self.delete(key);
+        if self.slots[i as usize].expires_at.is_some_and(|t| now >= t) {
+            self.index.remove(key);
+            self.release(i);
             self.stats.expired += 1;
             self.stats.misses += 1;
             return None;
         }
-        let new_seq = self.bump();
-        let key_arc = self.lru.remove(&seq).expect("lru in sync");
-        self.lru.insert(new_seq, key_arc);
-        let item = self.items.get_mut(key).expect("checked above");
-        item.seq = new_seq;
+        if i != self.tail {
+            self.unlink(i);
+            self.push_tail(i);
+        }
         self.stats.hits += 1;
-        Some(item.payload.clone())
+        Some(self.payload(i).clone())
     }
 
     /// Looks up `key` ignoring expiry (legacy callers and tests).
@@ -214,11 +238,9 @@ impl StoreNode {
 
     /// Removes `key`, returning whether it existed.
     pub fn delete(&mut self, key: &str) -> bool {
-        match self.items.remove(key) {
-            Some(item) => {
-                self.lru.remove(&item.seq);
-                self.stats.used_bytes -= item.charged;
-                self.stats.items -= 1;
+        match self.index.remove(key) {
+            Some(i) => {
+                self.release(i);
                 true
             }
             None => false,
@@ -227,26 +249,94 @@ impl StoreNode {
 
     /// Drops every item (the memcached `flush_all`).
     pub fn flush_all(&mut self) {
-        self.items.clear();
-        self.lru.clear();
+        self.slots.clear();
+        self.index.clear();
+        self.head = NIL;
+        self.tail = NIL;
+        self.free = NIL;
         self.stats.used_bytes = 0;
         self.stats.items = 0;
     }
 
     /// Whether `key` is present (no LRU refresh).
     pub fn contains(&self, key: &str) -> bool {
-        self.items.contains_key(key)
+        self.index.contains_key(key)
     }
 
     /// Reads `key` without refreshing its LRU position or counting a
     /// hit/miss (inspection, not a cache access).
     pub fn peek(&self, key: &str) -> Option<Payload> {
-        self.items.get(key).map(|i| i.payload.clone())
+        self.index.get(key).map(|&i| self.payload(i).clone())
     }
 
     /// Current statistics snapshot.
     pub fn stats(&self) -> StoreStats {
         self.stats
+    }
+
+    /// The value in live slot `i`.
+    fn payload(&self, i: u32) -> &Payload {
+        &self.slots[i as usize]
+            .entry
+            .as_ref()
+            .expect("an indexed slot is live")
+            .1
+    }
+
+    /// Places `slot` in a free slot, or a new one if none is free.
+    fn occupy(&mut self, slot: Slot) -> u32 {
+        if self.free == NIL {
+            let i = u32::try_from(self.slots.len())
+                .ok()
+                .filter(|&i| i != NIL)
+                .expect("fewer than 2^32 - 1 items per node");
+            self.slots.push(slot);
+            return i;
+        }
+        let i = self.free;
+        self.free = self.slots[i as usize].next;
+        self.slots[i as usize] = slot;
+        i
+    }
+
+    /// Takes live slot `i` out of the recency list and its charge out of
+    /// the accounting, frees the slot, and returns the charge, key and
+    /// value. The caller has already removed (or is removing) the key
+    /// from the index.
+    fn release(&mut self, i: u32) -> (u64, Arc<str>, Payload) {
+        self.unlink(i);
+        let slot = &mut self.slots[i as usize];
+        let (key, payload) = slot.entry.take().expect("a released slot is live");
+        slot.next = self.free;
+        self.free = i;
+        self.stats.used_bytes -= slot.charged;
+        self.stats.items -= 1;
+        (slot.charged, key, payload)
+    }
+
+    /// Detaches slot `i` from the recency list.
+    fn unlink(&mut self, i: u32) {
+        let Slot { prev, next, .. } = self.slots[i as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n as usize].prev = prev,
+        }
+    }
+
+    /// Appends slot `i` as the most recently used.
+    fn push_tail(&mut self, i: u32) {
+        let slot = &mut self.slots[i as usize];
+        slot.prev = self.tail;
+        slot.next = NIL;
+        match self.tail {
+            NIL => self.head = i,
+            t => self.slots[t as usize].next = i,
+        }
+        self.tail = i;
     }
 }
 
@@ -320,9 +410,12 @@ mod tests {
     #[test]
     fn oversized_item_rejected() {
         let mut n = StoreNode::new(10_000);
+        n.set("big".into(), Payload::synthetic(100, 0));
         let out = n.set("big".into(), Payload::synthetic(1 << 20, 0));
         assert_eq!(out, SetOutcome::TooLarge);
+        assert!(!n.contains("big"), "a failed set drops the old value");
         assert_eq!(n.stats().items, 0);
+        assert_eq!(n.stats().used_bytes, 0);
     }
 
     #[test]

@@ -5,98 +5,204 @@ use std::sync::Arc;
 
 use eckv_simnet::check::{check, check_seq, vec_of};
 use eckv_simnet::{SimRng, SimTime};
-use eckv_store::{chunk_size_for, HashRing, Payload, StoreNode, ITEM_OVERHEAD};
+use eckv_store::{chunk_size_for, HashRing, Payload, SetOutcome, StoreNode, ITEM_OVERHEAD};
+
+/// Keys are drawn from a small space so overwrites (also of a full
+/// store) are common.
+const KEYS: usize = 24;
 
 #[derive(Debug, Clone)]
 enum StoreOp {
-    Set { key: u8, len: u16 },
-    Get { key: u8 },
-    Delete { key: u8 },
+    /// Stores `len` bytes, expiring `ttl_us` after the current instant.
+    Set {
+        key: u8,
+        len: u16,
+        ttl_us: Option<u8>,
+    },
+    Get {
+        key: u8,
+    },
+    Delete {
+        key: u8,
+    },
 }
 
 fn gen_op(rng: &mut SimRng) -> StoreOp {
-    let key = rng.next_u64() as u8;
+    let key = rng.index(KEYS) as u8;
     match rng.index(3) {
         0 => StoreOp::Set {
             key,
             len: rng.range_u64(1, 5000) as u16,
+            ttl_us: (rng.index(4) == 0).then(|| rng.range_u64(1, 40) as u8),
         },
         1 => StoreOp::Get { key },
         _ => StoreOp::Delete { key },
     }
 }
 
-/// A naive reference: ordered list of (key, len), most recent last.
+fn name(key: u8) -> String {
+    format!("key-{key}")
+}
+
+/// What a Set did, as the reference model sees it.
+enum ModelSet {
+    /// Stored; carries the victims, least recently used first.
+    Stored(Vec<(u8, u16)>),
+    TooLarge,
+}
+
+/// A naive reference: ordered list of (key, len, expiry), most recent
+/// last, plus the counters the store keeps.
 #[derive(Default)]
 struct ModelLru {
-    entries: Vec<(u8, u16)>,
+    entries: Vec<(u8, u16, Option<u64>)>,
     capacity: u64,
+    hits: u64,
+    misses: u64,
+    sets: u64,
+    evictions: u64,
+    evicted_bytes: u64,
+    expired: u64,
 }
 
 impl ModelLru {
     fn charged(key: u8, len: u16) -> u64 {
-        chunk_size_for(len as u64 + format!("key-{key}").len() as u64 + ITEM_OVERHEAD)
+        chunk_size_for(len as u64 + name(key).len() as u64 + ITEM_OVERHEAD)
     }
 
     fn used(&self) -> u64 {
-        self.entries.iter().map(|&(k, l)| Self::charged(k, l)).sum()
+        self.entries
+            .iter()
+            .map(|&(k, l, _)| Self::charged(k, l))
+            .sum()
     }
 
-    fn set(&mut self, key: u8, len: u16) {
-        self.entries.retain(|&(k, _)| k != key);
+    /// A failed Set still drops the key's old value (memcached unlinks
+    /// the stale item before it reports "object too large").
+    fn set(&mut self, key: u8, len: u16, expires_at: Option<u64>) -> ModelSet {
+        self.sets += 1;
+        self.entries.retain(|&(k, _, _)| k != key);
         if Self::charged(key, len) > self.capacity {
-            return; // too large
+            return ModelSet::TooLarge;
         }
-        self.entries.push((key, len));
+        self.entries.push((key, len, expires_at));
+        let mut victims = Vec::new();
         while self.used() > self.capacity {
-            self.entries.remove(0);
+            let (k, l, _) = self.entries.remove(0);
+            self.evictions += 1;
+            self.evicted_bytes += Self::charged(k, l);
+            victims.push((k, l));
         }
+        ModelSet::Stored(victims)
     }
 
-    fn get(&mut self, key: u8) -> Option<u16> {
-        let pos = self.entries.iter().position(|&(k, _)| k == key)?;
+    fn get(&mut self, key: u8, now: u64) -> Option<u16> {
+        let Some(pos) = self.entries.iter().position(|&(k, _, _)| k == key) else {
+            self.misses += 1;
+            return None;
+        };
         let e = self.entries.remove(pos);
+        if e.2.is_some_and(|t| now >= t) {
+            self.expired += 1;
+            self.misses += 1;
+            return None;
+        }
         self.entries.push(e);
+        self.hits += 1;
         Some(e.1)
     }
 
     fn delete(&mut self, key: u8) -> bool {
         let before = self.entries.len();
-        self.entries.retain(|&(k, _)| k != key);
+        self.entries.retain(|&(k, _, _)| k != key);
         self.entries.len() != before
     }
 }
 
+/// How often the suite reached the paths the model exists to pin.
+#[derive(Debug, Default)]
+struct Coverage {
+    too_large: u64,
+    too_large_dropped_old: u64,
+    spills: u64,
+    overwrite_while_full: u64,
+    expired_reads: u64,
+}
+
 #[test]
 fn store_matches_reference_lru_model() {
+    let mut seen = Coverage::default();
     check_seq(
         64,
-        |rng| (rng.range_u64(8, 64), vec_of(rng, 1..200, gen_op)),
-        |(capacity_kb, ops)| {
-            let capacity = capacity_kb * 1024;
+        // Capacities span 2-64 KiB, log-weighted so that many cases sit
+        // below one charged 5,000-byte item and some Sets are too large
+        // for the whole node.
+        |rng| {
+            let hi = 1024 << rng.range_u64(2, 7);
+            (rng.range_u64(2 * 1024, hi), vec_of(rng, 1..200, gen_op))
+        },
+        |(capacity, ops)| {
+            let capacity = *capacity;
             let mut store = StoreNode::new(capacity);
             let mut model = ModelLru {
                 capacity,
                 ..ModelLru::default()
             };
-            for op in ops {
+            for (step, op) in ops.iter().enumerate() {
+                // One microsecond passes per op, so TTLs elapse mid-run.
+                let now = step as u64;
                 match *op {
-                    StoreOp::Set { key, len } => {
-                        let k: Arc<str> = format!("key-{key}").into();
-                        store.set(k, Payload::synthetic(len as u64, key as u64));
-                        model.set(key, len);
+                    StoreOp::Set { key, len, ttl_us } => {
+                        let expires_at = ttl_us.map(|d| now + u64::from(d));
+                        let full =
+                            store.stats().used_bytes + ModelLru::charged(key, len) > capacity;
+                        let existed = store.contains(&name(key));
+                        let mut spilled = Vec::new();
+                        let got = store.set_spilling(
+                            name(key).into(),
+                            Payload::synthetic(len as u64, key as u64),
+                            expires_at.map(|t| SimTime::from_nanos(t * 1000)),
+                            &mut |k, p| spilled.push((k, p.len())),
+                        );
+                        let want = model.set(key, len, expires_at);
+                        match &want {
+                            ModelSet::TooLarge => {
+                                assert_eq!(got, SetOutcome::TooLarge, "set({key}, {len})");
+                                seen.too_large += 1;
+                                seen.too_large_dropped_old += u64::from(existed);
+                            }
+                            ModelSet::Stored(victims) => {
+                                let want_spilled: Vec<(Arc<str>, u64)> = victims
+                                    .iter()
+                                    .map(|&(k, l)| (name(k).into(), u64::from(l)))
+                                    .collect();
+                                assert_eq!(spilled, want_spilled, "set({key}, {len}) victims");
+                                let evicted_bytes: u64 =
+                                    victims.iter().map(|&(k, l)| ModelLru::charged(k, l)).sum();
+                                let outcome = if victims.is_empty() {
+                                    SetOutcome::Stored
+                                } else {
+                                    SetOutcome::StoredWithEviction { evicted_bytes }
+                                };
+                                assert_eq!(got, outcome, "set({key}, {len})");
+                                seen.spills += victims.len() as u64;
+                                seen.overwrite_while_full += u64::from(existed && full);
+                            }
+                        }
                     }
                     StoreOp::Get { key } => {
-                        let got = store.get_at(&format!("key-{key}"), SimTime::ZERO);
-                        let want = model.get(key);
+                        let expired = model.expired;
+                        let got = store.get_at(&name(key), SimTime::from_nanos(now * 1000));
+                        let want = model.get(key, now);
                         assert_eq!(
                             got.map(|p| p.len()),
                             want.map(u64::from),
                             "get({key}) diverged"
                         );
+                        seen.expired_reads += model.expired - expired;
                     }
                     StoreOp::Delete { key } => {
-                        let got = store.delete(&format!("key-{key}"));
+                        let got = store.delete(&name(key));
                         let want = model.delete(key);
                         assert_eq!(got, want, "delete({key}) diverged");
                     }
@@ -106,8 +212,25 @@ fn store_matches_reference_lru_model() {
                 assert!(st.used_bytes <= st.capacity_bytes);
                 assert_eq!(st.used_bytes, model.used());
                 assert_eq!(st.items, model.entries.len() as u64);
+                assert_eq!(
+                    (st.hits, st.misses, st.sets, st.expired),
+                    (model.hits, model.misses, model.sets, model.expired),
+                    "hit/miss/set/expiry counters"
+                );
+                assert_eq!(
+                    (st.evictions, st.evicted_bytes),
+                    (model.evictions, model.evicted_bytes),
+                    "eviction counters"
+                );
             }
         },
+    );
+    assert!(
+        seen.too_large_dropped_old > 0
+            && seen.spills > 0
+            && seen.overwrite_while_full > 0
+            && seen.expired_reads > 0,
+        "the generator must reach every path it pins: {seen:?}"
     );
 }
 

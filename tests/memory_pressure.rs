@@ -96,3 +96,33 @@ fn aggregate_stats_are_consistent() {
         assert!(n > 0, "server {i} got no chunks: {per_server:?}");
     }
 }
+
+#[test]
+fn a_set_too_large_for_server_memory_fails_and_drops_the_old_value() {
+    // 1 MB values split into ~350 KB chunks cannot fit a 256 KB server at
+    // all; a small first version of the key fits easily.
+    for scheme in [Scheme::era_ce_cd(3, 2), Scheme::era_se_cd(3, 2)] {
+        let world = pressured_world(scheme, 256 << 10);
+        let mut sim = Simulation::new();
+        let run = |sim: &mut Simulation, op: Op| {
+            world.reset_metrics();
+            eckv::core::driver::run_workload(&world, sim, vec![vec![op]]);
+            let m = world.metrics.borrow();
+            assert_eq!(m.integrity_errors, 0, "{scheme:?}");
+            m.errors
+        };
+        assert_eq!(run(&mut sim, Op::set_synthetic("k", 4 << 10, 1)), 0);
+        assert_eq!(run(&mut sim, Op::get("k")), 0, "{scheme:?}: small value");
+        assert_eq!(
+            run(&mut sim, Op::set_synthetic("k", 1 << 20, 2)),
+            1,
+            "{scheme:?}: a value no server can hold must fail its Set"
+        );
+        assert_eq!(
+            run(&mut sim, Op::get("k")),
+            1,
+            "{scheme:?}: the overwritten value must not be served"
+        );
+        assert_eq!(world.cluster.aggregate_stats().items, 0, "{scheme:?}");
+    }
+}

@@ -10,6 +10,11 @@
 //! on a join, the reconstruct fallback of a drain under hedged reads, and
 //! replica migration.
 //!
+//! A third golden, `eviction.jsonl`, pins the store's LRU end to end:
+//! servers too small for the working set evict while reads refresh the
+//! recency of hot keys, and an SSD-assisted leg spills the victims to
+//! flash and serves later reads from it.
+//!
 //! Regenerate the golden files (only after an *intentional* trace change)
 //! with:
 //!
@@ -23,6 +28,7 @@ use std::rc::Rc;
 
 use eckv::prelude::*;
 use eckv::simnet::{JsonlSink, Trace, TraceBus};
+use eckv::store::SsdSpec;
 
 /// Keys written (and read back) per scheme leg.
 const KEYS: usize = 16;
@@ -159,6 +165,59 @@ fn repair_paths_scenario() -> String {
     out
 }
 
+/// A cluster of five servers with `server_memory` bytes of cache each,
+/// optionally backed by a flash tier.
+fn pressured(scheme: Scheme, server_memory: u64, ssd: bool) -> EngineConfig {
+    let mut cluster = ClusterConfig::new(ClusterProfile::RiQdr, 5, 1).server_memory(server_memory);
+    if ssd {
+        cluster = cluster.ssd(SsdSpec::RI_QDR_PCIE.with_capacity(1 << 20));
+    }
+    EngineConfig::new(cluster, scheme)
+}
+
+/// Rounds of "read the hot keys, then write fresh ones": the fresh writes
+/// overflow the servers, and the reads keep `g00..g03` most recently used
+/// so the LRU picks the cold keys as victims.
+fn churn_with_hot_reads(world: &Rc<World>, sim: &mut Simulation) {
+    let mut ops = Vec::new();
+    for round in 0..4u64 {
+        ops.extend((0..4).map(|i| Op::get(format!("g{i:02}"))));
+        ops.extend(
+            (0..6u64)
+                .map(|j| Op::set_synthetic(format!("e{round}{j}"), 4096, 1000 + round * 10 + j)),
+        );
+    }
+    run_workload(world, sim, vec![ops]);
+    assert!(
+        world.memory_report().evictions > 0,
+        "the churn must overflow the servers"
+    );
+}
+
+/// The pinned eviction scenario.
+fn eviction_scenario() -> String {
+    let mut out = String::new();
+    leg(
+        &mut out,
+        "async-rep eviction",
+        pressured(Scheme::AsyncRep { replicas: 3 }, 80 << 10, false),
+        churn_with_hot_reads,
+    );
+    leg(
+        &mut out,
+        "era-ce-cd eviction",
+        pressured(Scheme::era_ce_cd(3, 2), 48 << 10, false),
+        churn_with_hot_reads,
+    );
+    leg(
+        &mut out,
+        "era-ce-cd ssd spill",
+        pressured(Scheme::era_ce_cd(3, 2), 48 << 10, true),
+        churn_with_hot_reads,
+    );
+    out
+}
+
 /// Compares `got` with the blessed golden `name`, or rewrites the golden
 /// when `ECKV_BLESS_GOLDEN` is set.
 fn check_golden(name: &str, got: &str, why: &str) {
@@ -195,6 +254,21 @@ fn repair_and_migration_traces_match_the_golden() {
         &repair_paths_scenario(),
         "every repair-queue task must move the same bytes along the same \
          path",
+    );
+}
+
+#[test]
+fn eviction_traces_match_the_golden() {
+    let got = eviction_scenario();
+    assert!(
+        got.contains("\"ssd_spill\"") && got.contains("\"ssd_read\""),
+        "the ssd leg must spill victims and read them back from flash"
+    );
+    check_golden(
+        "eviction.jsonl",
+        &got,
+        "the LRU must evict, refresh and spill the same items in the same \
+         order",
     );
 }
 
