@@ -15,6 +15,12 @@
 //! recency of hot keys, and an SSD-assisted leg spills the victims to
 //! flash and serves later reads from it.
 //!
+//! A fourth golden, `codec_sites.jsonl`, pins the whole encode/decode
+//! site matrix (Era-CE-CD, Era-SE-SD, Era-SE-CD, Era-CE-SD): healthy runs,
+//! a dead coordinator met with stale failure views, a hedged gather
+//! around a straggler, coordinator admission sheds, inline values decoded
+//! at both sites, and the single-chunk encoder with no live peer.
+//!
 //! Regenerate the golden files (only after an *intentional* trace change)
 //! with:
 //!
@@ -47,13 +53,14 @@ fn len_of(i: usize) -> u64 {
 
 /// One traced leg: loads `KEYS` pinned values, lets `disturb` change the
 /// cluster, then reads every key back while any repair or migration it
-/// started is still running. Appends the trace to `out` under `## name`.
+/// started is still running. Appends the trace to `out` under `## name`
+/// and returns the world for post-run checks.
 fn leg(
     out: &mut String,
     name: &str,
     cfg: EngineConfig,
     disturb: impl FnOnce(&Rc<World>, &mut Simulation),
-) {
+) -> Rc<World> {
     let sink = Rc::new(RefCell::new(JsonlSink::new()));
     let mut bus = TraceBus::new();
     bus.add_sink(sink.clone());
@@ -76,6 +83,7 @@ fn leg(
     out.push_str(name);
     out.push('\n');
     out.push_str(sink.borrow().contents());
+    world
 }
 
 fn cluster(servers: usize, scheme: Scheme) -> EngineConfig {
@@ -218,6 +226,154 @@ fn eviction_scenario() -> String {
     out
 }
 
+/// The four placements of the codec work, by scheme label.
+fn codec_sites() -> [(&'static str, Scheme); 4] {
+    [
+        ("era-ce-cd", Scheme::era_ce_cd(3, 2)),
+        ("era-se-sd", Scheme::era_se_sd(3, 2)),
+        ("era-se-cd", Scheme::era_se_cd(3, 2)),
+        ("era-ce-sd", Scheme::era_ce_sd(3, 2)),
+    ]
+}
+
+/// Five servers driven by `clients` clients.
+fn sites_cluster(scheme: Scheme, clients: usize) -> EngineConfig {
+    EngineConfig::new(
+        ClusterConfig::new(ClusterProfile::RiQdr, 5, clients),
+        scheme,
+    )
+}
+
+/// Overwrites every loaded key with a fresh value from client 0, then
+/// reads every key from client 1. Neither client has seen a failure, and
+/// both start with the keys `DEAD` leads, so each first meets the dead
+/// server as its coordinator through a stale view.
+fn overwrite_then_read_stale(world: &Rc<World>, sim: &mut Simulation) {
+    let mut order: Vec<usize> = (0..KEYS).collect();
+    order.sort_by_key(|&i| world.targets(&format!("g{i:02}"))[0] != DEAD);
+    let writes: Vec<Op> = order
+        .iter()
+        .map(|&i| Op::set_synthetic(format!("g{i:02}"), len_of(i), 100 + i as u64))
+        .collect();
+    run_workload(world, sim, vec![writes, Vec::new()]);
+    let reads: Vec<Op> = order.iter().map(|&i| Op::get(format!("g{i:02}"))).collect();
+    run_workload(world, sim, vec![Vec::new(), reads]);
+}
+
+/// Every client writes a fresh key at once, then every client reads the
+/// same two loaded keys at once.
+fn herd(world: &Rc<World>, sim: &mut Simulation) {
+    let clients = world.cfg.cluster.clients;
+    let writes: Vec<Vec<Op>> = (0..clients)
+        .map(|c| vec![Op::set_synthetic(format!("h{c}"), 4096, 500 + c as u64)])
+        .collect();
+    run_workload(world, sim, writes);
+    let reads: Vec<Vec<Op>> = (0..clients)
+        .map(|_| (0..2).map(|i| Op::get(format!("g{i:02}"))).collect())
+        .collect();
+    run_workload(world, sim, reads);
+}
+
+/// Writes inline values, kills `DEAD`, and reads them back (decoding the
+/// real bytes wherever `DEAD` held a data chunk).
+fn inline_then_degraded_reads(world: &Rc<World>, sim: &mut Simulation) {
+    let writes: Vec<Op> = (0..8u32)
+        .map(|i| {
+            let value: Vec<u8> = (0..3000 + i * 700).map(|j| (j * 13 + i) as u8).collect();
+            Op::set_inline(format!("v{i}"), value)
+        })
+        .collect();
+    run_workload(world, sim, vec![writes]);
+    world.cluster.kill_server(DEAD);
+    let reads: Vec<Op> = (0..8).map(|i| Op::get(format!("v{i}"))).collect();
+    run_workload(world, sim, vec![reads]);
+}
+
+/// The pinned codec-site scenario: every encode/decode placement under
+/// each condition that reaches a distinct branch of the SET and GET
+/// pipelines.
+fn codec_sites_scenario() -> String {
+    let mut out = String::new();
+    for (label, scheme) in codec_sites() {
+        leg(
+            &mut out,
+            &format!("{label} healthy"),
+            sites_cluster(scheme, 1),
+            |_, _| {},
+        );
+        leg(
+            &mut out,
+            &format!("{label} dead holder met with stale views"),
+            sites_cluster(scheme, 2),
+            |world, sim| {
+                world.cluster.kill_server(DEAD);
+                overwrite_then_read_stale(world, sim);
+            },
+        );
+        let before = out.len();
+        leg(
+            &mut out,
+            &format!("{label} hedged reads around a straggler"),
+            sites_cluster(scheme, 1).hedge(HedgeConfig::after(SimDuration::from_micros(4))),
+            |world, sim| {
+                world
+                    .cluster
+                    .slow_server(sim.now(), 2, 8.0, SimDuration::from_micros(20));
+            },
+        );
+        assert!(
+            out[before..].contains("\"event\":\"hedge_fired\""),
+            "{label}: the straggler must trigger a hedge"
+        );
+        let before = out.len();
+        leg(
+            &mut out,
+            &format!("{label} admission sheds"),
+            sites_cluster(scheme, 8).admission(AdmissionConfig::depth(1)),
+            herd,
+        );
+        assert!(
+            out[before..].contains("\"event\":\"queue_capped\""),
+            "{label}: the herd must overflow an admission bound"
+        );
+        let world = leg(
+            &mut out,
+            &format!("{label} inline values, validated"),
+            sites_cluster(scheme, 1).validate(true),
+            inline_then_degraded_reads,
+        );
+        let m = world.metrics.borrow();
+        assert_eq!(
+            m.integrity_errors, 0,
+            "{label}: inline values decode intact"
+        );
+        assert!(m.get_degraded_count > 0, "{label}: some reads decode");
+    }
+    // RS(1,1) with the parity holder's server dead: once the client's view
+    // learns of it, the encoder stores its own chunk and has no peer.
+    leg(
+        &mut out,
+        "era-se-sd(1,1) encoder with no live peer",
+        sites_cluster(Scheme::era_se_sd(1, 1), 1),
+        |world, sim| {
+            world.cluster.kill_server(DEAD);
+            for round in 0..2u64 {
+                let writes: Vec<Op> = (0..KEYS)
+                    .map(|i| {
+                        Op::set_synthetic(
+                            format!("g{i:02}"),
+                            len_of(i),
+                            200 + round * 50 + i as u64,
+                        )
+                    })
+                    .collect();
+                run_workload(world, sim, vec![writes]);
+            }
+        },
+    );
+    out
+}
+
 /// Compares `got` with the blessed golden `name`, or rewrites the golden
 /// when `ECKV_BLESS_GOLDEN` is set.
 fn check_golden(name: &str, got: &str, why: &str) {
@@ -269,6 +425,16 @@ fn eviction_traces_match_the_golden() {
         &got,
         "the LRU must evict, refresh and spill the same items in the same \
          order",
+    );
+}
+
+#[test]
+fn codec_site_traces_match_the_golden() {
+    check_golden(
+        "codec_sites.jsonl",
+        &codec_sites_scenario(),
+        "every encode/decode placement must move the same bytes at the \
+         same instants through the same nodes",
     );
 }
 
