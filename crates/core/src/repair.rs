@@ -50,7 +50,9 @@ use std::sync::Arc;
 use eckv_simnet::{trace_codec, CodecOp, SimDuration, SimTime, Simulation, TraceEvent};
 use eckv_store::{fnv1a_64, rpc, Bytes, Payload};
 
-use crate::fanout::{client_get_io, FanOut, FanOutSpec, Liveness, QuorumPolicy, Settled, ShardIo};
+use crate::fanout::{
+    chunk_io, FanOut, FanOutSpec, Liveness, Origin, QuorumPolicy, Request, Settled, ShardIo,
+};
 use crate::scheme::Scheme;
 use crate::world::{RepairConfig, World};
 
@@ -560,7 +562,7 @@ fn run_task(world: &Rc<World>, sim: &mut Simulation, task: RepairTask, done: Rep
             liveness: Liveness::PreFiltered,
             hedge_node,
         };
-        let io = client_get_io(world, 0, key.clone(), true, false, rpc::RpcPriority::Repair);
+        let io = shard_read_io(world, &key);
         let (world2, dest2) = (world.clone(), dest.clone());
         let on_miss: OnMiss =
             Box::new(move |sim, done| reconstruct_to(&world2, sim, key, slot, dest2, done));
@@ -597,13 +599,13 @@ fn run_task(world: &Rc<World>, sim: &mut Simulation, task: RepairTask, done: Rep
         None => spec.rotated_by(fnv1a_64(key.as_bytes())),
         Some(_) => spec,
     };
-    let io = client_get_io(
+    let key2 = key.clone();
+    let io = chunk_io(
         world,
-        0,
-        key.clone(),
-        false,
-        false,
+        Origin::Client(0),
+        None,
         rpc::RpcPriority::Repair,
+        move |_| Request::Get(key2.clone()),
     );
     let dest = Dest {
         to,
@@ -612,6 +614,19 @@ fn run_task(world: &Rc<World>, sim: &mut Simulation, task: RepairTask, done: Rep
     };
     let lost: OnMiss = Box::new(|sim, done| done(sim, RepairOutcome::Lost, 0, 0));
     copy_to(world, sim, spec, io, dest, lost, done);
+}
+
+/// Repair's chunk reads of `key`: issued from client 0's thread, at
+/// repair priority, leaving every failure view alone.
+fn shard_read_io(world: &Rc<World>, key: &Arc<str>) -> ShardIo {
+    let key = key.clone();
+    chunk_io(
+        world,
+        Origin::Client(0),
+        None,
+        rpc::RpcPriority::Repair,
+        move |slot| Request::Get(World::shard_key(&key, slot)),
+    )
 }
 
 /// Fetches one stored value — a full copy, or one chunk verbatim —
@@ -699,7 +714,7 @@ fn reconstruct_to(
         hedge_node: client_node,
     }
     .rotated_by(fnv1a_64(key.as_bytes()));
-    let io = client_get_io(world, 0, key.clone(), true, false, rpc::RpcPriority::Repair);
+    let io = shard_read_io(world, &key);
     let world2 = world.clone();
     let now = sim.now();
     let launched = FanOut::launch(
