@@ -182,20 +182,23 @@ impl KvServer {
         let service = self.costs.op_time(payload.len());
         self.cpu.prune(now);
         let (svc_start, done) = self.cpu.reserve_timed(now, service);
-        let outcome = match &mut self.ssd {
-            Some(ssd) => {
-                // Eviction victims overflow to flash; the flash writes are
-                // asynchronous write-behind and do not extend `done`.
-                let store = &mut self.store;
-                store.set_spilling(key, payload, None, &mut |k, p| {
-                    ssd.spill(done, k, p);
-                })
-            }
-            None => self.store.set(key, payload),
-        };
+        let outcome = self.store_set(done, key, payload);
         self.note_cpu();
         self.note_cpu_spans(now, svc_start, done);
         (done, outcome)
+    }
+
+    /// The storage half of [`KvServer::process_set`], with no worker
+    /// time: stores `payload` in RAM at `now`. With a flash tier, RAM
+    /// eviction victims overflow to it; the flash writes are asynchronous
+    /// write-behind and delay nothing.
+    pub fn store_set(&mut self, now: SimTime, key: Arc<str>, payload: Payload) -> SetOutcome {
+        match &mut self.ssd {
+            Some(ssd) => self.store.set_spilling(key, payload, None, &mut |k, p| {
+                ssd.spill(now, k, p);
+            }),
+            None => self.store.set(key, payload),
+        }
     }
 
     /// Removes `key` from RAM and flash. Costs no worker time: it only
@@ -210,15 +213,7 @@ impl KvServer {
     /// Processes a Get arriving at `now`; returns the completion instant
     /// and the value, if present.
     pub fn process_get(&mut self, now: SimTime, key: &str) -> (SimTime, Option<Payload>) {
-        let mut value = self.store.get_at(key, now);
-        let mut flash_done = now;
-        if value.is_none() {
-            if let Some(ssd) = &mut self.ssd {
-                let (done, v) = ssd.read(now, key);
-                flash_done = done;
-                value = v;
-            }
-        }
+        let (flash_done, value) = self.store_get(now, key);
         let bytes = value.as_ref().map_or(0, Payload::len);
         let service = self.costs.op_time(bytes);
         self.cpu.prune(now);
@@ -233,6 +228,20 @@ impl KvServer {
                 .span_record(SpanPhase::SsdRead, self.node, now, flash_done);
         }
         (done, value)
+    }
+
+    /// The storage half of [`KvServer::process_get`], with no worker
+    /// time: looks `key` up in RAM at `now`, then in the flash tier, if
+    /// any. Returns when the flash read completes (`now` when it was not
+    /// needed) and the value, if present.
+    pub fn store_get(&mut self, now: SimTime, key: &str) -> (SimTime, Option<Payload>) {
+        if let Some(value) = self.store.get_at(key, now) {
+            return (now, Some(value));
+        }
+        match &mut self.ssd {
+            Some(ssd) => ssd.read(now, key),
+            None => (now, None),
+        }
     }
 
     /// Reserves `service` time on this server's workers without touching

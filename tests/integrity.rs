@@ -1,21 +1,26 @@
 //! Negative integrity checks: a tampered chunk must surface as an
-//! integrity error, on the healthy read and on the decoding read alike.
-//! Every other suite asserts `integrity_errors == 0`; these show the value
-//! digest can actually fail.
+//! integrity error, on the healthy read and on the decoding read alike,
+//! whether the client or a server aggregator decodes. Every other suite
+//! asserts `integrity_errors == 0`; these show the value digest can
+//! actually fail.
 
 use eckv::prelude::*;
 use std::rc::Rc;
 
 const KEYS: usize = 8;
 
-/// Era-CE-CD RS(3,2) with validation on, `KEYS` inline 10 kB values.
-fn loaded_world() -> (Rc<World>, Simulation) {
+/// The four encode/decode placements of RS(3,2).
+const ERA_SCHEMES: [fn(usize, usize) -> Scheme; 4] = [
+    Scheme::era_ce_cd,
+    Scheme::era_se_sd,
+    Scheme::era_se_cd,
+    Scheme::era_ce_sd,
+];
+
+/// `scheme` with validation on, `KEYS` inline 10 kB values.
+fn loaded_world(scheme: Scheme) -> (Rc<World>, Simulation) {
     let world = World::new(
-        EngineConfig::new(
-            ClusterConfig::new(ClusterProfile::RiQdr, 5, 1),
-            Scheme::era_ce_cd(3, 2),
-        )
-        .validate(true),
+        EngineConfig::new(ClusterConfig::new(ClusterProfile::RiQdr, 5, 1), scheme).validate(true),
     );
     let mut sim = Simulation::new();
     let writes: Vec<Op> = (0..KEYS)
@@ -84,31 +89,43 @@ fn outcome(integrity_errors: u64, degraded: bool) -> Read {
 
 #[test]
 fn tampered_data_chunk_fails_a_healthy_read() {
-    let (world, mut sim) = loaded_world();
-    tamper(&world, "k3", 0);
-    assert_eq!(read(&world, &mut sim, "k3"), outcome(1, false));
-    assert_eq!(read(&world, &mut sim, "k5"), outcome(0, false));
+    for era in ERA_SCHEMES {
+        let scheme = era(3, 2);
+        let (world, mut sim) = loaded_world(scheme);
+        tamper(&world, "k3", 0);
+        let label = scheme.label();
+        assert_eq!(read(&world, &mut sim, "k3"), outcome(1, false), "{label}");
+        assert_eq!(read(&world, &mut sim, "k5"), outcome(0, false), "{label}");
+    }
 }
 
 #[test]
 fn tampered_parity_chunk_fails_a_decoding_read() {
-    let (world, mut sim) = loaded_world();
-    // With the holder of data chunk 1 down, the read fetches the first
-    // parity chunk in its place and decodes.
-    let dead = holder(&world, "k3", 1);
-    world.cluster.kill_server(dead);
-    tamper(&world, "k3", 3);
-    assert_eq!(read(&world, &mut sim, "k3"), outcome(1, true));
-    let untouched = (0..KEYS)
-        .map(|i| format!("k{i}"))
-        .find(|k| k != "k3" && (0..3).any(|s| holder(&world, k, s) == dead))
-        .expect("another key lost a data chunk with the same server");
-    assert_eq!(read(&world, &mut sim, &untouched), outcome(0, true));
+    for era in ERA_SCHEMES {
+        let scheme = era(3, 2);
+        let (world, mut sim) = loaded_world(scheme);
+        // With the holder of data chunk 1 down, the read fetches the first
+        // parity chunk in its place and decodes.
+        let dead = holder(&world, "k3", 1);
+        world.cluster.kill_server(dead);
+        tamper(&world, "k3", 3);
+        let label = scheme.label();
+        assert_eq!(read(&world, &mut sim, "k3"), outcome(1, true), "{label}");
+        let untouched = (0..KEYS)
+            .map(|i| format!("k{i}"))
+            .find(|k| k != "k3" && (0..3).any(|s| holder(&world, k, s) == dead))
+            .expect("another key lost a data chunk with the same server");
+        assert_eq!(
+            read(&world, &mut sim, &untouched),
+            outcome(0, true),
+            "{label}"
+        );
+    }
 }
 
 #[test]
 fn a_truncated_survivor_chunk_loses_one_key_instead_of_crashing_the_rebuild() {
-    let (world, mut sim) = loaded_world();
+    let (world, mut sim) = loaded_world(Scheme::era_ce_cd(3, 2));
     // RS(3,2) on 5 servers: every key keeps exactly k = 3 survivors once
     // two servers are down, so a rebuild has no spare chunk to fall back
     // on and must decode from the truncated one.

@@ -100,3 +100,25 @@ fn erasure_with_small_ram_beats_replication_with_flash_fallback() {
         "era reads from RAM ({t_era}ns) should beat rep reads from flash ({t_rep}ns)"
     );
 }
+
+#[test]
+fn a_coordinators_own_chunk_spills_to_flash_and_is_read_back() {
+    // 2 x 150 x 1 MB under RS(3,2) charges ~500 MB into 5 x 64 MB RAM, so
+    // most chunks spill — the encoder's and the aggregator's own included.
+    for scheme in [
+        Scheme::era_ce_cd(3, 2),
+        Scheme::era_se_sd(3, 2),
+        Scheme::era_se_cd(3, 2),
+        Scheme::era_ce_sd(3, 2),
+    ] {
+        let w = world(scheme, 64 << 20, Some(4 << 30));
+        let (failed, _) = write_then_read_all(&w, 150, 1 << 20);
+        let degraded = w.metrics.borrow().get_degraded_count;
+        assert_eq!(
+            (failed, degraded),
+            (0, 0),
+            "{}: no chunk may be lost to RAM eviction or missed on flash",
+            scheme.label()
+        );
+    }
+}
