@@ -18,7 +18,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use eckv_simnet::{trace_codec, CodecOp, SimDuration, SimTime, Simulation};
-use eckv_store::{rpc, Payload};
+use eckv_store::{rpc, Payload, Xxh64};
 
 use crate::fanout::{
     chunk_io, FanOut, FanOutSpec, Liveness, Origin, QuorumPolicy, Request, SettleCb, Settled,
@@ -274,29 +274,27 @@ fn gather_order(
     Some(order)
 }
 
-/// Verifies fetched chunks against the write record; also reconstructs and
-/// checks real bytes when the workload wrote inline values.
+/// Verifies fetched chunks against the write record. Inline chunks are
+/// really decoded: the `k` data chunks, surviving ones in place and lost
+/// ones rebuilt from borrowed survivors, stream into an [`Xxh64`] that
+/// must match the written value's digest.
 fn check_chunks(world: &World, expected: Option<Written>, chunks: &[(usize, Payload)]) -> bool {
     if !world.cfg.validate {
         return true;
     }
     let Some(w) = expected else { return true };
-    let shard_len = world.shard_len(w.len);
     let all_inline = chunks.iter().all(|(_, c)| matches!(c, Payload::Inline(_)));
     if all_inline {
-        // Really decode and compare digests end to end.
         let striper = world.striper.as_ref().expect("erasure scheme");
-        let n = striper.codec().total_shards();
-        let mut shards: Vec<Option<Vec<u8>>> = vec![None; n];
+        let mut shards: Vec<Option<&[u8]>> = vec![None; striper.codec().total_shards()];
         for (idx, chunk) in chunks {
-            if let Payload::Inline(b) = chunk {
-                shards[*idx] = Some(b.to_vec());
-            }
+            shards[*idx] = chunk.as_bytes().map(|b| &b[..]);
         }
-        match striper.decode_value(&mut shards, w.len as usize) {
-            Ok(value) => eckv_store::xxh64(&value) == w.digest,
-            Err(_) => false,
-        }
+        let mut digest = Xxh64::new();
+        striper
+            .decode_value_into(&shards, w.len as usize, |piece| digest.update(piece))
+            .is_ok()
+            && digest.digest() == w.digest
     } else {
         // Synthetic: each chunk's digest must match the derivation used at
         // write time.
@@ -304,6 +302,7 @@ fn check_chunks(world: &World, expected: Option<Written>, chunks: &[(usize, Payl
             len: w.len,
             digest: w.digest,
         };
+        let shard_len = world.shard_len(w.len);
         chunks
             .iter()
             .all(|(idx, c)| c.digest() == parent.shard(*idx, shard_len).digest())
@@ -475,4 +474,117 @@ fn decode(
         note_written: None,
     };
     (outcome, fetched)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::set_path::build_shards;
+    use crate::world::EngineConfig;
+    use eckv_erasure::Striper;
+    use eckv_simnet::ClusterProfile;
+    use eckv_store::{xxh64, ClusterConfig};
+
+    /// Every `k`-subset of `0..n`, in lexicographic order.
+    fn k_subsets(n: usize, k: usize) -> Vec<Vec<usize>> {
+        (0u32..1 << n)
+            .filter(|mask| mask.count_ones() as usize == k)
+            .map(|mask| (0..n).filter(|&i| mask >> i & 1 == 1).collect())
+            .collect()
+    }
+
+    #[test]
+    fn inline_sets_store_views_and_every_k_chunks_pass_the_check() {
+        let world = World::new(
+            EngineConfig::new(
+                ClusterConfig::new(ClusterProfile::RiQdr, 5, 1),
+                Scheme::era_ce_cd(3, 2),
+            )
+            .validate(true),
+        );
+        let striper = world.striper.as_ref().expect("erasure scheme");
+        let (k, n) = (3, 5);
+        let align = striper.codec().shard_alignment();
+        for len in [0, 1, 3 * align - 1, 3 * align, 64 << 10, (64 << 10) + 1] {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 131 + 7) as u8).collect();
+            let value = Payload::inline(bytes.clone());
+            let view = value.as_bytes().expect("inline");
+            let buf = view.as_ptr_range();
+            let shard_len = world.shard_len(len as u64) as usize;
+            let chunks = build_shards(&world, &value, shard_len as u64);
+            assert_eq!(chunks.len(), n);
+            let chunk = |i: usize| chunks[i].as_bytes().expect("inline chunk");
+
+            // Whole data chunks are views into the value's buffer; a chunk
+            // that needs padding is a zero-padded copy, and parity is fresh.
+            for i in 0..k {
+                let range = Striper::data_range(len, shard_len, i);
+                let c = chunk(i);
+                assert_eq!(c.len(), shard_len, "len {len} chunk {i}");
+                assert_eq!(&c[..range.len()], &bytes[range.clone()]);
+                if range.len() == shard_len {
+                    assert_eq!(c.as_ptr(), view[range.start..].as_ptr());
+                } else {
+                    assert!(c[range.len()..].iter().all(|&b| b == 0));
+                    assert!(!buf.contains(&c.as_ptr()), "len {len} chunk {i} is a copy");
+                }
+            }
+            if len >= 3 * align - 1 {
+                for i in 0..k - 1 {
+                    assert!(buf.contains(&chunk(i).as_ptr()), "len {len} chunk {i}");
+                }
+            }
+            for i in k..n {
+                assert!(!buf.contains(&chunk(i).as_ptr()), "len {len} parity {i}");
+            }
+
+            let expected = Some(Written {
+                len: len as u64,
+                digest: xxh64(&bytes),
+            });
+            for used in k_subsets(n, k) {
+                let got: Vec<(usize, Payload)> =
+                    used.iter().map(|&i| (i, chunks[i].clone())).collect();
+                assert!(check_chunks(&world, expected, &got), "len {len} {used:?}");
+                let survivors: Vec<Option<&[u8]>> = (0..n)
+                    .map(|i| used.contains(&i).then(|| &chunk(i)[..]))
+                    .collect();
+                assert_eq!(
+                    striper.decode_value(&survivors, len).expect("k survivors"),
+                    bytes,
+                    "len {len} {used:?}"
+                );
+            }
+
+            // One flipped bit in any chunk fails the check, wherever the
+            // chunk's bytes reach the value: a data chunk read directly, a
+            // parity chunk through the data chunk it rebuilds. (Padding is
+            // not part of the value, so a flip there is not an error.)
+            for bad in 0..n {
+                let (used, reach) = if bad < k {
+                    (vec![0, 1, 2], bad)
+                } else {
+                    (vec![1, 2, bad], 0)
+                };
+                let carried = Striper::data_range(len, shard_len, reach).len();
+                if carried == 0 {
+                    continue;
+                }
+                let mut flipped = chunk(bad).to_vec();
+                flipped[carried / 2] ^= 0x08;
+                let got: Vec<(usize, Payload)> = used
+                    .iter()
+                    .map(|&i| {
+                        let c = if i == bad {
+                            Payload::inline(flipped.clone())
+                        } else {
+                            chunks[i].clone()
+                        };
+                        (i, c)
+                    })
+                    .collect();
+                assert!(!check_chunks(&world, expected, &got), "len {len} bad {bad}");
+            }
+        }
+    }
 }

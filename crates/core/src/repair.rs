@@ -48,7 +48,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use eckv_simnet::{trace_codec, CodecOp, SimDuration, SimTime, Simulation, TraceEvent};
-use eckv_store::{fnv1a_64, rpc, Bytes, Payload};
+use eckv_store::{fnv1a_64, rpc, Payload};
 
 use crate::fanout::{
     chunk_io, FanOut, FanOutSpec, Liveness, Origin, QuorumPolicy, Request, Settled, ShardIo,
@@ -782,14 +782,12 @@ fn rebuild_shard(
         return Some(parent.shard(lost_shard, world.shard_len(value_len)));
     }
     let codec = world.striper.as_ref().expect("erasure scheme").codec();
-    let mut shards: Vec<Option<Vec<u8>>> = vec![None; codec.total_shards()];
+    let mut shards: Vec<Option<&[u8]>> = vec![None; codec.total_shards()];
     for (idx, chunk) in chunks {
-        if let Payload::Inline(b) = chunk {
-            shards[*idx] = Some(b.to_vec());
-        }
+        shards[*idx] = chunk.as_bytes().map(|b| &b[..]);
     }
-    codec.reconstruct(&mut shards).ok()?;
-    Some(Payload::inline(Bytes::from(shards[lost_shard].take()?)))
+    let mut rebuilt = codec.reconstruct(&shards, &[lost_shard]).ok()?;
+    rebuilt.pop().map(Payload::inline)
 }
 
 /// The one write tail: stores `value` at `dest` with the same

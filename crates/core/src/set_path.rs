@@ -20,9 +20,9 @@
 use std::rc::Rc;
 use std::sync::Arc;
 
+use eckv_erasure::Striper;
 use eckv_simnet::{trace_codec, CodecOp, SimDuration, SimTime, Simulation};
-use eckv_store::Bytes;
-use eckv_store::{rpc, Payload};
+use eckv_store::{rpc, Bytes, Payload};
 
 use crate::fanout::{
     chunk_io, FanOut, FanOutSpec, Liveness, Origin, QuorumPolicy, Request, Settled,
@@ -34,17 +34,31 @@ use crate::world::World;
 
 /// Builds the `k + m` chunk payloads for a value: really encoded for inline
 /// values, derived descriptors for synthetic ones.
+///
+/// An inline value's data chunks are views of the value's own buffer
+/// wherever a chunk lies wholly inside the value; only a chunk that needs
+/// zero padding (normally just the last) is copied. Parity is encoded into
+/// fresh buffers that become chunks without a second copy.
 pub(crate) fn build_shards(world: &World, payload: &Payload, shard_len: u64) -> Vec<Payload> {
     let striper = world.striper.as_ref().expect("erasure scheme");
     let n = striper.codec().total_shards();
     match payload {
-        Payload::Inline(bytes) => {
-            let stripe = striper.encode_value(bytes);
-            stripe
-                .shards
-                .into_iter()
-                .map(|s| Payload::inline(Bytes::from(s)))
-                .collect()
+        Payload::Inline(value) => {
+            let shard_len = shard_len as usize;
+            let mut chunks: Vec<Bytes> = (0..striper.codec().data_shards())
+                .map(|i| {
+                    let range = Striper::data_range(value.len(), shard_len, i);
+                    if range.len() == shard_len {
+                        value.slice(range)
+                    } else {
+                        Bytes::from(Striper::padded_data_shard(value, shard_len, i))
+                    }
+                })
+                .collect();
+            let data: Vec<&[u8]> = chunks.iter().map(|c| &c[..]).collect();
+            let parity = striper.encode_parity(&data);
+            chunks.extend(parity.into_iter().map(Bytes::from));
+            chunks.into_iter().map(Payload::Inline).collect()
         }
         Payload::Synthetic { .. } => (0..n).map(|i| payload.shard(i, shard_len)).collect(),
     }

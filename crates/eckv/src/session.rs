@@ -9,7 +9,7 @@ use std::rc::Rc;
 
 use eckv_core::{driver, ops::Op, repair, EngineConfig, RepairReport, Scheme, World};
 use eckv_simnet::{SimDuration, Simulation};
-use eckv_store::{ClusterConfig, Payload};
+use eckv_store::{Bytes, ClusterConfig, Payload};
 
 /// Errors surfaced by [`KvSession`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -152,19 +152,21 @@ impl KvSession {
             .striper
             .as_ref()
             .expect("no replica implies an erasure scheme");
-        let n = striper.codec().total_shards();
-        let mut shards: Vec<Option<Vec<u8>>> = vec![None; n];
-        for (i, slot) in shards.iter_mut().enumerate() {
-            let shard_key = format!("{key}.s{i}");
-            for srv in &self.world.cluster.servers {
-                if let Some(Payload::Inline(b)) = srv.borrow().store().peek(&shard_key) {
-                    *slot = Some(b.to_vec());
-                    break;
-                }
-            }
-        }
+        // Each chunk found is a shared view (a reference-count bump, not a
+        // copy); the decode reads them in place.
+        let shards: Vec<Option<Bytes>> = (0..striper.codec().total_shards())
+            .map(|i| {
+                let shard_key = format!("{key}.s{i}");
+                self.world.cluster.servers.iter().find_map(|srv| {
+                    match srv.borrow().store().peek(&shard_key) {
+                        Some(Payload::Inline(b)) => Some(b.clone()),
+                        _ => None,
+                    }
+                })
+            })
+            .collect();
         striper
-            .decode_value(&mut shards, w.len as usize)
+            .decode_value(&shards, w.len as usize)
             .expect("validated read implies decodability")
     }
 

@@ -21,7 +21,7 @@
 
 use eckv_gf::{slice, BitMatrix};
 
-use crate::codec::{check_encode_shape, check_reconstruct_shape};
+use crate::codec::{check_encode_shape, reconstruct_wanted};
 use crate::error::ErasureError;
 use crate::schedule::{optimize, XorSchedule};
 
@@ -133,100 +133,67 @@ impl BitMatrixEngine {
         Ok(())
     }
 
-    pub fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), ErasureError> {
-        let len = check_reconstruct_shape(self.k, self.m, self.w, shards)?;
-        let ps = len / self.w;
-        let n = self.k + self.m;
-
-        let present: Vec<usize> = (0..n).filter(|&i| shards[i].is_some()).collect();
-        let missing_data: Vec<usize> = (0..self.k).filter(|&i| shards[i].is_none()).collect();
-
-        if !missing_data.is_empty() && ps > 0 {
-            // Full generator rows for the first k surviving shards.
-            let generator = BitMatrix::identity(self.k * self.w).vstack(&self.coding);
-            let chosen = &present[..self.k];
-            let mut rows = Vec::with_capacity(self.k * self.w);
-            for &s in chosen {
-                for r in 0..self.w {
-                    rows.push(s * self.w + r);
-                }
-            }
-            let sub = generator.select_rows(&rows);
-            let inv = sub
+    /// [`crate::ErasureCodec::reconstruct`] for a bit-matrix code.
+    pub fn reconstruct(
+        &self,
+        shards: &[Option<&[u8]>],
+        wanted: &[usize],
+    ) -> Result<Vec<Vec<u8>>, ErasureError> {
+        let (k, w) = (self.k, self.w);
+        reconstruct_wanted((k, self.m, w), shards, wanted, |len, lost| {
+            // Packet rows of the full generator for the first k survivors
+            // and for the lost shards: lost packet `r` of shard `i` is row
+            // `i*w + r` of `G[lost] · G[chosen]⁻¹` applied to the chosen
+            // packets, one XOR pass per set bit.
+            let packet_rows = |shard_ids: &[usize]| -> Vec<usize> {
+                shard_ids
+                    .iter()
+                    .flat_map(|&s| (0..w).map(move |r| s * w + r))
+                    .collect()
+            };
+            let chosen: Vec<usize> = (0..k + self.m)
+                .filter(|&i| shards[i].is_some())
+                .take(k)
+                .collect();
+            let generator = BitMatrix::identity(k * w).vstack(&self.coding);
+            let inv = generator
+                .select_rows(&packet_rows(&chosen))
                 .invert()
                 .expect("any k shards of an MDS bit-matrix code are independent");
+            let decode = generator.select_rows(&packet_rows(lost)).mul(&inv);
+            let sources: Vec<&[u8]> = chosen
+                .iter()
+                .map(|&i| shards[i].expect("chosen shards survive"))
+                .collect();
 
+            let ps = len / w;
             let seg = self.segment(ps);
             let mut srcs: Vec<&[u8]> = Vec::new();
-            let mut recovered: Vec<(usize, Vec<u8>)> = Vec::with_capacity(missing_data.len());
-            for &d in &missing_data {
-                let dec_rows: Vec<Vec<usize>> =
-                    (0..self.w).map(|p| inv.row_ones(d * self.w + p)).collect();
-                let mut out = vec![0u8; len];
-                let mut off = 0;
-                while off < ps {
-                    let chunk = seg.min(ps - off);
-                    for (p, ones) in dec_rows.iter().enumerate() {
-                        let dst_start = p * ps + off;
-                        srcs.clear();
-                        srcs.extend(ones.iter().map(|&j| {
-                            // Column j is packet j of the chosen sequence.
-                            let src_shard = shards[chosen[j / self.w]]
-                                .as_deref()
-                                .expect("chosen present");
-                            let s = (j % self.w) * ps + off;
-                            &src_shard[s..s + chunk]
-                        }));
-                        slice::xor_combine(&srcs, &mut out[dst_start..dst_start + chunk]);
+            let rebuilt = (0..lost.len())
+                .map(|l| {
+                    let rows: Vec<Vec<usize>> =
+                        (0..w).map(|p| decode.row_ones(l * w + p)).collect();
+                    let mut out = vec![0u8; len];
+                    let mut off = 0;
+                    while off < ps {
+                        let chunk = seg.min(ps - off);
+                        for (p, ones) in rows.iter().enumerate() {
+                            let dst_start = p * ps + off;
+                            srcs.clear();
+                            srcs.extend(ones.iter().map(|&j| {
+                                // Column j is packet j of the chosen sequence.
+                                let s = (j % w) * ps + off;
+                                &sources[j / w][s..s + chunk]
+                            }));
+                            slice::xor_combine(&srcs, &mut out[dst_start..dst_start + chunk]);
+                        }
+                        off += chunk;
                     }
-                    off += chunk;
-                }
-                recovered.push((d, out));
-            }
-            for (d, buf) in recovered {
-                shards[d] = Some(buf);
-            }
-        } else {
-            // Zero-length packets: nothing to move, but slots must fill.
-            for &d in &missing_data {
-                shards[d] = Some(vec![0u8; len]);
-            }
-        }
-
-        // Re-encode any missing parity from complete data.
-        let missing_parity: Vec<usize> = (self.k..n).filter(|&i| shards[i].is_none()).collect();
-        if !missing_parity.is_empty() {
-            let data: Vec<&[u8]> = (0..self.k)
-                .map(|i| shards[i].as_deref().expect("data complete"))
+                    out
+                })
                 .collect();
-            let mut rebuilt: Vec<(usize, Vec<u8>)> = Vec::with_capacity(missing_parity.len());
-            let seg = self.segment(ps.max(1));
-            let mut srcs: Vec<&[u8]> = Vec::new();
-            for &pi in &missing_parity {
-                let p = pi - self.k;
-                let mut out = vec![0u8; len];
-                let mut off = 0;
-                while off < ps {
-                    let chunk = seg.min(ps - off);
-                    for r in 0..self.w {
-                        let row = p * self.w + r;
-                        let dst_start = r * ps + off;
-                        srcs.clear();
-                        srcs.extend(self.schedule[row].iter().map(|&j| {
-                            let s = (j % self.w) * ps + off;
-                            &data[j / self.w][s..s + chunk]
-                        }));
-                        slice::xor_combine(&srcs, &mut out[dst_start..dst_start + chunk]);
-                    }
-                    off += chunk;
-                }
-                rebuilt.push((pi, out));
-            }
-            for (pi, buf) in rebuilt {
-                shards[pi] = Some(buf);
-            }
-        }
-        Ok(())
+            Ok(rebuilt)
+        })
     }
 
     /// Checks the MDS property by brute force: every erasure pattern of at
@@ -294,13 +261,19 @@ mod tests {
         }
         let mut all = data.clone();
         all.extend(parity);
+        let every: Vec<usize> = (0..k + 1).collect();
         for gone in 0..k + 1 {
-            let mut shards: Vec<Option<Vec<u8>>> = all.iter().cloned().map(Some).collect();
+            let mut shards: Vec<Option<&[u8]>> = all.iter().map(|s| Some(&s[..])).collect();
             shards[gone] = None;
-            eng.reconstruct(&mut shards).unwrap();
-            for (i, s) in shards.iter().enumerate() {
-                assert_eq!(s.as_ref().unwrap(), &all[i], "gone={gone} i={i}");
-            }
+            assert_eq!(
+                eng.reconstruct(&shards, &every).unwrap(),
+                all,
+                "gone={gone}"
+            );
+            assert_eq!(
+                eng.reconstruct(&shards, &[gone]).unwrap(),
+                [all[gone].clone()]
+            );
         }
     }
 

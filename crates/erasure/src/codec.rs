@@ -2,6 +2,8 @@
 
 use core::fmt;
 
+use eckv_gf::{slice, Matrix};
+
 use crate::error::ErasureError;
 use crate::{CauchyRs, Liberation, RsVandermonde};
 
@@ -70,17 +72,27 @@ pub trait ErasureCodec: Send + Sync + fmt::Debug {
     /// [`ErasureError::BadAlignment`] on malformed input.
     fn encode(&self, data: &[&[u8]], parity: &mut [&mut [u8]]) -> Result<(), ErasureError>;
 
-    /// Recovers all missing shards in place.
+    /// Rebuilds the shards at the indices in `wanted` from borrowed
+    /// survivors.
     ///
-    /// `shards` must have length `k + m`; present shards are `Some` and must
-    /// share one length. On success every slot is `Some` and data shards
-    /// hold the original content.
+    /// `shards` must have length `k + m`; surviving shards are `Some` and
+    /// must share one length. Returns one buffer per entry of `wanted`, in
+    /// order: a lost shard rebuilt, a surviving one copied. Nothing else is
+    /// copied, and nothing is rebuilt when every wanted shard survives, so
+    /// an empty `wanted` only checks the survivors' shape.
     ///
     /// # Errors
     ///
     /// Returns [`ErasureError::TooManyErasures`] when fewer than `k` shards
-    /// survive, or a shape error on malformed input.
-    fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), ErasureError>;
+    /// survive (or, for a non-MDS code, when the survivors cannot determine
+    /// a wanted shard), [`ErasureError::ShapeMismatch`] when survivor
+    /// lengths differ or a wanted index is not below `k + m`, and
+    /// [`ErasureError::BadAlignment`] for a misaligned survivor length.
+    fn reconstruct(
+        &self,
+        shards: &[Option<&[u8]>],
+        wanted: &[usize],
+    ) -> Result<Vec<Vec<u8>>, ErasureError>;
 }
 
 /// Validates the common shard-shape preconditions shared by all codecs.
@@ -121,14 +133,20 @@ pub(crate) fn check_reconstruct_shape(
     k: usize,
     m: usize,
     alignment: usize,
-    shards: &[Option<Vec<u8>>],
+    shards: &[Option<&[u8]>],
+    wanted: &[usize],
 ) -> Result<usize, ErasureError> {
     if shards.len() != k + m {
         return Err(ErasureError::ShapeMismatch {
             detail: format!("expected {} shard slots, got {}", k + m, shards.len()),
         });
     }
-    let present: Vec<&Vec<u8>> = shards.iter().flatten().collect();
+    if let Some(&bad) = wanted.iter().find(|&&i| i >= k + m) {
+        return Err(ErasureError::ShapeMismatch {
+            detail: format!("wanted shard {bad} of a {}-shard stripe", k + m),
+        });
+    }
+    let present: Vec<&[u8]> = shards.iter().flatten().copied().collect();
     if present.len() < k {
         return Err(ErasureError::TooManyErasures {
             present: present.len(),
@@ -148,6 +166,75 @@ pub(crate) fn check_reconstruct_shape(
         });
     }
     Ok(len)
+}
+
+/// The shared body of every [`ErasureCodec::reconstruct`]: checks the
+/// input, copies the wanted survivors, and calls `solve(len, lost)` once,
+/// only if a wanted shard is lost, to rebuild the `lost` shards in order.
+pub(crate) fn reconstruct_wanted(
+    (k, m, alignment): (usize, usize, usize),
+    shards: &[Option<&[u8]>],
+    wanted: &[usize],
+    solve: impl FnOnce(usize, &[usize]) -> Result<Vec<Vec<u8>>, ErasureError>,
+) -> Result<Vec<Vec<u8>>, ErasureError> {
+    let len = check_reconstruct_shape(k, m, alignment, shards, wanted)?;
+    let lost: Vec<usize> = wanted
+        .iter()
+        .copied()
+        .filter(|&i| shards[i].is_none())
+        .collect();
+    let mut rebuilt = if lost.is_empty() {
+        Vec::new()
+    } else {
+        solve(len, &lost)?
+    }
+    .into_iter();
+    Ok(wanted
+        .iter()
+        .map(|&i| match shards[i] {
+            Some(survivor) => survivor.to_vec(),
+            None => rebuilt.next().expect("one rebuilt shard per lost one"),
+        })
+        .collect())
+}
+
+/// Rebuilds the `lost` shards of a code with GF(2^8) generator matrix
+/// `generator` from the survivors at `chosen`, whose generator rows must be
+/// independent: shard `i` is `G[i] · G[chosen]⁻¹` applied to the chosen
+/// shards, all rows in one fused pass over the sources.
+pub(crate) fn solve_from_generator(
+    generator: &Matrix,
+    chosen: &[usize],
+    shards: &[Option<&[u8]>],
+    lost: &[usize],
+    len: usize,
+) -> Vec<Vec<u8>> {
+    let inv = generator
+        .select_rows(chosen)
+        .invert()
+        .expect("chosen generator rows are independent");
+    let decode = generator.select_rows(lost).mul(&inv);
+    let coeffs: Vec<&[u8]> = (0..lost.len()).map(|r| decode.row(r)).collect();
+    let sources: Vec<&[u8]> = chosen
+        .iter()
+        .map(|&i| shards[i].expect("chosen shards survive"))
+        .collect();
+    let mut out = vec![vec![0u8; len]; lost.len()];
+    let mut dsts: Vec<&mut [u8]> = out.iter_mut().map(Vec::as_mut_slice).collect();
+    slice::matrix_mac(&coeffs, &sources, &mut dsts);
+    out
+}
+
+/// Test shorthand: every shard of a stripe rebuilt (or copied) from the
+/// survivors in `shards`.
+#[cfg(test)]
+pub(crate) fn rebuild_all(
+    codec: &dyn ErasureCodec,
+    shards: &[Option<Vec<u8>>],
+) -> Result<Vec<Vec<u8>>, ErasureError> {
+    let borrowed: Vec<Option<&[u8]>> = shards.iter().map(Option::as_deref).collect();
+    let all: Vec<usize> = (0..shards.len()).collect();
+    codec.reconstruct(&borrowed, &all)
 }
 
 /// Selects one of the three implemented codec families.
@@ -252,23 +339,29 @@ mod tests {
 
     #[test]
     fn reconstruct_shape_checks() {
-        let shards = vec![Some(vec![0u8; 4]), None, None];
+        let (a, b) = ([0u8; 4], [0u8; 3]);
         assert!(matches!(
-            check_reconstruct_shape(2, 1, 1, &shards),
+            check_reconstruct_shape(2, 1, 1, &[Some(&a), None, None], &[]),
             Err(ErasureError::TooManyErasures {
                 present: 1,
                 required: 2
             })
         ));
-        let shards = vec![Some(vec![0u8; 4]), Some(vec![0u8; 3]), None];
         assert!(matches!(
-            check_reconstruct_shape(2, 1, 1, &shards),
+            check_reconstruct_shape(2, 1, 1, &[Some(&a), Some(&b), None], &[]),
             Err(ErasureError::ShapeMismatch { .. })
         ));
-        let shards = vec![Some(vec![0u8; 3]), Some(vec![0u8; 3]), None];
         assert!(matches!(
-            check_reconstruct_shape(2, 1, 2, &shards),
+            check_reconstruct_shape(2, 1, 2, &[Some(&b), Some(&b), None], &[]),
             Err(ErasureError::BadAlignment { .. })
         ));
+        assert!(matches!(
+            check_reconstruct_shape(2, 1, 1, &[Some(&b), Some(&b), None], &[3]),
+            Err(ErasureError::ShapeMismatch { .. })
+        ));
+        assert_eq!(
+            check_reconstruct_shape(2, 1, 1, &[Some(&b), Some(&b), None], &[2]),
+            Ok(3)
+        );
     }
 }

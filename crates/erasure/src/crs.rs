@@ -191,14 +191,19 @@ impl ErasureCodec for CauchyRs {
         self.engine.encode(data, parity)
     }
 
-    fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), ErasureError> {
-        self.engine.reconstruct(shards)
+    fn reconstruct(
+        &self,
+        shards: &[Option<&[u8]>],
+        wanted: &[usize],
+    ) -> Result<Vec<Vec<u8>>, ErasureError> {
+        self.engine.reconstruct(shards, wanted)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::rebuild_all;
 
     fn encode_all(codec: &CauchyRs, data: &[Vec<u8>]) -> Vec<Vec<u8>> {
         let len = data[0].len();
@@ -235,10 +240,8 @@ mod tests {
                 let mut shards: Vec<Option<Vec<u8>>> = all.iter().cloned().map(Some).collect();
                 shards[a] = None;
                 shards[b] = None;
-                codec.reconstruct(&mut shards).expect("recoverable");
-                for (i, s) in shards.iter().enumerate() {
-                    assert_eq!(s.as_ref().unwrap(), &all[i], "erased {a},{b} shard {i}");
-                }
+                let rebuilt = rebuild_all(&codec, &shards).expect("recoverable");
+                assert_eq!(rebuilt, all, "erased {a},{b}");
             }
         }
     }
@@ -278,10 +281,7 @@ mod tests {
         let mut shards: Vec<Option<Vec<u8>>> = b.iter().cloned().map(Some).collect();
         shards[0] = None;
         shards[4] = None;
-        opt.reconstruct(&mut shards).unwrap();
-        for (i, s) in shards.iter().enumerate() {
-            assert_eq!(s.as_ref().unwrap(), &b[i]);
-        }
+        assert_eq!(rebuild_all(&opt, &shards).unwrap(), b);
     }
 
     #[test]

@@ -27,12 +27,12 @@
 //! let stripe = striper.encode_value(&value);
 //!
 //! // Lose any two shards...
-//! let mut shards: Vec<Option<Vec<u8>>> = stripe.shards.iter().cloned().map(Some).collect();
+//! let mut shards: Vec<Option<&[u8]>> = stripe.shards.iter().map(|s| Some(&s[..])).collect();
 //! shards[0] = None;
 //! shards[3] = None;
 //!
-//! // ...and recover the value bit-exactly.
-//! let recovered = striper.decode_value(&mut shards, stripe.original_len)?;
+//! // ...and recover the value bit-exactly from the borrowed survivors.
+//! let recovered = striper.decode_value(&shards, stripe.original_len)?;
 //! assert_eq!(recovered, value);
 //! # Ok::<(), eckv_erasure::ErasureError>(())
 //! ```

@@ -165,14 +165,19 @@ impl ErasureCodec for Liberation {
         self.engine.encode(data, parity)
     }
 
-    fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), ErasureError> {
-        self.engine.reconstruct(shards)
+    fn reconstruct(
+        &self,
+        shards: &[Option<&[u8]>],
+        wanted: &[usize],
+    ) -> Result<Vec<Vec<u8>>, ErasureError> {
+        self.engine.reconstruct(shards, wanted)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::rebuild_all;
 
     #[test]
     fn next_prime_works() {
@@ -229,10 +234,8 @@ mod tests {
                 let mut shards: Vec<Option<Vec<u8>>> = all.iter().cloned().map(Some).collect();
                 shards[a] = None;
                 shards[b] = None;
-                codec.reconstruct(&mut shards).expect("recoverable");
-                for (i, s) in shards.iter().enumerate() {
-                    assert_eq!(s.as_ref().unwrap(), &all[i], "erased {a},{b} shard {i}");
-                }
+                let rebuilt = rebuild_all(&codec, &shards).expect("recoverable");
+                assert_eq!(rebuilt, all, "erased {a},{b}");
             }
         }
     }

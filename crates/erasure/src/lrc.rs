@@ -16,7 +16,9 @@
 
 use eckv_gf::{slice, Matrix};
 
-use crate::codec::{check_encode_shape, check_reconstruct_shape, CostProfile, ErasureCodec};
+use crate::codec::{
+    check_encode_shape, reconstruct_wanted, solve_from_generator, CostProfile, ErasureCodec,
+};
 use crate::error::ErasureError;
 
 /// Azure-style local reconstruction code.
@@ -307,70 +309,38 @@ impl ErasureCodec for Lrc {
         Ok(())
     }
 
-    fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), ErasureError> {
-        let n = self.total_shards();
-        // Shape checks reuse the common helper with the `>= k present`
-        // floor; rank decides actual recoverability below.
-        let len = check_reconstruct_shape(self.k, self.l + self.r, 1, shards)?;
-        let present: Vec<usize> = (0..n).filter(|&i| shards[i].is_some()).collect();
-        let missing: Vec<usize> = (0..n).filter(|&i| shards[i].is_none()).collect();
-        if missing.is_empty() {
-            return Ok(());
-        }
-        let Some(rows) = self.independent_rows(&present) else {
-            return Err(ErasureError::TooManyErasures {
-                present: present.len(),
-                required: self.k,
-            });
-        };
-        let sub = self.generator.select_rows(&rows);
-        let inv = sub.invert().expect("rows chosen to be independent");
-        let sources: Vec<&[u8]> = rows
-            .iter()
-            .map(|&i| shards[i].as_deref().expect("chosen rows are present"))
-            .collect();
-        // Recover all data shards first, solving every missing row in one
-        // fused pass over the chosen sources...
-        let missing_data: Vec<usize> = missing.iter().copied().filter(|&i| i < self.k).collect();
-        let mut solved: Vec<Vec<u8>> = vec![vec![0u8; len]; missing_data.len()];
-        {
-            let coeffs: Vec<&[u8]> = missing_data.iter().map(|&d| inv.row(d)).collect();
-            let mut drefs: Vec<&mut [u8]> = solved.iter_mut().map(|b| b.as_mut_slice()).collect();
-            slice::matrix_mac(&coeffs, &sources, &mut drefs);
-        }
-        let mut solved = solved.into_iter();
-        let data: Vec<Vec<u8>> = (0..self.k)
-            .map(|d| match &shards[d] {
-                Some(existing) => existing.clone(),
-                None => solved.next().expect("one solved row per missing data"),
-            })
-            .collect();
-        // ...then rebuild every missing parity from the generator, again in
-        // one fused pass over the (now complete) data.
-        let data_refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        let missing_parity: Vec<usize> = missing.iter().copied().filter(|&i| i >= self.k).collect();
-        let mut rebuilt: Vec<Vec<u8>> = vec![vec![0u8; len]; missing_parity.len()];
-        {
-            let coeffs: Vec<&[u8]> = missing_parity
-                .iter()
-                .map(|&p| self.generator.row(p))
+    fn reconstruct(
+        &self,
+        shards: &[Option<&[u8]>],
+        wanted: &[usize],
+    ) -> Result<Vec<Vec<u8>>, ErasureError> {
+        // The shape check keeps the `>= k present` floor; rank decides
+        // actual recoverability.
+        reconstruct_wanted((self.k, self.l + self.r, 1), shards, wanted, |len, lost| {
+            let present: Vec<usize> = (0..self.total_shards())
+                .filter(|&i| shards[i].is_some())
                 .collect();
-            let mut drefs: Vec<&mut [u8]> = rebuilt.iter_mut().map(|b| b.as_mut_slice()).collect();
-            slice::matrix_mac(&coeffs, &data_refs, &mut drefs);
-        }
-        for (&p, buf) in missing_parity.iter().zip(rebuilt) {
-            shards[p] = Some(buf);
-        }
-        for &d in &missing_data {
-            shards[d] = Some(data[d].clone());
-        }
-        Ok(())
+            let chosen = self
+                .independent_rows(&present)
+                .ok_or(ErasureError::TooManyErasures {
+                    present: present.len(),
+                    required: self.k,
+                })?;
+            Ok(solve_from_generator(
+                &self.generator,
+                &chosen,
+                shards,
+                lost,
+                len,
+            ))
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::rebuild_all;
 
     fn encode_all(codec: &Lrc, data: &[Vec<u8>]) -> Vec<Vec<u8>> {
         let len = data[0].len();
@@ -423,10 +393,8 @@ mod tests {
                         lrc.is_recoverable(&[a, b, c]),
                         "pattern ({a},{b},{c}) should be recoverable"
                     );
-                    lrc.reconstruct(&mut shards).expect("recoverable");
-                    for (i, s) in shards.iter().enumerate() {
-                        assert_eq!(s.as_ref().unwrap(), &all[i], "({a},{b},{c}) shard {i}");
-                    }
+                    let rebuilt = rebuild_all(&lrc, &shards).expect("recoverable");
+                    assert_eq!(rebuilt, all, "({a},{b},{c})");
                 }
             }
         }
@@ -473,12 +441,8 @@ mod tests {
                     for &x in &lost {
                         shards[x] = None;
                     }
-                    match lrc.reconstruct(&mut shards) {
-                        Ok(()) => {
-                            for (i, s) in shards.iter().enumerate() {
-                                assert_eq!(s.as_ref().unwrap(), &all[i]);
-                            }
-                        }
+                    match rebuild_all(&lrc, &shards) {
+                        Ok(rebuilt) => assert_eq!(rebuilt, all),
                         Err(ErasureError::TooManyErasures { .. }) => {
                             assert!(!lrc.is_recoverable(&lost));
                         }
@@ -543,9 +507,7 @@ mod tests {
         let mut shards: Vec<Option<Vec<u8>>> = stripe.shards.iter().cloned().map(Some).collect();
         shards[1] = None;
         shards[5] = None;
-        let got = striper
-            .decode_value(&mut shards, stripe.original_len)
-            .unwrap();
+        let got = striper.decode_value(&shards, stripe.original_len).unwrap();
         assert_eq!(got, value);
     }
 }

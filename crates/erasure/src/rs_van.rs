@@ -2,7 +2,7 @@
 
 use eckv_gf::{slice, Matrix};
 
-use crate::codec::{check_encode_shape, check_reconstruct_shape, ErasureCodec};
+use crate::codec::{check_encode_shape, reconstruct_wanted, solve_from_generator, ErasureCodec};
 use crate::error::ErasureError;
 
 /// `RS_Van`: the classic Reed-Solomon code the paper selects for key-value
@@ -28,10 +28,10 @@ use crate::error::ErasureError;
 ///     rs.encode(&refs, &mut parity)?;
 /// }
 ///
-/// let mut shards = vec![None, Some(data[1].clone()), Some(data[2].clone()), Some(p0), Some(p1)];
-/// shards.truncate(5);
-/// rs.reconstruct(&mut shards)?;
-/// assert_eq!(shards[0].as_deref(), Some(&data[0][..]));
+/// // Lose data shard 0 and rebuild it from borrowed survivors.
+/// let shards = [None, Some(&data[1][..]), Some(&data[2][..]), Some(&p0[..]), Some(&p1[..])];
+/// let rebuilt = rs.reconstruct(&shards, &[0])?;
+/// assert_eq!(rebuilt, [data[0].clone()]);
 /// # Ok::<(), eckv_erasure::ErasureError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -109,69 +109,32 @@ impl ErasureCodec for RsVandermonde {
         Ok(())
     }
 
-    fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), ErasureError> {
-        let len = check_reconstruct_shape(self.k, self.m, 1, shards)?;
-
-        let present: Vec<usize> = (0..self.k + self.m)
-            .filter(|&i| shards[i].is_some())
-            .collect();
-        let missing_data: Vec<usize> = (0..self.k).filter(|&i| shards[i].is_none()).collect();
-
-        if !missing_data.is_empty() {
-            // Use the first k surviving shards to solve for the data.
-            let chosen = &present[..self.k];
-            let sub = self.generator.select_rows(chosen);
-            let inv = sub
-                .invert()
-                .expect("any k rows of an MDS generator are independent");
-
-            let chosen_slices: Vec<&[u8]> = chosen
-                .iter()
-                .map(|&i| shards[i].as_deref().expect("chosen shards are present"))
+    fn reconstruct(
+        &self,
+        shards: &[Option<&[u8]>],
+        wanted: &[usize],
+    ) -> Result<Vec<Vec<u8>>, ErasureError> {
+        reconstruct_wanted((self.k, self.m, 1), shards, wanted, |len, lost| {
+            // Any k survivors determine the stripe; take the first k.
+            let chosen: Vec<usize> = (0..self.k + self.m)
+                .filter(|&i| shards[i].is_some())
+                .take(self.k)
                 .collect();
-
-            let coeffs: Vec<&[u8]> = missing_data.iter().map(|&d| inv.row(d)).collect();
-            let mut recovered: Vec<Vec<u8>> = vec![vec![0u8; len]; missing_data.len()];
-            {
-                let mut drefs: Vec<&mut [u8]> =
-                    recovered.iter_mut().map(|b| b.as_mut_slice()).collect();
-                slice::matrix_mac(&coeffs, &chosen_slices, &mut drefs);
-            }
-            for (&d, buf) in missing_data.iter().zip(recovered) {
-                shards[d] = Some(buf);
-            }
-        }
-
-        // Re-derive any missing parity from the (now complete) data shards.
-        let missing_parity: Vec<usize> = (self.k..self.k + self.m)
-            .filter(|&i| shards[i].is_none())
-            .collect();
-        if !missing_parity.is_empty() {
-            let data_slices: Vec<&[u8]> = (0..self.k)
-                .map(|i| shards[i].as_deref().expect("data is complete"))
-                .collect();
-            let coeffs: Vec<&[u8]> = missing_parity
-                .iter()
-                .map(|&p| self.generator.row(p))
-                .collect();
-            let mut rebuilt: Vec<Vec<u8>> = vec![vec![0u8; len]; missing_parity.len()];
-            {
-                let mut drefs: Vec<&mut [u8]> =
-                    rebuilt.iter_mut().map(|b| b.as_mut_slice()).collect();
-                slice::matrix_mac(&coeffs, &data_slices, &mut drefs);
-            }
-            for (&p, buf) in missing_parity.iter().zip(rebuilt) {
-                shards[p] = Some(buf);
-            }
-        }
-        Ok(())
+            Ok(solve_from_generator(
+                &self.generator,
+                &chosen,
+                shards,
+                lost,
+                len,
+            ))
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::ErasureCodec;
+    use crate::codec::{rebuild_all, ErasureCodec};
 
     fn encode_all(codec: &RsVandermonde, data: &[Vec<u8>]) -> Vec<Vec<u8>> {
         let len = data[0].len();
@@ -198,10 +161,8 @@ mod tests {
                 let mut shards: Vec<Option<Vec<u8>>> = all.iter().cloned().map(Some).collect();
                 shards[a] = None;
                 shards[b] = None;
-                codec.reconstruct(&mut shards).expect("recoverable");
-                for (i, s) in shards.iter().enumerate() {
-                    assert_eq!(s.as_ref().unwrap(), &all[i], "erased {a},{b} shard {i}");
-                }
+                let rebuilt = rebuild_all(&codec, &shards).expect("recoverable");
+                assert_eq!(rebuilt, all, "erased {a},{b}");
             }
         }
     }
@@ -216,7 +177,7 @@ mod tests {
         shards[2] = None;
         shards[4] = None;
         assert!(matches!(
-            codec.reconstruct(&mut shards),
+            rebuild_all(&codec, &shards),
             Err(ErasureError::TooManyErasures { .. })
         ));
     }
@@ -232,10 +193,8 @@ mod tests {
         for gone in [0, 5, 11, 13] {
             shards[gone] = None;
         }
-        codec.reconstruct(&mut shards).expect("4 erasures with m=4");
-        for (i, s) in shards.iter().enumerate() {
-            assert_eq!(s.as_ref().unwrap(), &all[i]);
-        }
+        let rebuilt = rebuild_all(&codec, &shards).expect("4 erasures with m=4");
+        assert_eq!(rebuilt, all);
     }
 
     #[test]
@@ -243,11 +202,13 @@ mod tests {
         let codec = RsVandermonde::new(2, 1).unwrap();
         let data = vec![vec![9u8; 5], vec![7u8; 5]];
         let all = encode_all(&codec, &data);
-        let mut shards: Vec<Option<Vec<u8>>> = all.iter().cloned().map(Some).collect();
-        codec.reconstruct(&mut shards).unwrap();
-        for (i, s) in shards.iter().enumerate() {
-            assert_eq!(s.as_ref().unwrap(), &all[i]);
-        }
+        let shards: Vec<Option<Vec<u8>>> = all.iter().cloned().map(Some).collect();
+        assert_eq!(rebuild_all(&codec, &shards).unwrap(), all);
+        let borrowed: Vec<Option<&[u8]>> = shards.iter().map(Option::as_deref).collect();
+        assert_eq!(
+            codec.reconstruct(&borrowed, &[]).unwrap(),
+            Vec::<Vec<u8>>::new()
+        );
     }
 
     #[test]

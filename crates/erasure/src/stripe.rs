@@ -1,5 +1,6 @@
 //! Value framing: split arbitrary-length values into aligned stripes.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::codec::ErasureCodec;
@@ -61,30 +62,42 @@ impl Striper {
         per_shard.div_ceil(align) * align
     }
 
-    /// Encodes a value into `k + m` shards, zero-padding the tail.
-    pub fn encode_value(&self, value: &[u8]) -> EncodedStripe {
-        let k = self.codec.data_shards();
-        let m = self.codec.parity_shards();
-        let shard_len = self.shard_len_for(value.len());
+    /// The bytes of a `len`-byte value that data shard `i` carries, for a
+    /// shard length of `shard_len` (from [`Striper::shard_len_for`]): the
+    /// shard is `value[range]` zero-padded to `shard_len`, so a shard whose
+    /// range is a whole `shard_len` long is a plain sub-slice of the value.
+    pub fn data_range(len: usize, shard_len: usize, i: usize) -> Range<usize> {
+        (i * shard_len).min(len)..((i + 1) * shard_len).min(len)
+    }
 
-        let mut data: Vec<Vec<u8>> = Vec::with_capacity(k);
-        for i in 0..k {
-            let start = (i * shard_len).min(value.len());
-            let end = ((i + 1) * shard_len).min(value.len());
-            let mut shard = Vec::with_capacity(shard_len);
-            shard.extend_from_slice(&value[start..end]);
-            shard.resize(shard_len, 0);
-            data.push(shard);
-        }
-        let mut parity: Vec<Vec<u8>> = vec![vec![0u8; shard_len]; m];
-        {
-            let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-            let mut prefs: Vec<&mut [u8]> = parity.iter_mut().map(|p| p.as_mut_slice()).collect();
-            self.codec
-                .encode(&refs, &mut prefs)
-                .expect("shards constructed by the striper are always well-shaped");
-        }
-        let mut shards = data;
+    /// Data shard `i` of `value` as an owned buffer: `value[data_range]`
+    /// zero-padded to `shard_len`.
+    pub fn padded_data_shard(value: &[u8], shard_len: usize, i: usize) -> Vec<u8> {
+        let mut shard = Vec::with_capacity(shard_len);
+        shard.extend_from_slice(&value[Self::data_range(value.len(), shard_len, i)]);
+        shard.resize(shard_len, 0);
+        shard
+    }
+
+    /// Computes the `m` parity shards of `k` equal-length data shards.
+    pub fn encode_parity(&self, data: &[&[u8]]) -> Vec<Vec<u8>> {
+        let shard_len = data.first().map_or(0, |d| d.len());
+        let mut parity = vec![vec![0u8; shard_len]; self.codec.parity_shards()];
+        let mut prefs: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
+        self.codec
+            .encode(data, &mut prefs)
+            .expect("data shards shaped by the striper are well-formed");
+        parity
+    }
+
+    /// Encodes a value into `k + m` owned shards, zero-padding the tail.
+    pub fn encode_value(&self, value: &[u8]) -> EncodedStripe {
+        let shard_len = self.shard_len_for(value.len());
+        let mut shards: Vec<Vec<u8>> = (0..self.codec.data_shards())
+            .map(|i| Self::padded_data_shard(value, shard_len, i))
+            .collect();
+        let refs: Vec<&[u8]> = shards.iter().map(Vec::as_slice).collect();
+        let parity = self.encode_parity(&refs);
         shards.extend(parity);
         EncodedStripe {
             shards,
@@ -93,31 +106,63 @@ impl Striper {
         }
     }
 
-    /// Reconstructs the original value from surviving shards.
+    /// Decodes a value of `original_len` bytes from the surviving shards
+    /// of its stripe, handing its bytes to `sink` in order, without the
+    /// padding. Surviving data shards are read in place; only lost data
+    /// shards are rebuilt, and parity is never rebuilt.
     ///
-    /// `shards` must have `k + m` slots; missing shards are `None`. The
-    /// slots are filled in as a side effect (useful for repair).
+    /// `shards` must have `k + m` slots; missing shards are `None`.
     ///
     /// # Errors
     ///
     /// Returns [`ErasureError::TooManyErasures`] when fewer than `k` shards
-    /// survive, or a shape error on malformed input.
-    pub fn decode_value(
+    /// survive, or a shape error on malformed input; `sink` sees nothing
+    /// then.
+    pub fn decode_value_into<S: AsRef<[u8]>>(
         &self,
-        shards: &mut [Option<Vec<u8>>],
+        shards: &[Option<S>],
         original_len: usize,
-    ) -> Result<Vec<u8>, ErasureError> {
+        mut sink: impl FnMut(&[u8]),
+    ) -> Result<(), ErasureError> {
         let k = self.codec.data_shards();
-        self.codec.reconstruct(shards)?;
-        let mut value = Vec::with_capacity(original_len);
-        for shard in shards.iter().take(k) {
-            let shard = shard.as_deref().expect("reconstruct fills every slot");
-            let take = (original_len - value.len()).min(shard.len());
-            value.extend_from_slice(&shard[..take]);
-            if value.len() == original_len {
+        let borrowed: Vec<Option<&[u8]>> = shards
+            .iter()
+            .map(|s| s.as_ref().map(AsRef::as_ref))
+            .collect();
+        let lost: Vec<usize> = (0..k.min(borrowed.len()))
+            .filter(|&i| borrowed[i].is_none())
+            .collect();
+        let rebuilt = self.codec.reconstruct(&borrowed, &lost)?;
+        let mut rebuilt = rebuilt.iter();
+        let mut left = original_len;
+        for shard in &borrowed[..k] {
+            if left == 0 {
                 break;
             }
+            let shard: &[u8] = match shard {
+                Some(survivor) => survivor,
+                None => rebuilt.next().expect("one rebuilt shard per lost one"),
+            };
+            let take = left.min(shard.len());
+            sink(&shard[..take]);
+            left -= take;
         }
+        Ok(())
+    }
+
+    /// Reconstructs the original value from surviving shards: the owned
+    /// form of [`Striper::decode_value_into`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Striper::decode_value_into`].
+    pub fn decode_value<S: AsRef<[u8]>>(
+        &self,
+        shards: &[Option<S>],
+        original_len: usize,
+    ) -> Result<Vec<u8>, ErasureError> {
+        let mut value = Vec::with_capacity(original_len);
+        self.decode_value_into(shards, original_len, |piece| value.extend_from_slice(piece))?;
         Ok(value)
     }
 }
@@ -146,9 +191,9 @@ mod tests {
             for len in [0usize, 1, 2, 3, 7, 15, 16, 100, 1024, 4096, 10_000] {
                 let value: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
                 let stripe = s.encode_value(&value);
-                let mut shards: Vec<Option<Vec<u8>>> =
+                let shards: Vec<Option<Vec<u8>>> =
                     stripe.shards.iter().cloned().map(Some).collect();
-                let got = s.decode_value(&mut shards, stripe.original_len).unwrap();
+                let got = s.decode_value(&shards, stripe.original_len).unwrap();
                 assert_eq!(got, value, "{kind} len={len}");
             }
         }
@@ -166,7 +211,7 @@ mod tests {
                         stripe.shards.iter().cloned().map(Some).collect();
                     shards[a] = None;
                     shards[b] = None;
-                    let got = s.decode_value(&mut shards, stripe.original_len).unwrap();
+                    let got = s.decode_value(&shards, stripe.original_len).unwrap();
                     assert_eq!(got, value, "{kind} erased {a},{b}");
                 }
             }
@@ -191,7 +236,7 @@ mod tests {
         assert!(stripe.shard_len > 0);
         let mut shards: Vec<Option<Vec<u8>>> = stripe.shards.iter().cloned().map(Some).collect();
         shards[0] = None;
-        let got = s.decode_value(&mut shards, 0).unwrap();
+        let got = s.decode_value(&shards, 0).unwrap();
         assert!(got.is_empty());
     }
 
@@ -204,18 +249,40 @@ mod tests {
         shards[1] = None;
         shards[2] = None;
         assert!(matches!(
-            s.decode_value(&mut shards, stripe.original_len),
+            s.decode_value(&shards, stripe.original_len),
             Err(ErasureError::TooManyErasures { .. })
         ));
     }
 
     #[test]
     fn repair_fills_missing_slots() {
+        // Repair asks the codec for just the lost slot, parity included.
         let s = striper(CodecKind::RsVan);
         let stripe = s.encode_value(&vec![9u8; 999]);
-        let mut shards: Vec<Option<Vec<u8>>> = stripe.shards.iter().cloned().map(Some).collect();
+        let mut shards: Vec<Option<&[u8]>> = stripe.shards.iter().map(|s| Some(&s[..])).collect();
         shards[4] = None;
-        s.decode_value(&mut shards, stripe.original_len).unwrap();
-        assert_eq!(shards[4].as_ref().unwrap(), &stripe.shards[4]);
+        let rebuilt = s.codec().reconstruct(&shards, &[4]).unwrap();
+        assert_eq!(rebuilt, [stripe.shards[4].clone()]);
+    }
+
+    #[test]
+    fn decoding_streams_the_unpadded_value_in_order() {
+        let s = striper(CodecKind::CauchyRs);
+        let value: Vec<u8> = (0..1000u32).map(|i| (i * 7) as u8).collect();
+        let stripe = s.encode_value(&value);
+        let mut shards: Vec<Option<&[u8]>> = stripe.shards.iter().map(|s| Some(&s[..])).collect();
+        shards[1] = None;
+        let mut pieces = Vec::new();
+        s.decode_value_into(&shards, value.len(), |p| pieces.push(p.to_vec()))
+            .unwrap();
+        assert_eq!(pieces.len(), 3, "one piece per data shard");
+        assert_eq!(pieces.concat(), value);
+        // Each data shard is the value's range, zero-padded.
+        for (i, shard) in stripe.shards[..3].iter().enumerate() {
+            let range = Striper::data_range(value.len(), stripe.shard_len, i);
+            let (head, pad) = shard.split_at(range.len());
+            assert_eq!(head, &value[range]);
+            assert!(pad.iter().all(|&b| b == 0));
+        }
     }
 }

@@ -2,7 +2,7 @@
 
 use std::sync::{Arc, Mutex, OnceLock};
 
-use eckv_erasure::{CodecKind, ErasureCodec, Lrc, Striper};
+use eckv_erasure::{CodecKind, ErasureCodec, ErasureError, Lrc, Striper};
 use eckv_gf::kernels::{active_backend, force_backend, ALL_BACKENDS};
 use eckv_simnet::check::{check, vec_of};
 use eckv_simnet::SimRng;
@@ -40,17 +40,21 @@ fn gen_case(rng: &mut SimRng, max_k: usize, m: Option<usize>) -> Case {
 fn roundtrip(kind: CodecKind, c: &Case) {
     let striper = Striper::from(kind.build(c.k, c.m).expect("valid shape"));
     let stripe = striper.encode_value(&c.value);
-    let mut shards: Vec<Option<Vec<u8>>> = stripe.shards.iter().cloned().map(Some).collect();
+    let mut shards: Vec<Option<&[u8]>> = stripe.shards.iter().map(|s| Some(&s[..])).collect();
     for &e in &c.erased {
         shards[e] = None;
     }
     let got = striper
-        .decode_value(&mut shards, stripe.original_len)
+        .decode_value(&shards, stripe.original_len)
         .expect("within tolerance");
     assert_eq!(got, c.value);
     // Repair must regenerate parity identical to the original encode.
-    for (i, s) in shards.iter().enumerate() {
-        assert_eq!(s.as_ref().unwrap(), &stripe.shards[i], "shard {i}");
+    let rebuilt = striper
+        .codec()
+        .reconstruct(&shards, &c.erased)
+        .expect("within tolerance");
+    for (&i, s) in c.erased.iter().zip(&rebuilt) {
+        assert_eq!(s, &stripe.shards[i], "shard {i}");
     }
 }
 
@@ -93,11 +97,11 @@ fn lrc_roundtrips_exactly_when_the_oracle_says_recoverable() {
         let recoverable = lrc.is_recoverable(&lost);
         let striper = Striper::new(Arc::new(lrc) as Arc<dyn ErasureCodec>);
         let stripe = striper.encode_value(&value);
-        let mut shards: Vec<Option<Vec<u8>>> = stripe.shards.iter().cloned().map(Some).collect();
+        let mut shards: Vec<Option<&[u8]>> = stripe.shards.iter().map(|s| Some(&s[..])).collect();
         for &i in &lost {
             shards[i] = None;
         }
-        match striper.decode_value(&mut shards, stripe.original_len) {
+        match striper.decode_value(&shards, stripe.original_len) {
             Ok(got) => {
                 assert!(recoverable, "decode succeeded on unrecoverable {lost:?}");
                 assert_eq!(got, value, "lost {lost:?}");
@@ -160,4 +164,132 @@ fn codecs_agree_on_data_shards() {
             }
         },
     );
+}
+
+/// RS(3,2) of every kind, and LRC(4,2,2).
+fn every_codec() -> Vec<Arc<dyn ErasureCodec>> {
+    let mut codecs: Vec<Arc<dyn ErasureCodec>> = CodecKind::ALL
+        .iter()
+        .map(|kind| Arc::from(kind.build(3, 2).expect("valid shape")))
+        .collect();
+    codecs.push(Arc::new(Lrc::new(4, 2, 2).expect("valid shape")));
+    codecs
+}
+
+#[test]
+fn every_codec_rebuilds_every_erasure_set_from_borrowed_survivors() {
+    let mut rng = SimRng::seed_from_u64(0xb0e);
+    for codec in every_codec() {
+        let (k, n) = (codec.data_shards(), codec.total_shards());
+        let name = codec.name();
+        let lrc = Lrc::new(4, 2, 2).expect("valid shape");
+        let striper = Striper::new(Arc::clone(&codec));
+        let unit = k * codec.shard_alignment();
+        // Values whose shards need no padding, and values one byte either
+        // side of that.
+        for len in [0, 1, unit - 1, unit, unit + 1, 7 * unit, 7 * unit + 3, 4096] {
+            let value = bytes(&mut rng, len..len + 1);
+            let stripe = striper.encode_value(&value);
+            assert_eq!(stripe.shard_len % codec.shard_alignment(), 0);
+            for mask in 0u32..1 << n {
+                let lost: Vec<usize> = (0..n).filter(|&i| mask >> i & 1 == 1).collect();
+                if lost.len() > codec.parity_shards() {
+                    continue;
+                }
+                let mut shards: Vec<Option<&[u8]>> =
+                    stripe.shards.iter().map(|s| Some(&s[..])).collect();
+                for &i in &lost {
+                    shards[i] = None;
+                }
+                if name == "LRC" && !lrc.is_recoverable(&lost) {
+                    assert!(matches!(
+                        codec.reconstruct(&shards, &lost),
+                        Err(ErasureError::TooManyErasures { .. })
+                    ));
+                    continue;
+                }
+                let rebuilt = codec
+                    .reconstruct(&shards, &lost)
+                    .unwrap_or_else(|e| panic!("{name} len {len} lost {lost:?}: {e}"));
+                let want: Vec<Vec<u8>> = lost.iter().map(|&i| stripe.shards[i].clone()).collect();
+                assert_eq!(rebuilt, want, "{name} len {len} lost {lost:?}");
+                let all: Vec<usize> = (0..n).collect();
+                assert_eq!(
+                    codec.reconstruct(&shards, &all).expect("decodable"),
+                    stripe.shards,
+                    "{name} len {len} lost {lost:?}, every shard"
+                );
+                assert_eq!(
+                    striper.decode_value(&shards, len).expect("decodable"),
+                    value,
+                    "{name} len {len} lost {lost:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn malformed_survivors_are_errors_not_panics() {
+    for codec in every_codec() {
+        let (k, n, align) = (
+            codec.data_shards(),
+            codec.total_shards(),
+            codec.shard_alignment(),
+        );
+        let name = codec.name();
+        let stripe = Striper::new(Arc::clone(&codec)).encode_value(&[0x5a; 1000]);
+        let whole: Vec<Option<&[u8]>> = stripe.shards.iter().map(|s| Some(&s[..])).collect();
+
+        // Fewer than k survivors.
+        let mut few = whole.clone();
+        for slot in few.iter_mut().skip(k - 1) {
+            *slot = None;
+        }
+        assert_eq!(
+            codec.reconstruct(&few, &[n - 1]),
+            Err(ErasureError::TooManyErasures {
+                present: k - 1,
+                required: k
+            }),
+            "{name}"
+        );
+
+        // One survivor shorter than the rest, by a whole alignment unit.
+        let short = &stripe.shards[1][..stripe.shard_len - align];
+        let mut uneven = whole.clone();
+        uneven[0] = None;
+        uneven[1] = Some(short);
+        for wanted in [&[][..], &[0], &[n - 1]] {
+            assert!(
+                matches!(
+                    codec.reconstruct(&uneven, wanted),
+                    Err(ErasureError::ShapeMismatch { .. })
+                ),
+                "{name} wanted {wanted:?}"
+            );
+        }
+
+        // A wanted index outside the stripe.
+        assert!(matches!(
+            codec.reconstruct(&whole, &[n]),
+            Err(ErasureError::ShapeMismatch { .. })
+        ));
+
+        // Equal survivors whose length is off the codec's alignment.
+        if align > 1 {
+            let cut: Vec<Option<&[u8]>> = stripe
+                .shards
+                .iter()
+                .map(|s| Some(&s[..stripe.shard_len - 1]))
+                .collect();
+            assert!(
+                matches!(
+                    codec.reconstruct(&cut, &[0]),
+                    Err(ErasureError::BadAlignment { .. })
+                ),
+                "{name}"
+            );
+        }
+    }
 }

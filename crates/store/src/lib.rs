@@ -39,6 +39,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod bytes;
 mod cluster;
 mod hashring;
 mod payload;
@@ -48,9 +49,10 @@ mod slab;
 mod ssd;
 mod store_node;
 
+pub use bytes::Bytes;
 pub use cluster::{ClusterConfig, KvCluster};
 pub use hashring::{HashRing, PlacementError, VShardMap, VShardMove};
-pub use payload::{fnv1a_64, xxh64, Bytes, Payload};
+pub use payload::{fnv1a_64, xxh64, Payload, Xxh64};
 pub use server::{AdmissionCaps, KvServer, ServerCosts};
 pub use slab::{chunk_size_for, SlabConfig, ITEM_OVERHEAD};
 pub use ssd::{SsdSpec, SsdTier};

@@ -3,13 +3,7 @@
 
 use core::fmt;
 
-/// Cheaply-clonable immutable byte buffer.
-///
-/// A stand-in for the external `bytes::Bytes` type (which cannot be fetched
-/// in offline builds): an `Arc<[u8]>` clones by reference-count bump,
-/// derefs to `&[u8]`, and converts from `Vec<u8>`/`&[u8]` — everything the
-/// store and engine need from a shared value buffer.
-pub type Bytes = std::sync::Arc<[u8]>;
+use crate::Bytes;
 
 /// FNV-1a 64-bit hash: the **key** hash.
 ///
@@ -53,9 +47,16 @@ fn xxh64_merge(acc: u64, lane: u64) -> u64 {
         .wrapping_add(P4)
 }
 
+/// Folds one 32-byte stripe into the four lane accumulators.
+fn xxh64_stripe(acc: &mut [u64; 4], stripe: &[u8]) {
+    for (acc, lane) in acc.iter_mut().zip(stripe.chunks_exact(8)) {
+        *acc = xxh64_round(*acc, read_u64(lane));
+    }
+}
+
 /// XXH64 with seed 0: the **value** digest, used end to end to check that
 /// the bytes a GET returns (directly or after decoding) are the bytes the
-/// SET wrote.
+/// SET wrote. One-shot form of [`Xxh64`].
 ///
 /// Four independent 8-byte lanes per 32-byte stripe keep the multipliers
 /// busy in parallel, where byte-serial FNV-1a is one multiply per byte in
@@ -66,50 +67,114 @@ fn xxh64_merge(acc: u64, lane: u64) -> u64 {
 /// assert_eq!(eckv_store::xxh64(b"a"), 0xD24E_C4F1_A98C_6E5B);
 /// ```
 pub fn xxh64(data: &[u8]) -> u64 {
-    let stripes = data.chunks_exact(32);
-    let mut tail = stripes.remainder();
-    let mut h = if data.len() >= 32 {
-        let mut v = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
-        for stripe in stripes {
-            for (acc, lane) in v.iter_mut().zip(stripe.chunks_exact(8)) {
-                *acc = xxh64_round(*acc, read_u64(lane));
-            }
+    let mut h = Xxh64::new();
+    h.update(data);
+    h.digest()
+}
+
+/// Streaming XXH64 (seed 0): the bytes fed through [`Xxh64::update`], in
+/// pieces of any length, digest exactly as [`xxh64`] of their
+/// concatenation. A GET checks a value this way straight from its chunks,
+/// without assembling it.
+///
+/// ```
+/// use eckv_store::{xxh64, Xxh64};
+///
+/// let mut h = Xxh64::new();
+/// h.update(b"Nobody inspects");
+/// h.update(b" the spammish repetition");
+/// assert_eq!(h.digest(), xxh64(b"Nobody inspects the spammish repetition"));
+/// ```
+#[derive(Debug, Clone)]
+pub struct Xxh64 {
+    acc: [u64; 4],
+    /// The bytes of a stripe not yet complete; only the first
+    /// `total % 32` are live.
+    pending: [u8; 32],
+    total: u64,
+}
+
+impl Default for Xxh64 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Xxh64 {
+    /// A digest of no bytes yet.
+    pub fn new() -> Self {
+        Xxh64 {
+            acc: [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()],
+            pending: [0; 32],
+            total: 0,
         }
-        let h = v[0]
-            .rotate_left(1)
-            .wrapping_add(v[1].rotate_left(7))
-            .wrapping_add(v[2].rotate_left(12))
-            .wrapping_add(v[3].rotate_left(18));
-        v.iter().fold(h, |h, &acc| xxh64_merge(h, acc))
-    } else {
-        P5
-    };
-    h = h.wrapping_add(data.len() as u64);
-    while tail.len() >= 8 {
-        h = (h ^ xxh64_round(0, read_u64(tail)))
-            .rotate_left(27)
-            .wrapping_mul(P1)
-            .wrapping_add(P4);
-        tail = &tail[8..];
     }
-    if tail.len() >= 4 {
-        let word = u32::from_le_bytes(tail[..4].try_into().expect("4 bytes"));
-        h = (h ^ u64::from(word).wrapping_mul(P1))
-            .rotate_left(23)
-            .wrapping_mul(P2)
-            .wrapping_add(P3);
-        tail = &tail[4..];
+
+    /// Feeds the next `data` bytes.
+    pub fn update(&mut self, mut data: &[u8]) {
+        let held = (self.total % 32) as usize;
+        self.total += data.len() as u64;
+        if held > 0 {
+            let take = (32 - held).min(data.len());
+            self.pending[held..held + take].copy_from_slice(&data[..take]);
+            data = &data[take..];
+            if held + take < 32 {
+                return;
+            }
+            let stripe = self.pending;
+            xxh64_stripe(&mut self.acc, &stripe);
+        }
+        let stripes = data.chunks_exact(32);
+        let rest = stripes.remainder();
+        let mut acc = self.acc;
+        for stripe in stripes {
+            xxh64_stripe(&mut acc, stripe);
+        }
+        self.acc = acc;
+        self.pending[..rest.len()].copy_from_slice(rest);
     }
-    for &b in tail {
-        h = (h ^ u64::from(b).wrapping_mul(P5))
-            .rotate_left(11)
-            .wrapping_mul(P1);
+
+    /// The digest of every byte fed so far.
+    pub fn digest(&self) -> u64 {
+        let mut h = if self.total >= 32 {
+            let v = self.acc;
+            let h = v[0]
+                .rotate_left(1)
+                .wrapping_add(v[1].rotate_left(7))
+                .wrapping_add(v[2].rotate_left(12))
+                .wrapping_add(v[3].rotate_left(18));
+            v.iter().fold(h, |h, &acc| xxh64_merge(h, acc))
+        } else {
+            P5
+        };
+        h = h.wrapping_add(self.total);
+        let mut tail = &self.pending[..(self.total % 32) as usize];
+        while tail.len() >= 8 {
+            h = (h ^ xxh64_round(0, read_u64(tail)))
+                .rotate_left(27)
+                .wrapping_mul(P1)
+                .wrapping_add(P4);
+            tail = &tail[8..];
+        }
+        if tail.len() >= 4 {
+            let word = u32::from_le_bytes(tail[..4].try_into().expect("4 bytes"));
+            h = (h ^ u64::from(word).wrapping_mul(P1))
+                .rotate_left(23)
+                .wrapping_mul(P2)
+                .wrapping_add(P3);
+            tail = &tail[4..];
+        }
+        for &b in tail {
+            h = (h ^ u64::from(b).wrapping_mul(P5))
+                .rotate_left(11)
+                .wrapping_mul(P1);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P3);
+        h ^ (h >> 32)
     }
-    h ^= h >> 33;
-    h = h.wrapping_mul(P2);
-    h ^= h >> 29;
-    h = h.wrapping_mul(P3);
-    h ^ (h >> 32)
 }
 
 /// A key-value store value.
@@ -263,21 +328,62 @@ mod tests {
         }
     }
 
-    #[test]
-    fn xxh64_of_a_seeded_64k_buffer_is_frozen() {
-        // Pins the function itself, so a faster rewrite cannot silently
-        // change its output.
+    /// The frozen 64 KiB xorshift buffer.
+    fn seeded_64k() -> Vec<u8> {
         let mut x: u64 = 0x2545_F491_4F6C_DD1D;
-        let buf: Vec<u8> = (0..64 << 10)
+        (0..64 << 10)
             .map(|_| {
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
                 x as u8
             })
-            .collect();
+            .collect()
+    }
+
+    fn streamed(pieces: &[&[u8]]) -> u64 {
+        let mut h = Xxh64::new();
+        for piece in pieces {
+            h.update(piece);
+        }
+        h.digest()
+    }
+
+    #[test]
+    fn xxh64_of_a_seeded_64k_buffer_is_frozen() {
+        // Pins the function itself, so a faster rewrite cannot silently
+        // change its output.
+        let buf = seeded_64k();
         assert_eq!(xxh64(&buf), 0x6093_8B1A_B62D_443E);
         assert_eq!(Payload::inline(buf.clone()).digest(), xxh64(&buf));
+    }
+
+    #[test]
+    fn streaming_xxh64_matches_one_shot_at_every_split() {
+        for len in 0..=72usize {
+            let base: Vec<u8> = (0..len).map(|i| (i * 37 + len) as u8).collect();
+            let want = xxh64(&base);
+            assert_eq!(streamed(&[]), xxh64(b""));
+            for cut in 0..=len {
+                let (a, b) = base.split_at(cut);
+                assert_eq!(streamed(&[a, b]), want, "len {len} cut {cut}");
+                assert_eq!(streamed(&[a, &[], b]), want, "len {len} cut {cut}");
+            }
+            let bytes: Vec<&[u8]> = base.chunks(1).collect();
+            assert_eq!(streamed(&bytes), want, "len {len} byte by byte");
+        }
+        // Three cuts of the frozen vector: off every stripe boundary, on
+        // one, and at the RS(3,2) chunk boundaries of a 64 KiB value.
+        let buf = seeded_64k();
+        for cuts in [
+            [1, 33, 65_535],
+            [32, 4096, 65_504],
+            [21_846, 43_692, 65_536],
+        ] {
+            let [a, b, c] = cuts;
+            let pieces = [&buf[..a], &buf[a..b], &buf[b..c], &buf[c..]];
+            assert_eq!(streamed(&pieces), 0x6093_8B1A_B62D_443E, "cuts {cuts:?}");
+        }
     }
 
     #[test]
