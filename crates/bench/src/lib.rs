@@ -27,6 +27,40 @@ pub mod tail_latency;
 
 pub use table::Table;
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use eckv_core::{EngineConfig, World};
+use eckv_simnet::{SimDuration, Trace, TraceBus, TraceEvent, TraceRecord};
+
+/// Nearest-rank percentile `p` (0–100) of ascending `sorted`; zero when
+/// empty.
+pub(crate) fn percentile(sorted: &[SimDuration], p: f64) -> SimDuration {
+    if sorted.is_empty() {
+        return SimDuration::ZERO;
+    }
+    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
+    sorted[idx.min(sorted.len() - 1)]
+}
+
+/// The `op_completed` records a run keeps, in completion order.
+pub(crate) type Completions = Rc<RefCell<Vec<TraceRecord>>>;
+
+/// Builds `cfg`'s world traced into one sink that keeps every
+/// `op_completed` record. Clearing the records alongside
+/// [`World::reset_metrics`] starts a new measured phase.
+pub(crate) fn world_keeping_completions(cfg: EngineConfig) -> (Rc<World>, Completions) {
+    let done = Rc::new(RefCell::new(Vec::new()));
+    let keep = done.clone();
+    let mut bus = TraceBus::new();
+    bus.add_sink(Rc::new(RefCell::new(move |r: &TraceRecord| {
+        if matches!(r.event, TraceEvent::OpCompleted { .. }) {
+            keep.borrow_mut().push(*r);
+        }
+    })));
+    (World::new_traced(cfg, Trace::from_bus(bus)), done)
+}
+
 /// Human-readable size label (the paper's axis ticks).
 pub fn size_label(bytes: u64) -> String {
     if bytes >= 1 << 20 {

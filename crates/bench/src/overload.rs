@@ -16,11 +16,13 @@
 //! releasing them at once, exercising the staggered-arrival path
 //! ([`driver::enqueue_client`]) that six-figure client counts use.
 
+use std::rc::Rc;
+
 use eckv_core::{driver, ops::Op, AdmissionConfig, EngineConfig, Scheme, World};
-use eckv_simnet::{ClusterProfile, SimDuration, Simulation};
+use eckv_simnet::{ClusterProfile, SimDuration, Simulation, TraceEvent};
 use eckv_store::ClusterConfig;
 
-use crate::Table;
+use crate::{percentile, world_keeping_completions, Completions, Table};
 
 /// The single key the herd fights over.
 pub const HOT_KEY: &str = "hot";
@@ -62,52 +64,46 @@ pub struct OverloadPoint {
     pub errors: u64,
 }
 
-/// Percentile over sorted admitted-op latencies (nearest rank).
-fn percentile(sorted: &[SimDuration], p: f64) -> SimDuration {
-    if sorted.is_empty() {
-        return SimDuration::ZERO;
-    }
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 /// Builds the herd deployment and seeds the hot key (uncontended, from
-/// client 0); metrics are reset so the measured phase starts clean.
+/// client 0); metrics and the kept completions are reset so the measured
+/// phase starts clean.
 fn herd_world(
     clients: usize,
     admission: Option<AdmissionConfig>,
-) -> (std::rc::Rc<World>, Simulation) {
+) -> (Rc<World>, Completions, Simulation) {
     // One worker per server makes the hot aggregator a clean serial
     // bottleneck, so the knee sits at a low, test-friendly client count.
     let mut cfg = EngineConfig::new(
         ClusterConfig::new(ClusterProfile::RiQdr, 5, clients).workers(1),
         Scheme::era_se_sd(3, 2),
     )
-    .window(WINDOW)
-    .record_timeline(true);
+    .window(WINDOW);
     if let Some(a) = admission {
         cfg = cfg.admission(a);
     }
-    let world = World::new(cfg);
+    let (world, done) = world_keeping_completions(cfg);
     let mut sim = Simulation::new();
     let mut seed = vec![Vec::new(); clients];
     seed[0] = vec![Op::set_synthetic(HOT_KEY, HOT_VALUE, 7)];
     driver::run_workload(&world, &mut sim, seed);
     assert_eq!(world.metrics.borrow().errors, 0, "seeding must be clean");
     world.reset_metrics();
-    (world, sim)
+    done.borrow_mut().clear();
+    (world, done, sim)
 }
 
 /// Collapses a finished run into an [`OverloadPoint`].
-fn point_from(clients: usize, world: &World) -> OverloadPoint {
+fn point_from(clients: usize, world: &World, done: &Completions) -> OverloadPoint {
     let m = world.metrics.borrow();
-    let mut ok: Vec<SimDuration> = m
-        .timeline
-        .as_ref()
-        .expect("timeline recording enabled")
+    let mut ok: Vec<SimDuration> = done
+        .borrow()
         .iter()
-        .filter(|p| p.ok)
-        .map(|p| p.latency)
+        .filter_map(|r| match r.event {
+            TraceEvent::OpCompleted {
+                ok: true, latency, ..
+            } => Some(latency),
+            _ => None,
+        })
         .collect();
     ok.sort();
     let secs = m.elapsed().as_secs_f64();
@@ -142,12 +138,12 @@ pub fn herd_point(
     ops_per_client: usize,
     admission: Option<AdmissionConfig>,
 ) -> OverloadPoint {
-    let (world, mut sim) = herd_world(clients, admission);
+    let (world, done, mut sim) = herd_world(clients, admission);
     let streams: Vec<Vec<Op>> = (0..clients)
         .map(|_| (0..ops_per_client).map(|_| Op::get(HOT_KEY)).collect())
         .collect();
     driver::run_workload(&world, &mut sim, streams);
-    point_from(clients, &world)
+    point_from(clients, &world, &done)
 }
 
 /// The flash crowd: the same herd, but client arrivals are staggered
@@ -159,7 +155,7 @@ pub fn flash_crowd_point(
     ramp: SimDuration,
     admission: Option<AdmissionConfig>,
 ) -> OverloadPoint {
-    let (world, mut sim) = herd_world(clients, admission);
+    let (world, done, mut sim) = herd_world(clients, admission);
     let step = SimDuration::from_nanos(ramp.as_nanos() / clients.max(1) as u64);
     for c in 0..clients {
         let world2 = world.clone();
@@ -169,7 +165,7 @@ pub fn flash_crowd_point(
         });
     }
     sim.run();
-    point_from(clients, &world)
+    point_from(clients, &world, &done)
 }
 
 /// The swept client counts: below, around, and past the hot node's knee.

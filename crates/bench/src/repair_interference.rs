@@ -17,12 +17,12 @@
 //! the unthrottled rebuild degrades it measurably more, and the throttled
 //! rebuild takes correspondingly longer to finish.
 
-use eckv_core::{driver, start_repair, EngineConfig, RepairConfig, Scheme, World};
-use eckv_simnet::{ClusterProfile, SimDuration, SimTime, Simulation};
+use eckv_core::{driver, start_repair, EngineConfig, RepairConfig, Scheme};
+use eckv_simnet::{ClusterProfile, OpClass, SimDuration, SimTime, Simulation, TraceEvent};
 use eckv_store::ClusterConfig;
 use eckv_ycsb::{load_ops, run_ops, Workload, YcsbConfig};
 
-use crate::Table;
+use crate::{percentile, world_keeping_completions, Table};
 
 /// The server that dies and is rebuilt.
 pub const FAILED_SERVER: usize = 2;
@@ -79,15 +79,6 @@ pub struct InterferencePoint {
     pub errors: u64,
 }
 
-/// Percentile over a set of completed-GET latencies (nearest rank).
-fn percentile(sorted: &[SimDuration], p: f64) -> SimDuration {
-    if sorted.is_empty() {
-        return SimDuration::ZERO;
-    }
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 /// Runs one throttle setting: load, a healthy measured pass, then kill
 /// [`FAILED_SERVER`] and run the same foreground stream concurrently with
 /// the online rebuild.
@@ -97,7 +88,7 @@ pub fn measure(label: &'static str, bandwidth: Option<u64>, quick: bool) -> Inte
     if let Some(b) = bandwidth {
         repair_cfg = repair_cfg.bandwidth(b);
     }
-    let world = World::new(
+    let (world, done) = world_keeping_completions(
         EngineConfig::new(
             ClusterConfig::new(ClusterProfile::SdscComet, 5, ycsb.clients),
             Scheme::era_se_sd(3, 2),
@@ -107,7 +98,6 @@ pub fn measure(label: &'static str, bandwidth: Option<u64>, quick: bool) -> Inte
         // A moderate window keeps client-side queueing from drowning the
         // interference signal in the latencies.
         .window(4)
-        .record_timeline(true)
         .repair(repair_cfg),
     );
     let mut sim = Simulation::new();
@@ -127,6 +117,7 @@ pub fn measure(label: &'static str, bandwidth: Option<u64>, quick: bool) -> Inte
 
     // Kill one server and rebuild it online under the same load.
     world.reset_metrics();
+    done.borrow_mut().clear();
     world.cluster.kill_server(FAILED_SERVER);
     let repair_started: SimTime = sim.now();
     start_repair(&world, &mut sim, FAILED_SERVER);
@@ -139,13 +130,18 @@ pub fn measure(label: &'static str, bandwidth: Option<u64>, quick: bool) -> Inte
     let repair_end = repair_started + report.elapsed;
     let m = world.metrics.borrow();
     // Foreground GETs that completed while the rebuild was active.
-    let mut during: Vec<SimDuration> = m
-        .timeline
-        .as_ref()
-        .expect("timeline recording enabled")
+    let mut during: Vec<SimDuration> = done
+        .borrow()
         .iter()
-        .filter(|p| p.kind == eckv_core::OpKind::Get && p.ok && p.at <= repair_end)
-        .map(|p| p.latency)
+        .filter_map(|r| match r.event {
+            TraceEvent::OpCompleted {
+                op: OpClass::Get,
+                ok: true,
+                latency,
+                ..
+            } if r.at <= repair_end => Some(latency),
+            _ => None,
+        })
         .collect();
     during.sort();
     InterferencePoint {

@@ -11,6 +11,7 @@ use std::rc::Rc;
 
 use eckv_simnet::{OpClass, SimTime, Simulation, SpanOpClass, SpanPhase, TraceEvent};
 
+use crate::flow::OpResult;
 use crate::ops::{Op, OpKind};
 use crate::world::World;
 use crate::{get_path, set_path};
@@ -131,16 +132,13 @@ fn pump(world: &Rc<World>, sim: &mut Simulation, client: usize, state: &Rc<RefCe
             s.in_flight += 1;
             s.queue.pop_front().expect("checked non-empty")
         };
-        world.metrics.borrow_mut().note_admission(sim.now());
-        if world.trace.is_enabled() {
-            world.trace.emit(
-                sim.now(),
-                TraceEvent::OpAdmitted {
-                    client: world.cluster.client_node(client),
-                    op: op_class(op.kind()),
-                },
-            );
-        }
+        world.note(
+            sim.now(),
+            TraceEvent::OpAdmitted {
+                client: world.cluster.client_node(client),
+                op: op_class(op.kind()),
+            },
+        );
         let think = world.client_think.get();
         if think > eckv_simnet::SimDuration::ZERO {
             // The application produces/consumes the payload before the KV
@@ -251,89 +249,78 @@ fn dispatch_with_retry(
 ) {
     let world2 = world.clone();
     let retry_op = op.clone();
-    let done = Box::new(
-        move |sim: &mut Simulation, result: crate::metrics::OpResult| {
-            let deadline_at = world2.cfg.deadline.map(|d| attempt.admitted_at + d);
-            let before_deadline = deadline_at.is_none_or(|d| result.at <= d);
-            if result.retryable && attempt.retries_left > 0 && before_deadline {
-                // The failure view was just updated; re-dispatch against the
-                // survivors instead of recording a failure, after a bounded
-                // exponential backoff (base doubles per attempt).
-                world2.metrics.borrow_mut().retries += 1;
-                if world2.trace.is_enabled() {
-                    world2.trace.emit(
-                        result.at,
-                        TraceEvent::Retry {
-                            client: world2.cluster.client_node(client),
-                            op: op_class(result.kind),
-                        },
-                    );
-                }
-                let backoff = world2.jittered_backoff(
-                    client,
-                    retry_backoff_base(world2.cfg.retry_backoff, attempt.index),
+    let done = Box::new(move |sim: &mut Simulation, result: OpResult| {
+        let deadline_at = world2.cfg.deadline.map(|d| attempt.admitted_at + d);
+        let before_deadline = deadline_at.is_none_or(|d| result.at <= d);
+        let client_node = world2.cluster.client_node(client);
+        let class = op_class(result.kind);
+        if result.retryable && attempt.retries_left > 0 && before_deadline {
+            // The failure view was just updated; re-dispatch against the
+            // survivors instead of recording a failure, after a bounded
+            // exponential backoff (base doubles per attempt).
+            world2.note(
+                result.at,
+                TraceEvent::Retry {
+                    client: client_node,
+                    op: class,
+                },
+            );
+            let backoff = world2.jittered_backoff(
+                client,
+                retry_backoff_base(world2.cfg.retry_backoff, attempt.index),
+            );
+            if let Some(op) = attempt.span {
+                world2.trace.span_record_for(
+                    op,
+                    SpanPhase::RetryBackoff,
+                    client_node,
+                    result.at,
+                    result.at + backoff,
                 );
-                if let Some(op) = attempt.span {
-                    world2.trace.span_record_for(
-                        op,
-                        SpanPhase::RetryBackoff,
-                        world2.cluster.client_node(client),
-                        result.at,
-                        result.at + backoff,
-                    );
-                }
-                let next = Attempt {
-                    admitted_at: attempt.admitted_at,
-                    index: attempt.index + 1,
-                    retries_left: attempt.retries_left - 1,
-                    span: attempt.span,
-                };
-                let world3 = world2.clone();
-                sim.schedule_in(backoff, move |sim| {
-                    dispatch_with_retry(&world3, sim, client, retry_op, next, on_final);
-                });
-            } else {
-                {
-                    let mut m = world2.metrics.borrow_mut();
-                    m.record(&result);
-                    if world2.repair_active() {
-                        m.fg_ops_during_repair += 1;
-                    }
-                }
-                if let Some(d) = deadline_at {
-                    if result.at > d {
-                        world2.metrics.borrow_mut().deadline_misses += 1;
-                        if world2.trace.is_enabled() {
-                            world2.trace.emit(
-                                result.at,
-                                TraceEvent::DeadlineExceeded {
-                                    client: world2.cluster.client_node(client),
-                                    op: op_class(result.kind),
-                                    latency: result.at.since(attempt.admitted_at),
-                                },
-                            );
-                        }
-                    }
-                }
-                if world2.trace.is_enabled() {
-                    world2.trace.emit(
-                        result.at,
-                        TraceEvent::OpCompleted {
-                            client: world2.cluster.client_node(client),
-                            op: op_class(result.kind),
-                            latency: result.latency,
-                            ok: result.ok,
-                            bytes: if result.ok { result.value_len } else { 0 },
-                        },
-                    );
-                }
-                if let Some(op) = attempt.span {
-                    world2.trace.span_end_op(op, result.at, result.ok);
-                }
-                on_final(sim);
             }
-        },
-    );
+            let next = Attempt {
+                admitted_at: attempt.admitted_at,
+                index: attempt.index + 1,
+                retries_left: attempt.retries_left - 1,
+                span: attempt.span,
+            };
+            let world3 = world2.clone();
+            sim.schedule_in(backoff, move |sim| {
+                dispatch_with_retry(&world3, sim, client, retry_op, next, on_final);
+            });
+        } else {
+            if world2.repair_active() {
+                world2.metrics.borrow_mut().fg_ops_during_repair += 1;
+            }
+            if !before_deadline {
+                world2.note(
+                    result.at,
+                    TraceEvent::DeadlineExceeded {
+                        client: client_node,
+                        op: class,
+                        latency: result.at.since(attempt.admitted_at),
+                    },
+                );
+            }
+            world2.note(
+                result.at,
+                TraceEvent::OpCompleted {
+                    client: client_node,
+                    op: class,
+                    latency: result.latency,
+                    ok: result.ok,
+                    value_len: result.value_len,
+                    degraded: result.degraded,
+                    integrity_ok: result.integrity_ok,
+                    breakdown: result.breakdown,
+                },
+            );
+            if let Some(op) = attempt.span {
+                world2.trace.span_end_op(op, result.at, result.ok);
+            }
+            on_final(sim);
+        }
+    });
     // The span scope is ambient only while the path's synchronous prefix
     // runs; the transport re-captures it at every send, so the chain
     // survives asynchrony without threading ids through the paths.
@@ -578,29 +565,31 @@ mod tests {
     }
 
     #[test]
-    fn timeline_recording_captures_each_op() {
-        let world = World::new(
+    fn op_completed_events_capture_each_op() {
+        use eckv_simnet::{Trace, TraceBus, TraceRecord};
+
+        let done = Rc::new(RefCell::new(Vec::new()));
+        let collect = done.clone();
+        let mut bus = TraceBus::new();
+        bus.add_sink(Rc::new(RefCell::new(move |r: &TraceRecord| {
+            if let TraceEvent::OpCompleted { ok, .. } = r.event {
+                collect.borrow_mut().push((r.at, ok));
+            }
+        })));
+        let world = World::new_traced(
             EngineConfig::new(
                 ClusterConfig::new(ClusterProfile::RiQdr, 5, 1),
                 Scheme::era_ce_cd(3, 2),
-            )
-            .record_timeline(true),
+            ),
+            Trace::from_bus(bus),
         );
         let mut sim = Simulation::new();
         run_workload(&world, &mut sim, vec![set_ops(0, 7, 2048)]);
-        {
-            let m = world.metrics.borrow();
-            let t = m.timeline.as_ref().expect("recording enabled");
-            assert_eq!(t.len(), 7);
-            assert!(t.windows(2).all(|w| w[0].at <= w[1].at), "sorted by time");
-            assert!(t.iter().all(|p| p.ok));
-        }
-        // Reset preserves the recording flag with a fresh buffer.
-        world.reset_metrics();
-        assert_eq!(
-            world.metrics.borrow().timeline.as_ref().map(Vec::len),
-            Some(0)
-        );
+        let done = done.borrow();
+        assert_eq!(done.len(), 7);
+        assert!(done.windows(2).all(|w| w[0].0 <= w[1].0), "in time order");
+        assert!(done.iter().all(|&(_, ok)| ok));
+        assert_eq!(world.metrics.borrow().finished_at, done[6].0);
     }
 
     #[test]

@@ -494,16 +494,13 @@ fn maybe_settle(state: &Rc<RefCell<Inner>>, sim: &mut Simulation) {
             .any(|&(slot, _)| hedged.contains(&slot));
         if used_hedged {
             let now = sim.now();
-            world.metrics.borrow_mut().hedges_won += 1;
-            if world.trace.is_enabled() {
-                world.trace.emit(
-                    now,
-                    TraceEvent::HedgeWon {
-                        client: hedge_node,
-                        waited: now.since(fired_at),
-                    },
-                );
-            }
+            world.note(
+                now,
+                TraceEvent::HedgeWon {
+                    client: hedge_node,
+                    waited: now.since(fired_at),
+                },
+            );
         }
     }
     on_settle(sim, settled);
@@ -557,16 +554,13 @@ fn maybe_arm_hedge(state: &Rc<RefCell<Inner>>, sim: &mut Simulation) {
             let from = if st.last > now { st.last } else { now };
             (st.world.clone(), st.hedge_node, from, st.fetch_start)
         };
-        world.metrics.borrow_mut().hedges_fired += 1;
-        if world.trace.is_enabled() {
-            world.trace.emit(
-                sim.now(),
-                TraceEvent::HedgeFired {
-                    client: hedge_node,
-                    extra: batch.len() as u64,
-                },
-            );
-        }
+        world.note(
+            sim.now(),
+            TraceEvent::HedgeFired {
+                client: hedge_node,
+                extra: batch.len() as u64,
+            },
+        );
         if let Some(op) = span_op {
             world.trace.span_record_for(
                 op,

@@ -6,9 +6,37 @@ use std::sync::Arc;
 use eckv_simnet::{Delivery, Network, PhaseBreakdown, SimDuration, SimTime, Simulation};
 use eckv_store::rpc;
 
-use crate::metrics::OpResult;
 use crate::ops::OpKind;
 use crate::world::World;
+
+/// Result of one attempt of an operation, as observed at the client: what
+/// a path hands the driver, which retries it or reports its completion.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct OpResult {
+    /// Set or Get.
+    pub kind: OpKind,
+    /// Completion instant.
+    pub at: SimTime,
+    /// Client-observed latency of this attempt.
+    pub latency: SimDuration,
+    /// Request / wait-response / compute phase split (Figure 9).
+    pub breakdown: PhaseBreakdown,
+    /// Whether the operation succeeded (reachable servers, value present).
+    pub ok: bool,
+    /// Whether the returned data passed integrity validation (always true
+    /// when validation is disabled or for Sets).
+    pub integrity_ok: bool,
+    /// Whether a failed operation is worth retrying: it failed because the
+    /// client discovered a dead server, and its failure view has been
+    /// updated, so a retry may route around the failure.
+    pub retryable: bool,
+    /// Whether a Get was served degraded: at least one data chunk was
+    /// missing and the value was reconstructed from parity (always false
+    /// for Sets and for replicated fast-path reads).
+    pub degraded: bool,
+    /// Value size in bytes.
+    pub value_len: u64,
+}
 
 /// Completion callback handed to an operation path.
 pub(crate) type DoneCb = Box<dyn FnOnce(&mut Simulation, OpResult)>;

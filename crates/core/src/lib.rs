@@ -61,7 +61,7 @@ mod scheme;
 mod set_path;
 mod world;
 
-pub use metrics::{Metrics, OpResult, TimelinePoint};
+pub use metrics::Metrics;
 pub use ops::{Op, OpKind};
 pub use repair::{drain_server, join_server, repair_server, start_repair, RepairReport};
 pub use scheme::{Scheme, Side};

@@ -1,51 +1,12 @@
-//! Per-operation results and experiment-wide metric aggregation.
+//! Experiment-wide metrics: the fold of the engine's event stream.
 
-use eckv_simnet::{Histogram, PhaseBreakdown, SimDuration, SimTime, Summary};
+use eckv_simnet::{Histogram, OpClass, PhaseBreakdown, SimDuration, SimTime, Summary, TraceEvent};
 
-use crate::ops::OpKind;
-
-/// Result of one completed operation, as observed at the client.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OpResult {
-    /// Set or Get.
-    pub kind: OpKind,
-    /// Completion instant.
-    pub at: SimTime,
-    /// Client-observed latency (admission to completion).
-    pub latency: SimDuration,
-    /// Request / wait-response / compute phase split (Figure 9).
-    pub breakdown: PhaseBreakdown,
-    /// Whether the operation succeeded (reachable servers, value present).
-    pub ok: bool,
-    /// Whether the returned data passed integrity validation (always true
-    /// when validation is disabled or for Sets).
-    pub integrity_ok: bool,
-    /// Whether a failed operation is worth retrying: it failed because the
-    /// client discovered a dead server, and its failure view has been
-    /// updated, so a retry may route around the failure.
-    pub retryable: bool,
-    /// Whether a Get was served degraded: at least one data chunk was
-    /// missing and the value was reconstructed from parity (always false
-    /// for Sets and for replicated fast-path reads).
-    pub degraded: bool,
-    /// Value size in bytes.
-    pub value_len: u64,
-}
-
-/// One per-operation timeline sample (optional recording).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimelinePoint {
-    /// Completion instant.
-    pub at: SimTime,
-    /// Set or Get.
-    pub kind: OpKind,
-    /// Client-observed latency.
-    pub latency: SimDuration,
-    /// Whether the operation succeeded.
-    pub ok: bool,
-}
-
-/// Aggregated metrics for one experiment run.
+/// Aggregated metrics for one experiment run. Every field but the four
+/// repair-engine tallies (`repair_bytes`, `migrated_bytes`,
+/// `repair_queue_depth_hwm`, `fg_ops_during_repair`) is the fold of the
+/// events the engine reports, so a traced run's `Metrics` and its event
+/// stream agree by construction.
 ///
 /// # Example
 ///
@@ -132,63 +93,74 @@ pub struct Metrics {
     pub started_at: Option<SimTime>,
     /// Last operation completion time.
     pub finished_at: SimTime,
-    /// Per-operation samples, when timeline recording is enabled.
-    pub timeline: Option<Vec<TimelinePoint>>,
 }
 
 impl Metrics {
-    /// Records an admission (for throughput bookkeeping).
-    pub fn note_admission(&mut self, at: SimTime) {
-        if self.started_at.is_none() {
-            self.started_at = Some(at);
-        }
-    }
-
-    /// Records a completed operation.
-    pub fn record(&mut self, r: &OpResult) {
-        match r.kind {
-            OpKind::Set => {
-                self.set_latency.record(r.latency);
-                self.set_breakdown += r.breakdown;
-                self.set_count += 1;
-                if r.ok {
-                    self.bytes_written += r.value_len;
-                }
+    /// Folds one engine event in. Op admissions and completions drive the
+    /// latency, breakdown, count, byte and span fields; retries, deadline
+    /// misses, hedges, sheds, repair promotions and vshard moves are
+    /// counted; every other event is ignored.
+    pub(crate) fn observe(&mut self, at: SimTime, event: &TraceEvent) {
+        match *event {
+            TraceEvent::OpAdmitted { .. } => {
+                self.started_at.get_or_insert(at);
             }
-            OpKind::Get => {
-                self.get_latency.record(r.latency);
-                self.get_breakdown += r.breakdown;
-                self.get_count += 1;
-                if r.degraded {
-                    self.get_degraded_latency.record(r.latency);
-                    self.get_degraded_breakdown += r.breakdown;
-                    self.get_degraded_count += 1;
-                } else {
-                    self.get_healthy_latency.record(r.latency);
-                    self.get_healthy_breakdown += r.breakdown;
+            TraceEvent::OpCompleted {
+                op,
+                latency,
+                ok,
+                value_len,
+                degraded,
+                integrity_ok,
+                breakdown,
+                ..
+            } => {
+                match op {
+                    OpClass::Set => {
+                        self.set_latency.record(latency);
+                        self.set_breakdown += breakdown;
+                        self.set_count += 1;
+                        if ok {
+                            self.bytes_written += value_len;
+                        }
+                    }
+                    OpClass::Get => {
+                        self.get_latency.record(latency);
+                        self.get_breakdown += breakdown;
+                        self.get_count += 1;
+                        if degraded {
+                            self.get_degraded_latency.record(latency);
+                            self.get_degraded_breakdown += breakdown;
+                            self.get_degraded_count += 1;
+                        } else {
+                            self.get_healthy_latency.record(latency);
+                            self.get_healthy_breakdown += breakdown;
+                        }
+                        if ok {
+                            self.bytes_read += value_len;
+                        }
+                    }
                 }
-                if r.ok {
-                    self.bytes_read += r.value_len;
+                if !ok {
+                    self.errors += 1;
+                    self.failed_bytes += value_len;
                 }
+                if !integrity_ok {
+                    self.integrity_errors += 1;
+                }
+                self.finished_at = self.finished_at.max(at);
             }
-        }
-        if !r.ok {
-            self.errors += 1;
-            self.failed_bytes += r.value_len;
-        }
-        if !r.integrity_ok {
-            self.integrity_errors += 1;
-        }
-        if r.at > self.finished_at {
-            self.finished_at = r.at;
-        }
-        if let Some(t) = &mut self.timeline {
-            t.push(TimelinePoint {
-                at: r.at,
-                kind: r.kind,
-                latency: r.latency,
-                ok: r.ok,
-            });
+            TraceEvent::Retry { .. } => self.retries += 1,
+            TraceEvent::DeadlineExceeded { .. } => self.deadline_misses += 1,
+            TraceEvent::HedgeFired { .. } => self.hedges_fired += 1,
+            TraceEvent::HedgeWon { .. } => self.hedges_won += 1,
+            TraceEvent::OpShed { repair, .. } => {
+                self.sheds += 1;
+                self.sheds_repair += u64::from(repair);
+            }
+            TraceEvent::RepairKeyPromoted { .. } => self.repair_promotions += 1,
+            TraceEvent::VshardReassigned { .. } => self.vshards_moved += 1,
+            _ => {}
         }
     }
 
@@ -290,31 +262,65 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eckv_simnet::NodeId;
 
-    fn result(kind: OpKind, at_us: u64, lat_us: u64) -> OpResult {
-        OpResult {
-            kind,
+    /// One completion of a 1,024-byte value.
+    struct Done {
+        op: OpClass,
+        at: SimTime,
+        latency: SimDuration,
+        ok: bool,
+        integrity_ok: bool,
+        degraded: bool,
+    }
+
+    /// A successful `op`, `lat_us` long, finishing at `at_us`.
+    fn result(op: OpClass, at_us: u64, lat_us: u64) -> Done {
+        Done {
+            op,
             at: SimTime::from_nanos(at_us * 1000),
             latency: SimDuration::from_micros(lat_us),
-            breakdown: PhaseBreakdown {
-                request: SimDuration::from_micros(1),
-                wait_response: SimDuration::from_micros(lat_us.saturating_sub(1)),
-                compute: SimDuration::ZERO,
-            },
             ok: true,
             integrity_ok: true,
-            retryable: false,
             degraded: false,
-            value_len: 1024,
         }
+    }
+
+    /// Folds `d`'s `op_completed` event into `m`.
+    fn complete(m: &mut Metrics, d: &Done) {
+        let breakdown = PhaseBreakdown {
+            request: SimDuration::from_micros(1),
+            wait_response: d.latency.saturating_sub(SimDuration::from_micros(1)),
+            compute: SimDuration::ZERO,
+        };
+        let event = TraceEvent::OpCompleted {
+            client: NodeId(0),
+            op: d.op,
+            latency: d.latency,
+            ok: d.ok,
+            value_len: 1024,
+            degraded: d.degraded,
+            integrity_ok: d.integrity_ok,
+            breakdown,
+        };
+        m.observe(d.at, &event);
+    }
+
+    /// Folds an `op_admitted` event at `at` into `m`.
+    fn admit(m: &mut Metrics, at: SimTime) {
+        let event = TraceEvent::OpAdmitted {
+            client: NodeId(0),
+            op: OpClass::Set,
+        };
+        m.observe(at, &event);
     }
 
     #[test]
     fn records_split_by_kind() {
         let mut m = Metrics::default();
-        m.note_admission(SimTime::ZERO);
-        m.record(&result(OpKind::Set, 10, 10));
-        m.record(&result(OpKind::Get, 20, 5));
+        admit(&mut m, SimTime::ZERO);
+        complete(&mut m, &result(OpClass::Set, 10, 10));
+        complete(&mut m, &result(OpClass::Get, 20, 5));
         assert_eq!(m.set_count, 1);
         assert_eq!(m.get_count, 1);
         assert_eq!(m.ops(), 2);
@@ -326,9 +332,9 @@ mod tests {
     #[test]
     fn throughput_uses_span() {
         let mut m = Metrics::default();
-        m.note_admission(SimTime::ZERO);
+        admit(&mut m, SimTime::ZERO);
         for i in 1..=100u64 {
-            m.record(&result(OpKind::Set, i * 1000, 10));
+            complete(&mut m, &result(OpClass::Set, i * 1000, 10));
         }
         // 100 ops over 100 ms => 1000 ops/s.
         let tput = m.throughput_ops_per_sec();
@@ -338,10 +344,10 @@ mod tests {
     #[test]
     fn degraded_gets_split_into_their_own_cohort() {
         let mut m = Metrics::default();
-        m.record(&result(OpKind::Get, 1, 5));
-        let mut d = result(OpKind::Get, 2, 50);
+        complete(&mut m, &result(OpClass::Get, 1, 5));
+        let mut d = result(OpClass::Get, 2, 50);
         d.degraded = true;
-        m.record(&d);
+        complete(&mut m, &d);
         assert_eq!(m.get_count, 2);
         assert_eq!(m.get_degraded_count, 1);
         assert_eq!(m.get_healthy_count(), 1);
@@ -363,10 +369,10 @@ mod tests {
     #[test]
     fn errors_and_integrity_tracked() {
         let mut m = Metrics::default();
-        let mut r = result(OpKind::Get, 1, 1);
+        let mut r = result(OpClass::Get, 1, 1);
         r.ok = false;
         r.integrity_ok = false;
-        m.record(&r);
+        complete(&mut m, &r);
         assert_eq!(m.errors, 1);
         assert_eq!(m.integrity_errors, 1);
     }
@@ -374,13 +380,13 @@ mod tests {
     #[test]
     fn failed_ops_do_not_inflate_goodput_bytes() {
         let mut m = Metrics::default();
-        let mut w = result(OpKind::Set, 1, 1);
+        let mut w = result(OpClass::Set, 1, 1);
         w.ok = false;
-        let mut r = result(OpKind::Get, 2, 1);
+        let mut r = result(OpClass::Get, 2, 1);
         r.ok = false;
-        m.record(&w);
-        m.record(&r);
-        m.record(&result(OpKind::Set, 3, 1));
+        complete(&mut m, &w);
+        complete(&mut m, &r);
+        complete(&mut m, &result(OpClass::Set, 3, 1));
         assert_eq!(m.bytes_written, 1024, "only the successful set counts");
         assert_eq!(m.bytes_read, 0);
         assert_eq!(m.failed_bytes, 2048);
@@ -389,8 +395,8 @@ mod tests {
     #[test]
     fn breakdown_average() {
         let mut m = Metrics::default();
-        m.record(&result(OpKind::Set, 1, 11));
-        m.record(&result(OpKind::Set, 2, 21));
+        complete(&mut m, &result(OpClass::Set, 1, 11));
+        complete(&mut m, &result(OpClass::Set, 2, 21));
         let avg = m.avg_set_breakdown();
         assert_eq!(avg.request, SimDuration::from_micros(1));
         assert_eq!(avg.wait_response, SimDuration::from_micros(15));

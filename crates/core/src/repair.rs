@@ -297,16 +297,13 @@ pub(crate) fn note_degraded_read(world: &World, at: SimTime, key: &Arc<str>) {
         s.queue.push_front(k);
         pos as u64
     };
-    world.metrics.borrow_mut().repair_promotions += 1;
-    if world.trace.is_enabled() {
-        world.trace.emit(
-            at,
-            TraceEvent::RepairKeyPromoted {
-                node: world.cluster.client_node(0),
-                depth,
-            },
-        );
-    }
+    world.note(
+        at,
+        TraceEvent::RepairKeyPromoted {
+            node: world.cluster.client_node(0),
+            depth,
+        },
+    );
 }
 
 /// Estimated traffic of one task (source reads plus the destination
@@ -403,36 +400,32 @@ pub(crate) fn pump_repair(world: &Rc<World>, sim: &mut Simulation) {
                 rebuild,
             } => {
                 world.last_repair.set(Some(report));
-                if world.trace.is_enabled() {
-                    let node = world.cluster.client_node(0);
-                    let event = if rebuild {
-                        TraceEvent::RepairDone {
-                            node,
-                            keys,
-                            elapsed: report.elapsed,
-                        }
-                    } else {
-                        TraceEvent::MigrationDone {
-                            node,
-                            keys,
-                            elapsed: report.elapsed,
-                        }
-                    };
-                    world.trace.emit(sim.now(), event);
-                }
+                let node = world.cluster.client_node(0);
+                let event = if rebuild {
+                    TraceEvent::RepairDone {
+                        node,
+                        keys,
+                        elapsed: report.elapsed,
+                    }
+                } else {
+                    TraceEvent::MigrationDone {
+                        node,
+                        keys,
+                        elapsed: report.elapsed,
+                    }
+                };
+                world.note(sim.now(), event);
                 return;
             }
             PumpStep::Issue { task, cost, wait } => {
                 if wait > SimDuration::ZERO {
-                    if world.trace.is_enabled() {
-                        world.trace.emit(
-                            sim.now(),
-                            TraceEvent::RepairThrottled {
-                                node: world.cluster.client_node(0),
-                                waited: wait,
-                            },
-                        );
-                    }
+                    world.note(
+                        sim.now(),
+                        TraceEvent::RepairThrottled {
+                            node: world.cluster.client_node(0),
+                            waited: wait,
+                        },
+                    );
                     let world2 = world.clone();
                     sim.schedule_in(wait, move |sim| {
                         issue_repair_task(&world2, sim, task, cost);
@@ -463,15 +456,13 @@ type RepairDone = Box<dyn FnOnce(&mut Simulation, RepairOutcome, u64, u64)>;
 /// Starts one task with a completion that books the outcome and re-pumps
 /// the queue.
 fn issue_repair_task(world: &Rc<World>, sim: &mut Simulation, task: RepairTask, cost: u64) {
-    if world.trace.is_enabled() {
-        world.trace.emit(
-            sim.now(),
-            TraceEvent::RepairStarted {
-                node: world.cluster.client_node(0),
-                bytes: cost,
-            },
-        );
-    }
+    world.note(
+        sim.now(),
+        TraceEvent::RepairStarted {
+            node: world.cluster.client_node(0),
+            bytes: cost,
+        },
+    );
     let span = world
         .trace
         .span_begin_op(eckv_simnet::SpanOpClass::Repair, sim.now());
@@ -819,22 +810,20 @@ fn write_to_new_holder(
         rpc::RpcPriority::Repair,
         move |sim, reply| match reply {
             Ok(r) if r.outcome.is_stored() => {
-                if world2.trace.is_enabled() {
-                    let node = world2.cluster.server_node(to);
-                    world2.trace.emit(
-                        sim.now(),
-                        TraceEvent::RepairShard {
-                            node,
-                            bytes: written,
-                        },
-                    );
-                    world2
-                        .trace
-                        .counter_add(client_node, "repair_read_bytes", read);
-                    world2
-                        .trace
-                        .counter_add(node, "repair_write_bytes", written);
-                }
+                let node = world2.cluster.server_node(to);
+                world2.note(
+                    sim.now(),
+                    TraceEvent::RepairShard {
+                        node,
+                        bytes: written,
+                    },
+                );
+                world2
+                    .trace
+                    .counter_add(client_node, "repair_read_bytes", read);
+                world2
+                    .trace
+                    .counter_add(node, "repair_write_bytes", written);
                 done(sim, RepairOutcome::Repaired, read, written);
             }
             Err(rpc::RpcError::Shed(t)) => {
@@ -902,18 +891,15 @@ fn apply_membership_change(
     if moves.is_empty() {
         return;
     }
-    world.metrics.borrow_mut().vshards_moved += moves.len() as u64;
-    if world.trace.is_enabled() {
-        for m in &moves {
-            world.trace.emit(
-                sim.now(),
-                TraceEvent::VshardReassigned {
-                    node: world.cluster.server_node(m.to),
-                    from: world.cluster.server_node(m.from),
-                    vshard: m.vshard as u64,
-                },
-            );
-        }
+    for m in &moves {
+        world.note(
+            sim.now(),
+            TraceEvent::VshardReassigned {
+                node: world.cluster.server_node(m.to),
+                from: world.cluster.server_node(m.from),
+                vshard: m.vshard as u64,
+            },
+        );
     }
 
     // Only moves inside the scheme's group width carry chunks; the rest
@@ -941,15 +927,13 @@ fn apply_membership_change(
                 })
         })
         .collect();
-    if world.trace.is_enabled() {
-        world.trace.emit(
-            sim.now(),
-            TraceEvent::MigrationStarted {
-                node: world.cluster.client_node(0),
-                keys: tasks.len() as u64,
-            },
-        );
-    }
+    world.note(
+        sim.now(),
+        TraceEvent::MigrationStarted {
+            node: world.cluster.client_node(0),
+            keys: tasks.len() as u64,
+        },
+    );
     {
         let mut slot = world.repair.borrow_mut();
         let depth = match slot.as_mut() {

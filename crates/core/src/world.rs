@@ -242,9 +242,6 @@ pub struct EngineConfig {
     /// (e.g. a TestDFSIO map task producing/consuming its block). Zero for
     /// pure KV benchmarks.
     pub client_think: SimDuration,
-    /// Record a per-operation timeline in [`crate::Metrics::timeline`]
-    /// (off by default: large runs produce millions of samples).
-    pub record_timeline: bool,
     /// Hedged-read policy for shard read fan-outs — client-decode chunk
     /// fetches, server-decode aggregation, and online-repair survivor
     /// reads (`None` = never hedge, the paper's baseline behaviour).
@@ -275,7 +272,6 @@ impl EngineConfig {
             liveness_check: SimDuration::from_nanos(500),
             validate: true,
             client_think: SimDuration::ZERO,
-            record_timeline: false,
             hedge: None,
             deadline: None,
             retry_backoff: SimDuration::from_micros(2),
@@ -304,12 +300,6 @@ impl EngineConfig {
     /// Sets per-operation application think time (builder style).
     pub fn client_think(mut self, t: SimDuration) -> Self {
         self.client_think = t;
-        self
-    }
-
-    /// Enables per-operation timeline recording (builder style).
-    pub fn record_timeline(mut self, on: bool) -> Self {
-        self.record_timeline = on;
         self
     }
 
@@ -374,7 +364,8 @@ pub struct World {
     pub cfg: EngineConfig,
     /// One single-threaded CPU per client process (app + ARPE thread).
     pub client_cpus: RefCell<Vec<WorkerPool>>,
-    /// Aggregated run metrics.
+    /// Aggregated run metrics: the fold of every event the engine
+    /// reports (`World::note`).
     pub metrics: RefCell<Metrics>,
     /// Current per-op application think time (adjustable between phases,
     /// e.g. TestDFSIO write vs read cost).
@@ -395,7 +386,8 @@ pub struct World {
     /// byte-identical to builds without jitter.
     retry_rng: RefCell<Vec<SimRng>>,
     /// TraceBus handle shared with the transport and servers. Disabled
-    /// (zero-cost) unless the world was built with [`World::new_traced`].
+    /// (every emit a no-op) unless the world was built with
+    /// [`World::new_traced`].
     pub trace: Trace,
     /// Online repair engine state while a repair is in progress
     /// ([`crate::repair::start_repair`] seeds it, the repair pump drains
@@ -451,17 +443,13 @@ impl World {
         let retry_rng = (0..cfg.cluster.clients)
             .map(|i| SimRng::seed_from_u64(0x6A17_7E52_BAC0_0FF5u64 ^ (i as u64)))
             .collect();
-        let mut metrics = Metrics::default();
-        if cfg.record_timeline {
-            metrics.timeline = Some(Vec::new());
-        }
         Rc::new(World {
             cluster,
             scheme: cfg.scheme,
             striper,
             cfg,
             client_cpus: RefCell::new(client_cpus),
-            metrics: RefCell::new(metrics),
+            metrics: RefCell::new(Metrics::default()),
             client_think: std::cell::Cell::new(cfg.client_think),
             expected: RefCell::new(HashMap::new()),
             views: RefCell::new(views),
@@ -493,14 +481,9 @@ impl World {
         }
     }
 
-    /// Resets run metrics (e.g. between a load phase and a run phase),
-    /// preserving the timeline-recording setting.
+    /// Resets run metrics (e.g. between a load phase and a run phase).
     pub fn reset_metrics(&self) {
-        let mut fresh = Metrics::default();
-        if self.cfg.record_timeline {
-            fresh.timeline = Some(Vec::new());
-        }
-        *self.metrics.borrow_mut() = fresh;
+        *self.metrics.borrow_mut() = Metrics::default();
         *self.phase_start.borrow_mut() = self.server_counters();
     }
 
@@ -694,10 +677,19 @@ impl World {
         self.views.borrow_mut()[client][srv] = false;
     }
 
-    /// Books one admission refusal observed at `client_node`: bumps the
-    /// shed counters and emits the client-side `op_shed` trace event. The
-    /// failure views are untouched — a shedding server is alive, and the
-    /// refusal must not divert future waves away from it for good.
+    /// Reports one engine fact: folds `event` into [`World::metrics`],
+    /// then emits it on the trace bus (a no-op when the run is untraced).
+    /// The engine reports every counted fact through here, so the metrics
+    /// are the fold of the event stream.
+    pub(crate) fn note(&self, at: SimTime, event: TraceEvent) {
+        self.metrics.borrow_mut().observe(at, &event);
+        self.trace.emit(at, event);
+    }
+
+    /// Reports one admission refusal observed at `client_node` (an
+    /// `op_shed` event). The failure views are untouched — a shedding
+    /// server is alive, and the refusal must not divert future waves away
+    /// from it for good.
     pub(crate) fn note_shed(
         &self,
         at: SimTime,
@@ -705,25 +697,14 @@ impl World {
         srv: usize,
         prio: RpcPriority,
     ) {
-        let repair = prio.is_repair();
-        {
-            let mut m = self.metrics.borrow_mut();
-            m.sheds += 1;
-            if repair {
-                m.sheds_repair += 1;
-            }
-        }
-        if self.trace.is_enabled() {
-            let server = self.cluster.servers[srv].borrow().node();
-            self.trace.emit(
-                at,
-                TraceEvent::OpShed {
-                    client: client_node,
-                    server,
-                    repair,
-                },
-            );
-        }
+        self.note(
+            at,
+            TraceEvent::OpShed {
+                client: client_node,
+                server: self.cluster.server_node(srv),
+                repair: prio.is_repair(),
+            },
+        );
     }
 
     /// Notes that `client` observed server `srv` back (post-repair).

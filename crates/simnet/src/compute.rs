@@ -168,18 +168,21 @@ mod tests {
 
     #[test]
     fn trace_codec_emits_span_and_counters() {
-        use crate::tracebus::{RingBufferSink, TraceBus};
+        use crate::tracebus::{TraceBus, TraceRecord};
         use std::cell::RefCell;
         use std::rc::Rc;
 
-        let ring = Rc::new(RefCell::new(RingBufferSink::new(8)));
+        let recs = Rc::new(RefCell::new(Vec::new()));
+        let collect = recs.clone();
         let mut bus = TraceBus::new();
-        bus.add_sink(ring.clone());
+        bus.add_sink(Rc::new(RefCell::new(move |r: &TraceRecord| {
+            collect.borrow_mut().push(*r)
+        })));
         let trace = Trace::from_bus(bus);
         let start = SimTime::from_nanos(100);
         let took = SimDuration::from_micros(3);
         trace_codec(&trace, NodeId(1), CodecOp::Encode, start, took, 4096);
-        let recs: Vec<_> = ring.borrow().records().copied().collect();
+        let recs = recs.borrow();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].event.name(), "encode_start");
         assert_eq!(recs[0].at, start);

@@ -55,7 +55,7 @@ pub use time::{SimDuration, SimTime};
 pub use timeseries::{SeriesWindow, TimeSeries};
 pub use trace::PhaseBreakdown;
 pub use tracebus::{
-    escape_json_into, event_schema, CodecOp, CsvSink, JsonlSink, NicDir, OpClass, RingBufferSink,
-    Trace, TraceBus, TraceEvent, TraceRecord, TraceSink, CSV_SCHEMA_HEADER, JSONL_SCHEMA_HEADER,
+    escape_json_into, event_schema, CodecOp, CsvSink, JsonlSink, NicDir, OpClass, Trace, TraceBus,
+    TraceEvent, TraceRecord, TraceSink, CSV_SCHEMA_HEADER, JSONL_SCHEMA_HEADER,
     TRACE_SCHEMA_VERSION,
 };

@@ -105,13 +105,16 @@ impl TimeSeries {
     pub(crate) fn observe(&mut self, at: SimTime, event: &TraceEvent) {
         match *event {
             TraceEvent::OpCompleted {
-                latency, ok, bytes, ..
+                latency,
+                ok,
+                value_len,
+                ..
             } => {
                 let w = self.window_mut(at);
                 w.ops += 1;
                 if ok {
                     w.ok_ops += 1;
-                    w.value_bytes += bytes;
+                    w.value_bytes += value_len;
                 }
                 w.latency.record(latency);
             }
@@ -171,7 +174,10 @@ mod tests {
             op: OpClass::Get,
             latency: SimDuration::from_micros(latency_us),
             ok,
-            bytes,
+            value_len: bytes,
+            degraded: false,
+            integrity_ok: true,
+            breakdown: crate::PhaseBreakdown::ZERO,
         }
     }
 

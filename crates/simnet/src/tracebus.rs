@@ -3,11 +3,13 @@
 //!
 //! Every layer (transport, compute, servers, the engine's op paths) emits
 //! typed [`TraceEvent`]s through a cheaply-clonable [`Trace`] handle. A
-//! disabled handle is `None` inside — every emission site branches on that
-//! and pays nothing else. An enabled handle fans events out to pluggable
-//! [`TraceSink`]s (in-memory ring buffer, JSONL/CSV text exporters), feeds
-//! the windowed [`TimeSeries`](crate::TimeSeries) aggregator, and maintains
-//! a per-node counter registry.
+//! disabled handle is `None` inside — every substrate emission site
+//! branches on that and pays nothing else (the engine builds its op-level
+//! events either way, because its metrics fold them). An enabled handle
+//! fans events out to pluggable [`TraceSink`]s (any closure over records,
+//! JSONL/CSV text exporters), feeds the windowed
+//! [`TimeSeries`](crate::TimeSeries) aggregator, and maintains a per-node
+//! counter registry.
 //!
 //! Determinism is a hard requirement: events carry only virtual timestamps
 //! and a monotonically increasing sequence number, sinks buffer into
@@ -33,7 +35,7 @@
 //! ```
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -41,6 +43,7 @@ use crate::net::NodeId;
 use crate::span::{SpanCollector, SpanOpClass, SpanPhase};
 use crate::time::{SimDuration, SimTime};
 use crate::timeseries::TimeSeries;
+use crate::trace::PhaseBreakdown;
 
 /// Version of the export schema (the JSONL/CSV field layout). Bumped
 /// whenever an event or column changes meaning, so downstream tooling
@@ -165,8 +168,15 @@ pub enum TraceEvent {
         latency: SimDuration,
         /// Whether the operation succeeded.
         ok: bool,
-        /// Value bytes moved (zero for failures).
-        bytes: u64,
+        /// Value size in bytes. The exported `bytes` column carries it
+        /// for successful operations only (zero for failures).
+        value_len: u64,
+        /// Whether a Get was served degraded (reconstructed from parity).
+        degraded: bool,
+        /// Whether the returned data passed integrity validation.
+        integrity_ok: bool,
+        /// Request / wait-response / compute phase split (Figure 9).
+        breakdown: PhaseBreakdown,
     },
     /// A message (shard, request, or ack) entered the transport.
     ShardSend {
@@ -487,11 +497,12 @@ impl TraceRecord {
                 op,
                 latency,
                 ok,
-                bytes,
+                value_len,
+                ..
             } => {
                 f.node = Some(client);
                 f.kind = Some(op.label());
-                f.bytes = Some(bytes);
+                f.bytes = Some(if ok { value_len } else { 0 });
                 f.dur_ns = Some(latency.as_nanos());
                 f.ok = Some(ok);
             }
@@ -711,57 +722,11 @@ pub trait TraceSink {
     fn on_event(&mut self, rec: &TraceRecord);
 }
 
-/// A bounded in-memory ring of the most recent records.
-#[derive(Debug, Clone)]
-pub struct RingBufferSink {
-    cap: usize,
-    buf: VecDeque<TraceRecord>,
-    dropped: u64,
-}
-
-impl RingBufferSink {
-    /// Creates a ring holding at most `cap` records.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap == 0`.
-    pub fn new(cap: usize) -> Self {
-        assert!(cap > 0, "ring buffer needs capacity");
-        RingBufferSink {
-            cap,
-            buf: VecDeque::with_capacity(cap),
-            dropped: 0,
-        }
-    }
-
-    /// The retained records, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &TraceRecord> {
-        self.buf.iter()
-    }
-
-    /// Number of retained records.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the ring is empty.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Records evicted to make room.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
-impl TraceSink for RingBufferSink {
+/// Any closure over records is a sink: the in-memory collector a test or
+/// an experiment registers to keep just the records it reads.
+impl<F: FnMut(&TraceRecord)> TraceSink for F {
     fn on_event(&mut self, rec: &TraceRecord) {
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(*rec);
+        self(rec)
     }
 }
 
@@ -1140,19 +1105,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_buffer_wraps_and_counts_drops() {
-        let mut ring = RingBufferSink::new(3);
-        for i in 0..5 {
-            ring.on_event(&rec(i * 100, i));
-        }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.dropped(), 2);
-        let seqs: Vec<u64> = ring.records().map(|r| r.seq).collect();
-        assert_eq!(seqs, vec![2, 3, 4], "oldest records evicted first");
-        assert!(!ring.is_empty());
-    }
-
-    #[test]
     fn counters_saturate_instead_of_overflowing() {
         let mut bus = TraceBus::new();
         bus.counter_add(NodeId(2), "bytes", u64::MAX - 1);
@@ -1176,10 +1128,13 @@ mod tests {
 
     #[test]
     fn bus_fans_out_to_all_sinks_with_monotone_seq() {
-        let ring = Rc::new(RefCell::new(RingBufferSink::new(10)));
+        let seqs = Rc::new(RefCell::new(Vec::new()));
         let jsonl = Rc::new(RefCell::new(JsonlSink::new()));
         let mut bus = TraceBus::new();
-        bus.add_sink(ring.clone());
+        let collect = seqs.clone();
+        bus.add_sink(Rc::new(RefCell::new(move |r: &TraceRecord| {
+            collect.borrow_mut().push(r.seq)
+        })));
         bus.add_sink(jsonl.clone());
         let trace = Trace::from_bus(bus);
         for i in 0..4u64 {
@@ -1191,8 +1146,7 @@ mod tests {
                 },
             );
         }
-        let seqs: Vec<u64> = ring.borrow().records().map(|r| r.seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2, 3]);
+        assert_eq!(*seqs.borrow(), vec![0, 1, 2, 3]);
         // Four events plus the schema-version header line.
         assert_eq!(jsonl.borrow().contents().lines().count(), 5);
         assert_eq!(trace.with_bus(TraceBus::events_emitted), Some(4));

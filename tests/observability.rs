@@ -1,12 +1,13 @@
 //! End-to-end TraceBus guarantees: a traced run emits the full event
 //! vocabulary with virtual timestamps, two identical runs produce
-//! byte-identical trace text, and a disabled trace stays invisible.
+//! byte-identical trace text, a disabled trace stays invisible, and the
+//! run's `Metrics` are the fold of the engine's events.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use eckv::prelude::*;
-use eckv::simnet::{JsonlSink, SimDuration, Trace, TraceBus};
+use eckv::simnet::{JsonlSink, OpClass, Trace, TraceBus, TraceEvent, TraceRecord};
 
 /// Runs the canonical Era-CE-CD write/kill/read workload with a JSONL sink
 /// attached and returns (trace text, events emitted, series CSV).
@@ -230,4 +231,257 @@ fn disabled_trace_adds_no_events_and_changes_no_results() {
     let traced = run(Trace::from_bus(TraceBus::new()));
     let untraced = run(Trace::disabled());
     assert_eq!(traced, untraced, "tracing must not perturb the simulation");
+}
+
+/// Runs `load`, then `disturb`, on `cfg`'s world traced into a sink that
+/// keeps every record, and returns the world with the records.
+fn fold_leg(
+    cfg: EngineConfig,
+    load: Vec<Vec<Op>>,
+    disturb: impl FnOnce(&Rc<World>, &mut Simulation),
+) -> (Rc<World>, Vec<TraceRecord>) {
+    let records = Rc::new(RefCell::new(Vec::new()));
+    let keep = records.clone();
+    let mut bus = TraceBus::new();
+    bus.add_sink(Rc::new(RefCell::new(move |r: &TraceRecord| {
+        keep.borrow_mut().push(*r)
+    })));
+    let world = World::new_traced(cfg, Trace::from_bus(bus));
+    let mut sim = Simulation::new();
+    run_workload(&world, &mut sim, load);
+    disturb(&world, &mut sim);
+    sim.run();
+    let records = records.take();
+    (world, records)
+}
+
+/// Asserts that `m` is the fold of `records`: every event-driven counter
+/// equals the count of its event, and the op counts, errors, goodput bytes
+/// and run span equal the fold of `op_admitted`/`op_completed`.
+fn assert_fold(leg: &str, m: &Metrics, records: &[TraceRecord]) {
+    let count = |pred: &dyn Fn(&TraceEvent) -> bool| {
+        records.iter().filter(|r| pred(&r.event)).count() as u64
+    };
+    let counters = [
+        (
+            "retries",
+            m.retries,
+            count(&|e| matches!(e, TraceEvent::Retry { .. })),
+        ),
+        (
+            "deadline_misses",
+            m.deadline_misses,
+            count(&|e| matches!(e, TraceEvent::DeadlineExceeded { .. })),
+        ),
+        (
+            "hedges_fired",
+            m.hedges_fired,
+            count(&|e| matches!(e, TraceEvent::HedgeFired { .. })),
+        ),
+        (
+            "hedges_won",
+            m.hedges_won,
+            count(&|e| matches!(e, TraceEvent::HedgeWon { .. })),
+        ),
+        (
+            "sheds",
+            m.sheds,
+            count(&|e| matches!(e, TraceEvent::OpShed { .. })),
+        ),
+        (
+            "sheds_repair",
+            m.sheds_repair,
+            count(&|e| matches!(e, TraceEvent::OpShed { repair: true, .. })),
+        ),
+        (
+            "repair_promotions",
+            m.repair_promotions,
+            count(&|e| matches!(e, TraceEvent::RepairKeyPromoted { .. })),
+        ),
+        (
+            "vshards_moved",
+            m.vshards_moved,
+            count(&|e| matches!(e, TraceEvent::VshardReassigned { .. })),
+        ),
+        (
+            "set_count",
+            m.set_count,
+            count(&|e| {
+                matches!(
+                    e,
+                    TraceEvent::OpCompleted {
+                        op: OpClass::Set,
+                        ..
+                    }
+                )
+            }),
+        ),
+        (
+            "get_count",
+            m.get_count,
+            count(&|e| {
+                matches!(
+                    e,
+                    TraceEvent::OpCompleted {
+                        op: OpClass::Get,
+                        ..
+                    }
+                )
+            }),
+        ),
+        (
+            "errors",
+            m.errors,
+            count(&|e| matches!(e, TraceEvent::OpCompleted { ok: false, .. })),
+        ),
+    ];
+    for (name, got, events) in counters {
+        assert_eq!(got, events, "{leg}: {name} is not the count of its event");
+    }
+    let goodput: u64 = records
+        .iter()
+        .map(|r| match r.event {
+            TraceEvent::OpCompleted {
+                ok: true,
+                value_len,
+                ..
+            } => value_len,
+            _ => 0,
+        })
+        .sum();
+    assert_eq!(m.bytes_written + m.bytes_read, goodput, "{leg}: bytes");
+    let admitted = records
+        .iter()
+        .find(|r| matches!(r.event, TraceEvent::OpAdmitted { .. }))
+        .map(|r| r.at);
+    assert_eq!(m.started_at, admitted, "{leg}: started_at");
+    let finished = records
+        .iter()
+        .filter(|r| matches!(r.event, TraceEvent::OpCompleted { .. }))
+        .map(|r| r.at)
+        .max()
+        .unwrap_or(SimTime::ZERO);
+    assert_eq!(m.finished_at, finished, "{leg}: finished_at");
+}
+
+/// `n` fresh keys of `len` bytes, written by one client.
+fn writes(n: usize, len: u64) -> Vec<Op> {
+    (0..n)
+        .map(|i| Op::set_synthetic(format!("k{i:02}"), len, i as u64))
+        .collect()
+}
+
+/// Reads of the `n` keys [`writes`] wrote.
+fn reads(n: usize) -> Vec<Op> {
+    (0..n).map(|i| Op::get(format!("k{i:02}"))).collect()
+}
+
+fn five_servers(scheme: Scheme, clients: usize) -> EngineConfig {
+    EngineConfig::new(
+        ClusterConfig::new(ClusterProfile::RiQdr, 5, clients).max_servers(6),
+        scheme,
+    )
+}
+
+#[test]
+fn metrics_are_the_fold_of_the_engine_events() {
+    const DEAD: usize = 1;
+    let n = 16;
+
+    // Retries: both clients meet the dead coordinator through stale views.
+    let (world, records) = fold_leg(
+        five_servers(Scheme::era_se_sd(3, 2), 2),
+        vec![writes(n, 4096), Vec::new()],
+        |world, sim| {
+            world.cluster.kill_server(DEAD);
+            run_workload(world, sim, vec![writes(n, 2048), reads(n)]);
+        },
+    );
+    let m = world.metrics.borrow();
+    assert!(m.retries > 0, "the stale views must retry");
+    assert_fold("retries", &m, &records);
+    drop(m);
+
+    // Deadline misses: 64 KiB writes queue behind one another past 20 µs.
+    let (world, records) = fold_leg(
+        five_servers(Scheme::era_ce_cd(3, 2), 1).deadline(SimDuration::from_micros(20)),
+        vec![writes(n, 64 << 10)],
+        |_, _| {},
+    );
+    let m = world.metrics.borrow();
+    assert!(m.deadline_misses > 0, "the deadline must be missed");
+    assert_fold("deadline misses", &m, &records);
+    drop(m);
+
+    // Hedges fired and won: reads around a straggler.
+    let (world, records) = fold_leg(
+        five_servers(Scheme::era_ce_cd(3, 2), 1)
+            .window(2)
+            .hedge(HedgeConfig::after(SimDuration::from_micros(4))),
+        vec![writes(n, 4096)],
+        |world, sim| {
+            world
+                .cluster
+                .slow_server(sim.now(), 2, 8.0, SimDuration::from_micros(20));
+            run_workload(world, sim, vec![reads(n)]);
+        },
+    );
+    let m = world.metrics.borrow();
+    assert!(m.hedges_won > 0, "the straggler must lose hedge races");
+    assert_fold("hedges", &m, &records);
+    drop(m);
+
+    // Foreground and repair sheds: an online rebuild under a herd of
+    // reads, against a small admission depth on one worker per server.
+    let clients = 4;
+    let (world, records) = fold_leg(
+        EngineConfig::new(
+            ClusterConfig::new(ClusterProfile::RiQdr, 5, clients).workers(1),
+            Scheme::era_se_sd(3, 2),
+        )
+        .window(2)
+        .admission(AdmissionConfig::depth(2)),
+        vec![writes(n, 4096), Vec::new(), Vec::new(), Vec::new()],
+        |world, sim| {
+            world.cluster.kill_server(DEAD);
+            start_repair(world, sim, DEAD);
+            enqueue_workload(world, sim, vec![reads(n); clients]);
+        },
+    );
+    let m = world.metrics.borrow();
+    assert!(m.sheds_repair > 0, "the repair bound must shed");
+    assert!(m.sheds > m.sheds_repair, "the foreground bound must shed");
+    assert_fold("sheds", &m, &records);
+    drop(m);
+
+    // Repair promotions: degraded reads during a throttled online rebuild.
+    let (world, records) = fold_leg(
+        five_servers(Scheme::era_ce_cd(3, 2), 1)
+            .repair(RepairConfig::default().window(1).bandwidth(100_000_000)),
+        vec![writes(n, 4096)],
+        |world, sim| {
+            world.cluster.kill_server(DEAD);
+            start_repair(world, sim, DEAD);
+            let mut late_first = reads(n);
+            late_first.reverse();
+            enqueue_workload(world, sim, vec![late_first]);
+        },
+    );
+    let m = world.metrics.borrow();
+    assert!(m.repair_promotions > 0, "degraded reads must promote keys");
+    assert_fold("promotions", &m, &records);
+    drop(m);
+
+    // Vshard moves: a join under reads.
+    let (world, records) = fold_leg(
+        five_servers(Scheme::era_ce_cd(3, 2), 1),
+        vec![writes(n, 4096)],
+        |world, sim| {
+            join_server(world, sim).expect("a provisioned spare");
+            enqueue_workload(world, sim, vec![reads(n)]);
+        },
+    );
+    let m = world.metrics.borrow();
+    assert!(m.vshards_moved > 0, "the join must move vshards");
+    assert_fold("join", &m, &records);
 }

@@ -8,7 +8,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use eckv::prelude::*;
-use eckv::simnet::{JsonlSink, Trace, TraceBus};
+use eckv::simnet::{JsonlSink, Trace, TraceBus, TraceEvent, TraceRecord};
 
 const HOT_KEY: &str = "hot";
 const DEPTH: u64 = 48;
@@ -22,7 +22,6 @@ fn herd_engine(clients: usize) -> EngineConfig {
         Scheme::era_se_sd(3, 2),
     )
     .window(2)
-    .record_timeline(true)
 }
 
 /// Runs the herd and returns `(sheds, admitted p99)`.
@@ -31,25 +30,31 @@ fn herd(clients: usize, admission: Option<AdmissionConfig>) -> (u64, SimDuration
     if let Some(a) = admission {
         cfg = cfg.admission(a);
     }
-    let world = World::new(cfg);
+    // Admitted-op latencies, read off the completed-op event stream.
+    let ok = Rc::new(RefCell::new(Vec::new()));
+    let keep = ok.clone();
+    let mut bus = TraceBus::new();
+    bus.add_sink(Rc::new(RefCell::new(move |r: &TraceRecord| {
+        if let TraceEvent::OpCompleted {
+            ok: true, latency, ..
+        } = r.event
+        {
+            keep.borrow_mut().push(latency);
+        }
+    })));
+    let world = World::new_traced(cfg, Trace::from_bus(bus));
     let mut sim = Simulation::new();
     let mut seed = vec![Vec::new(); clients];
     seed[0] = vec![Op::set_synthetic(HOT_KEY, 512, 7)];
     run_workload(&world, &mut sim, seed);
     world.reset_metrics();
+    ok.borrow_mut().clear();
     let streams: Vec<Vec<Op>> = (0..clients)
         .map(|_| (0..40).map(|_| Op::get(HOT_KEY)).collect())
         .collect();
     run_workload(&world, &mut sim, streams);
     let m = world.metrics.borrow();
-    let mut ok: Vec<SimDuration> = m
-        .timeline
-        .as_ref()
-        .expect("timeline enabled")
-        .iter()
-        .filter(|p| p.ok)
-        .map(|p| p.latency)
-        .collect();
+    let mut ok = ok.take();
     ok.sort();
     assert!(!ok.is_empty(), "the herd must make progress");
     let idx = ((ok.len() - 1) as f64 * 0.99).round() as usize;
