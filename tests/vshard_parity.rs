@@ -21,6 +21,10 @@
 //! around a straggler, coordinator admission sheds, inline values decoded
 //! at both sites, and the single-chunk encoder with no live peer.
 //!
+//! A fifth golden, `counters.txt`, pins the TraceBus counter registry
+//! after every leg of the four scenarios above, and each leg checks that
+//! the registry's NIC busy time equals the network's own ledger.
+//!
 //! Regenerate the golden files (only after an *intentional* trace change)
 //! with:
 //!
@@ -29,11 +33,12 @@
 //! ```
 
 use std::cell::RefCell;
+use std::fmt::Write;
 use std::path::PathBuf;
 use std::rc::Rc;
 
 use eckv::prelude::*;
-use eckv::simnet::{JsonlSink, Trace, TraceBus};
+use eckv::simnet::{JsonlSink, NodeId, Trace, TraceBus};
 use eckv::store::SsdSpec;
 
 /// Keys written (and read back) per scheme leg.
@@ -51,12 +56,20 @@ fn len_of(i: usize) -> u64 {
     ((i % 8) as u64 + 1) * 1024
 }
 
+/// What a scenario pins: its JSONL trace, and the counter registry as it
+/// stands after each leg.
+#[derive(Default, PartialEq)]
+struct Golden {
+    trace: String,
+    counters: String,
+}
+
 /// One traced leg: loads `KEYS` pinned values, lets `disturb` change the
 /// cluster, then reads every key back while any repair or migration it
-/// started is still running. Appends the trace to `out` under `## name`
-/// and returns the world for post-run checks.
+/// started is still running. Appends the trace and the counter registry
+/// to `out` under `## name` and returns the world for post-run checks.
 fn leg(
-    out: &mut String,
+    out: &mut Golden,
     name: &str,
     cfg: EngineConfig,
     disturb: impl FnOnce(&Rc<World>, &mut Simulation),
@@ -79,10 +92,31 @@ fn leg(
     let reads: Vec<Op> = (0..KEYS).map(|i| Op::get(format!("g{i:02}"))).collect();
     enqueue_workload(&world, &mut sim, vec![reads]);
     sim.run();
-    out.push_str("## ");
-    out.push_str(name);
-    out.push('\n');
-    out.push_str(sink.borrow().contents());
+    out.trace.push_str("## ");
+    out.trace.push_str(name);
+    out.trace.push('\n');
+    out.trace.push_str(sink.borrow().contents());
+    let _ = writeln!(out.counters, "## {name}");
+    let net = world.cluster.net.borrow();
+    world.trace.with_bus(|bus| {
+        for (node, counter, v) in bus.counters() {
+            if counter != "cpu_queue_hwm" {
+                let _ = writeln!(out.counters, "{} {counter} {v}", node.0);
+            }
+        }
+        for i in 0..net.len() {
+            let (tx, rx) = net.nic_busy(NodeId(i));
+            assert_eq!(
+                (
+                    bus.counter(NodeId(i), "nic_tx_busy_ns"),
+                    bus.counter(NodeId(i), "nic_rx_busy_ns")
+                ),
+                (tx.as_nanos(), rx.as_nanos()),
+                "{name}: node {i}'s NIC busy counters must equal the network's"
+            );
+        }
+    });
+    drop(net);
     world
 }
 
@@ -102,8 +136,8 @@ fn rebuild_online(world: &Rc<World>, sim: &mut Simulation) {
 /// The pinned fixed-topology scenario: three scheme legs, each traced
 /// end to end. The erasure leg loses a server and rebuilds it online
 /// while reads continue, so repair-engine traces are pinned too.
-fn scenario() -> String {
-    let mut out = String::new();
+fn scenario() -> Golden {
+    let mut out = Golden::default();
     let legs: Vec<(&str, Scheme, bool)> = vec![
         ("era-ce-cd", Scheme::era_ce_cd(3, 2), true),
         ("sync-rep", Scheme::SyncRep { replicas: 3 }, false),
@@ -123,8 +157,8 @@ fn scenario() -> String {
 /// The pinned repair-path scenario: one leg per data-movement path of the
 /// repair queue. No leg deletes a replica, so every replica source probed
 /// first holds its copy.
-fn repair_paths_scenario() -> String {
-    let mut out = String::new();
+fn repair_paths_scenario() -> Golden {
+    let mut out = Golden::default();
     // Replica rebuild: a 1x copy from a live replica holder.
     leg(
         &mut out,
@@ -203,8 +237,8 @@ fn churn_with_hot_reads(world: &Rc<World>, sim: &mut Simulation) {
 }
 
 /// The pinned eviction scenario.
-fn eviction_scenario() -> String {
-    let mut out = String::new();
+fn eviction_scenario() -> Golden {
+    let mut out = Golden::default();
     leg(
         &mut out,
         "async-rep eviction",
@@ -292,8 +326,8 @@ fn inline_then_degraded_reads(world: &Rc<World>, sim: &mut Simulation) {
 /// The pinned codec-site scenario: every encode/decode placement under
 /// each condition that reaches a distinct branch of the SET and GET
 /// pipelines.
-fn codec_sites_scenario() -> String {
-    let mut out = String::new();
+fn codec_sites_scenario() -> Golden {
+    let mut out = Golden::default();
     for (label, scheme) in codec_sites() {
         leg(
             &mut out,
@@ -310,7 +344,7 @@ fn codec_sites_scenario() -> String {
                 overwrite_then_read_stale(world, sim);
             },
         );
-        let before = out.len();
+        let before = out.trace.len();
         leg(
             &mut out,
             &format!("{label} hedged reads around a straggler"),
@@ -322,10 +356,10 @@ fn codec_sites_scenario() -> String {
             },
         );
         assert!(
-            out[before..].contains("\"event\":\"hedge_fired\""),
+            out.trace[before..].contains("\"event\":\"hedge_fired\""),
             "{label}: the straggler must trigger a hedge"
         );
-        let before = out.len();
+        let before = out.trace.len();
         leg(
             &mut out,
             &format!("{label} admission sheds"),
@@ -333,7 +367,7 @@ fn codec_sites_scenario() -> String {
             herd,
         );
         assert!(
-            out[before..].contains("\"event\":\"queue_capped\""),
+            out.trace[before..].contains("\"event\":\"queue_capped\""),
             "{label}: the herd must overflow an admission bound"
         );
         let world = leg(
@@ -397,7 +431,7 @@ fn check_golden(name: &str, got: &str, why: &str) {
 fn fixed_topology_traces_match_the_pre_vshard_golden() {
     check_golden(
         "fixed_topology.jsonl",
-        &scenario(),
+        &scenario().trace,
         "placement at fixed membership must be byte-identical to the \
          direct ring lookup",
     );
@@ -407,7 +441,7 @@ fn fixed_topology_traces_match_the_pre_vshard_golden() {
 fn repair_and_migration_traces_match_the_golden() {
     check_golden(
         "repair_paths.jsonl",
-        &repair_paths_scenario(),
+        &repair_paths_scenario().trace,
         "every repair-queue task must move the same bytes along the same \
          path",
     );
@@ -415,7 +449,7 @@ fn repair_and_migration_traces_match_the_golden() {
 
 #[test]
 fn eviction_traces_match_the_golden() {
-    let got = eviction_scenario();
+    let got = eviction_scenario().trace;
     assert!(
         got.contains("\"ssd_spill\"") && got.contains("\"ssd_read\""),
         "the ssd leg must spill victims and read them back from flash"
@@ -432,17 +466,35 @@ fn eviction_traces_match_the_golden() {
 fn codec_site_traces_match_the_golden() {
     check_golden(
         "codec_sites.jsonl",
-        &codec_sites_scenario(),
+        &codec_sites_scenario().trace,
         "every encode/decode placement must move the same bytes at the \
          same instants through the same nodes",
     );
 }
 
 #[test]
+fn counter_registries_match_the_golden() {
+    let mut got = String::new();
+    for (name, scenario) in [
+        ("fixed topology", scenario as fn() -> Golden),
+        ("repair paths", repair_paths_scenario),
+        ("eviction", eviction_scenario),
+        ("codec sites", codec_sites_scenario),
+    ] {
+        let _ = writeln!(got, "# {name}");
+        got.push_str(&scenario().counters);
+    }
+    check_golden(
+        "counters.txt",
+        &got,
+        "every per-node counter must keep its value after every leg",
+    );
+}
+
+#[test]
 fn fixed_topology_scenario_is_deterministic() {
-    assert_eq!(
-        scenario(),
-        scenario(),
+    assert!(
+        scenario() == scenario(),
         "same-seed scenario runs must be byte-identical"
     );
 }
