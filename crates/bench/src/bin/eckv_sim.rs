@@ -102,7 +102,8 @@
 //! * `--stats-interval 10ms` — windowed time series (throughput, p50/p99,
 //!   wire bytes, codec busy) printed after the run.
 //! * `--report` — per-node counter registry (NIC busy/queue high-water,
-//!   codec invocations, repair traffic, SSD spills) printed after the run.
+//!   codec invocations, repair traffic, SSD spills) and each server's
+//!   worker-queue high-water mark, printed after the run.
 //!   When degraded reads occurred, the GET latency and phase breakdown are
 //!   additionally split into healthy and degraded cohorts.
 //! * `--explain-tail` — record causal spans for every op, compute each
@@ -616,6 +617,9 @@ fn main() {
         || spans;
     let jsonl_sink = Rc::new(RefCell::new(JsonlSink::new()));
     let csv_sink = Rc::new(RefCell::new(CsvSink::new()));
+    let series = args
+        .stats_interval
+        .map(|w| Rc::new(RefCell::new(TimeSeries::new(w))));
     let trace = if tracing {
         let mut bus = TraceBus::new();
         if args.trace.is_some() {
@@ -624,8 +628,8 @@ fn main() {
         if args.timeline.is_some() {
             bus.add_sink(csv_sink.clone());
         }
-        if let Some(w) = args.stats_interval {
-            bus.enable_series(w);
+        if let Some(series) = &series {
+            bus.add_sink(series.clone());
         }
         if spans {
             bus.enable_spans(KEEP_SLOWEST);
@@ -833,11 +837,9 @@ fn main() {
             Err(e) => eprintln!("failed to write {path}: {e}"),
         }
     }
-    if args.stats_interval.is_some() {
-        if let Some(csv) = trace.with_bus(|bus| bus.series().map(TimeSeries::to_csv)) {
-            println!("\n== time series ==");
-            print!("{}", csv.unwrap_or_default());
-        }
+    if let Some(series) = &series {
+        println!("\n== time series ==");
+        print!("{}", series.borrow().to_csv());
     }
     if args.report {
         println!("\n== trace counters ==");
@@ -847,6 +849,16 @@ fn main() {
                 println!("  node {:>3}  {:<20} {}", node.0, name, v);
             }
         });
+        println!("\n== worker queues ==");
+        for server in &world.cluster.servers {
+            let server = server.borrow();
+            println!(
+                "  node {:>3}  {:<20} {}",
+                server.node().0,
+                "cpu_queue_hwm",
+                server.queue_hwm()
+            );
+        }
     }
     if args.explain_tail {
         if let Some(Some(text)) = trace.with_bus(|bus| bus.spans().map(|s| s.explain_tail())) {

@@ -105,12 +105,8 @@ fn target_bytes(quick: bool) -> usize {
 }
 
 /// Throughput table: one row per kernel × size, one column per backend,
-/// plus the best-over-scalar speedup. Unsupported backends show `-`.
-pub fn kernel_table(quick: bool) -> Table {
-    build(target_bytes(quick)).0
-}
-
-/// The table plus the measured `mul_slice_xor` best-vs-scalar speedup at
+/// plus the best-over-scalar speedup (unsupported backends show `-`);
+/// returned with the measured `mul_slice_xor` best-vs-scalar speedup at
 /// 64 KiB (the headline cell).
 pub fn kernel_table_with_speedup(quick: bool) -> (Table, f64) {
     build(target_bytes(quick))

@@ -28,6 +28,10 @@ use crate::ops::OpKind;
 use crate::scheme::{Scheme, Side};
 use crate::world::{World, Written};
 
+/// Client CPU time to check a server's liveness before a Get (the
+/// paper's `T_check`).
+const LIVENESS_CHECK: SimDuration = SimDuration::from_nanos(500);
+
 /// Entry point: dispatches on the scheme.
 pub(crate) fn start_get(
     world: &Rc<World>,
@@ -79,17 +83,25 @@ fn get_hybrid(
     done: DoneCb,
 ) {
     let op_start = sim.now();
-    let check = world.cfg.liveness_check;
     let post = world.cluster.net_config().post_overhead;
     let client_node = world.cluster.client_node(client);
     let rep_targets: Vec<usize> = world.targets(&key).into_iter().take(replicas).collect();
 
     let Some(&srv) = rep_targets.iter().find(|&&s| world.view_alive(client, s)) else {
         // No replica holder is reachable; the chunk path may still work.
-        get_erasure(world, sim, client, key, Side::Client, op_start, check, done);
+        get_erasure(
+            world,
+            sim,
+            client,
+            key,
+            Side::Client,
+            op_start,
+            LIVENESS_CHECK,
+            done,
+        );
         return;
     };
-    let issue_at = world.reserve_client_cpu(client, op_start, check + post);
+    let issue_at = world.reserve_client_cpu(client, op_start, LIVENESS_CHECK + post);
     let server = world.cluster.servers[srv].clone();
     let world2 = world.clone();
     rpc::get(
@@ -111,7 +123,7 @@ fn get_hybrid(
                     OpOutcome {
                         kind: OpKind::Get,
                         at: r.at,
-                        request: check + post,
+                        request: LIVENESS_CHECK + post,
                         compute: SimDuration::ZERO,
                         ok: true,
                         integrity_ok: integrity,
@@ -128,7 +140,7 @@ fn get_hybrid(
             // phase.
             Ok(r) => {
                 debug_assert!(r.value.is_none());
-                let request = check + post;
+                let request = LIVENESS_CHECK + post;
                 get_erasure(
                     &world2,
                     sim,
@@ -154,7 +166,7 @@ fn get_hybrid(
                         t
                     }
                 };
-                let outcome = OpOutcome::failed(OpKind::Get, t, check + post, true);
+                let outcome = OpOutcome::failed(OpKind::Get, t, LIVENESS_CHECK + post, true);
                 finish_op(&world2, sim, op_start, outcome, done);
             }
         },
@@ -182,17 +194,16 @@ fn get_replicated(
 ) {
     let op_start = sim.now();
     let targets = world.targets(&key);
-    let check = world.cfg.liveness_check;
     let post = world.cluster.net_config().post_overhead;
 
     if !targets.iter().any(|&s| world.view_alive(client, s)) {
         // All replicas believed down: the operation fails for good.
-        let at = world.reserve_client_cpu(client, op_start, check);
-        let outcome = OpOutcome::failed(OpKind::Get, at, check, false);
+        let at = world.reserve_client_cpu(client, op_start, LIVENESS_CHECK);
+        let outcome = OpOutcome::failed(OpKind::Get, at, LIVENESS_CHECK, false);
         finish_op(world, sim, op_start, outcome, done);
         return;
     }
-    world.reserve_client_cpu(client, op_start, check);
+    world.reserve_client_cpu(client, op_start, LIVENESS_CHECK);
     let spec = FanOutSpec {
         candidates: targets.into_iter().enumerate().collect(),
         pinned: 0,
@@ -228,7 +239,7 @@ fn get_replicated(
                 OpOutcome {
                     kind: OpKind::Get,
                     at: s.last,
-                    request: check + post,
+                    request: LIVENESS_CHECK + post,
                     compute: SimDuration::ZERO,
                     ok,
                     integrity_ok: integrity,
@@ -330,13 +341,12 @@ fn get_erasure(
     let (k, m, ..) = world.scheme.erasure_params().expect("erasure scheme");
     let mut targets = world.targets(&key);
     targets.truncate(k + m);
-    let check = world.cfg.liveness_check;
     let post = world.cluster.net_config().post_overhead;
     let now = sim.now();
 
     let Some(candidates) = gather_order(world, client, &targets, k) else {
-        let at = world.reserve_client_cpu(client, now, check);
-        let outcome = OpOutcome::failed(OpKind::Get, at, request_base + check, false);
+        let at = world.reserve_client_cpu(client, now, LIVENESS_CHECK);
+        let outcome = OpOutcome::failed(OpKind::Get, at, request_base + LIVENESS_CHECK, false);
         finish_op(world, sim, op_start, outcome, done);
         return;
     };
@@ -369,14 +379,14 @@ fn get_erasure(
         };
     match origin {
         Origin::Client(_) => {
-            world.reserve_client_cpu(client, now, check);
+            world.reserve_client_cpu(client, now, LIVENESS_CHECK);
             let world2 = world.clone();
             gather(
                 world,
                 sim,
                 now,
                 Box::new(move |sim, s: Settled| {
-                    let request = request_base + check + post * s.posts;
+                    let request = request_base + LIVENESS_CHECK + post * s.posts;
                     let (outcome, _) = decode(&world2, origin, &key, k, s, sim.now(), request);
                     finish_op(&world2, sim, op_start, outcome, done);
                 }),
@@ -388,7 +398,7 @@ fn get_erasure(
                 client,
                 kind: OpKind::Get,
                 op_start,
-                request: check + post,
+                request: LIVENESS_CHECK + post,
             };
             let bytes = rpc::REQUEST_OVERHEAD + key.len();
             let world2 = world.clone();

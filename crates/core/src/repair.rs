@@ -27,9 +27,9 @@
 //!   topped up from untried survivors the way the GET path late-binds),
 //!   decode, re-encode the lost shard. That is the classic erasure
 //!   *repair amplification*: `k` chunk reads per lost chunk.
-//! * **Every write** goes through one tail with one `repair_shard` event
-//!   and one pair of read/write counters, so repair and migration traffic
-//!   compare directly in traces.
+//! * **Every write** goes through one tail with one `repair_shard` event,
+//!   which the trace bus folds into a pair of read/write counters, so
+//!   repair and migration traffic compare directly in traces.
 //!
 //! Three policies shape the interference with foreground traffic
 //! ([`RepairConfig`]): a concurrency window, a token-bucket **bandwidth
@@ -782,8 +782,9 @@ fn rebuild_shard(
 }
 
 /// The one write tail: stores `value` at `dest` with the same
-/// observability for every task (`repair_shard` event, read/write
-/// counters), so migration and repair traffic compare directly in traces.
+/// observability for every task (one `repair_shard` event carrying the
+/// bytes read and written), so migration and repair traffic compare
+/// directly in traces.
 fn write_to_new_holder(
     world: &Rc<World>,
     sim: &mut Simulation,
@@ -816,14 +817,10 @@ fn write_to_new_holder(
                     TraceEvent::RepairShard {
                         node,
                         bytes: written,
+                        read,
+                        reader: client_node,
                     },
                 );
-                world2
-                    .trace
-                    .counter_add(client_node, "repair_read_bytes", read);
-                world2
-                    .trace
-                    .counter_add(node, "repair_write_bytes", written);
                 done(sim, RepairOutcome::Repaired, read, written);
             }
             Err(rpc::RpcError::Shed(t)) => {

@@ -15,6 +15,10 @@ use crate::costs;
 use crate::metrics::Metrics;
 use crate::scheme::Scheme;
 
+/// First-chunk samples required before adaptive hedging arms; until then
+/// reads run unhedged (nothing meaningful to estimate from).
+const HEDGE_MIN_SAMPLES: u64 = 16;
+
 /// Policy for hedged chunk reads (the "Tail at Scale" defence applied to
 /// every shard fan-out): after the first wave of `k` chunk fetches has
 /// been outstanding for a while, speculatively fetch from untried parity
@@ -35,9 +39,6 @@ pub struct HedgeConfig {
     /// Safety factor applied to the percentile: hedging at exactly p95
     /// would fire on 5% of healthy reads.
     pub multiplier: f64,
-    /// First-chunk samples required before adaptive hedging arms; until
-    /// then reads run unhedged (nothing meaningful to estimate from).
-    pub min_samples: u64,
     /// Fixed trigger delay overriding the adaptive estimate (the
     /// `--hedge-after 50us` form). Arms immediately, no warm-up.
     pub fixed: Option<SimDuration>,
@@ -48,7 +49,6 @@ impl Default for HedgeConfig {
         HedgeConfig {
             percentile: 95.0,
             multiplier: 2.0,
-            min_samples: 16,
             fixed: None,
         }
     }
@@ -233,15 +233,8 @@ pub struct EngineConfig {
     /// schemes ([`Scheme::SyncRep`]) always run with an effective window
     /// of 1.
     pub window: usize,
-    /// Cost of checking a server's liveness before a Get (the paper's
-    /// `T_check`).
-    pub liveness_check: SimDuration,
     /// Whether Gets validate returned data against what was written.
     pub validate: bool,
-    /// Application CPU work charged per operation before it is issued
-    /// (e.g. a TestDFSIO map task producing/consuming its block). Zero for
-    /// pure KV benchmarks.
-    pub client_think: SimDuration,
     /// Hedged-read policy for shard read fan-outs — client-decode chunk
     /// fetches, server-decode aggregation, and online-repair survivor
     /// reads (`None` = never hedge, the paper's baseline behaviour).
@@ -269,9 +262,7 @@ impl EngineConfig {
             cluster,
             scheme,
             window: 16,
-            liveness_check: SimDuration::from_nanos(500),
             validate: true,
-            client_think: SimDuration::ZERO,
             hedge: None,
             deadline: None,
             retry_backoff: SimDuration::from_micros(2),
@@ -294,12 +285,6 @@ impl EngineConfig {
     /// Enables/disables read validation (builder style).
     pub fn validate(mut self, on: bool) -> Self {
         self.validate = on;
-        self
-    }
-
-    /// Sets per-operation application think time (builder style).
-    pub fn client_think(mut self, t: SimDuration) -> Self {
-        self.client_think = t;
         self
     }
 
@@ -367,8 +352,9 @@ pub struct World {
     /// Aggregated run metrics: the fold of every event the engine
     /// reports (`World::note`).
     pub metrics: RefCell<Metrics>,
-    /// Current per-op application think time (adjustable between phases,
-    /// e.g. TestDFSIO write vs read cost).
+    /// Current per-op application think time: zero until a workload sets
+    /// it ([`World::set_client_think`], e.g. TestDFSIO's write vs read
+    /// cost).
     pub client_think: std::cell::Cell<SimDuration>,
     /// Write bookkeeping for read validation.
     pub expected: RefCell<HashMap<Arc<str>, Written>>,
@@ -450,7 +436,7 @@ impl World {
             cfg,
             client_cpus: RefCell::new(client_cpus),
             metrics: RefCell::new(Metrics::default()),
-            client_think: std::cell::Cell::new(cfg.client_think),
+            client_think: std::cell::Cell::new(SimDuration::ZERO),
             expected: RefCell::new(HashMap::new()),
             views: RefCell::new(views),
             chunk_latency: RefCell::new(Histogram::default()),
@@ -575,7 +561,7 @@ impl World {
 
     /// Storage key of erasure chunk `i` of `key`: `"{key}.s{i}"`, built
     /// without the formatting machinery for single-digit indices.
-    pub(crate) fn shard_key(key: &str, i: usize) -> Arc<str> {
+    pub fn shard_key(key: &str, i: usize) -> Arc<str> {
         if i >= 10 {
             return format!("{key}.s{i}").into();
         }
@@ -656,7 +642,7 @@ impl World {
             return Some(fixed);
         }
         let hist = self.chunk_latency.borrow();
-        if hist.count() < h.min_samples {
+        if hist.count() < HEDGE_MIN_SAMPLES {
             return None;
         }
         let base = hist.percentile(h.percentile);
@@ -710,14 +696,6 @@ impl World {
     /// Notes that `client` observed server `srv` back (post-repair).
     pub fn mark_alive(&self, client: usize, srv: usize) {
         self.views.borrow_mut()[client][srv] = true;
-    }
-
-    /// Resets every client's view to all-alive (e.g. after reviving nodes
-    /// in tests).
-    pub fn reset_views(&self) {
-        for v in self.views.borrow_mut().iter_mut() {
-            v.fill(true);
-        }
     }
 
     /// Records what a successful Set wrote, for later validation.

@@ -131,8 +131,10 @@ impl KvSession {
         Ok(Some(self.reassemble(key)))
     }
 
-    /// Rebuilds the plain bytes of `key` from the stores (replica or
-    /// decoded chunks).
+    /// Rebuilds the plain bytes of `key` from its live placement holders
+    /// (a replica, or chunk `i` from holder `i`). A dead server may still
+    /// hold a copy the writes since its death never reached, so it is
+    /// never read.
     fn reassemble(&self, key: &str) -> Vec<u8> {
         let w = *self
             .world
@@ -140,29 +142,32 @@ impl KvSession {
             .borrow()
             .get(key)
             .expect("validated read implies a write record");
-        // Replicated copy anywhere?
-        for srv in &self.world.cluster.servers {
-            if let Some(Payload::Inline(b)) = srv.borrow().store().peek(key) {
-                return b.to_vec();
+        let cluster = &self.world.cluster;
+        // Each value found is a shared view (a reference-count bump, not a
+        // copy); the decode reads chunks in place.
+        let peek = |srv: usize, store_key: &str| -> Option<Bytes> {
+            if !cluster.is_server_alive(srv) {
+                return None;
             }
+            match cluster.servers[srv].borrow().store().peek(store_key) {
+                Some(Payload::Inline(b)) => Some(b.clone()),
+                _ => None,
+            }
+        };
+        let targets = self.world.targets(key);
+        if let Some(copy) = targets.iter().find_map(|&srv| peek(srv, key)) {
+            return copy.to_vec();
         }
-        // Otherwise decode from chunks.
         let striper = self
             .world
             .striper
             .as_ref()
             .expect("no replica implies an erasure scheme");
-        // Each chunk found is a shared view (a reference-count bump, not a
-        // copy); the decode reads them in place.
         let shards: Vec<Option<Bytes>> = (0..striper.codec().total_shards())
             .map(|i| {
-                let shard_key = format!("{key}.s{i}");
-                self.world.cluster.servers.iter().find_map(|srv| {
-                    match srv.borrow().store().peek(&shard_key) {
-                        Some(Payload::Inline(b)) => Some(b.clone()),
-                        _ => None,
-                    }
-                })
+                targets
+                    .get(i)
+                    .and_then(|&srv| peek(srv, &World::shard_key(key, i)))
             })
             .collect();
         striper
@@ -260,5 +265,15 @@ mod tests {
         kv.set("r", b"copy".to_vec()).unwrap();
         kv.kill_server(kv.world().cluster.ring.primary_for(b"r"));
         assert_eq!(kv.get("r").unwrap().unwrap(), b"copy");
+    }
+
+    #[test]
+    fn get_never_returns_a_dead_servers_stale_copy() {
+        let mut kv = KvSession::new(ClusterProfile::RiQdr, Scheme::AsyncRep { replicas: 3 }, 5);
+        assert_eq!(kv.world().targets("k0"), vec![2, 3, 4]);
+        kv.set("k0", b"old".to_vec()).unwrap();
+        kv.kill_server(2);
+        kv.set("k0", b"new".to_vec()).unwrap();
+        assert_eq!(kv.get("k0").unwrap().unwrap(), b"new");
     }
 }

@@ -137,9 +137,9 @@ impl ComputeModel {
 }
 
 /// Records one codec invocation on the TraceBus: a start/end event pair
-/// spanning `[start, start + took)` plus the per-node codec counters. The
-/// engine's encode/decode paths call this wherever they charge codec time
-/// to a CPU. No-op when tracing is disabled.
+/// spanning `[start, start + took)`, which the bus folds into the per-node
+/// codec counters. The engine's encode/decode paths call this wherever
+/// they charge codec time to a CPU. No-op when tracing is disabled.
 pub fn trace_codec(
     trace: &Trace,
     node: NodeId,
@@ -153,8 +153,6 @@ pub fn trace_codec(
     }
     trace.emit(start, TraceEvent::CodecStart { node, op, bytes });
     trace.emit(start + took, TraceEvent::CodecEnd { node, op, took });
-    trace.counter_add(node, "codec_invocations", 1);
-    trace.counter_add(node, "codec_busy_ns", took.as_nanos());
     let phase = match op {
         CodecOp::Encode => SpanPhase::Encode,
         CodecOp::Decode => SpanPhase::Decode,

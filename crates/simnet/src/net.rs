@@ -206,7 +206,8 @@ impl Network {
 
     /// Attaches a TraceBus handle; every subsequent send emits transport
     /// events ([`TraceEvent::ShardSend`]/[`TraceEvent::ShardRecv`], NIC
-    /// queue enter/exit, failure detection) and per-node NIC counters.
+    /// queue enter/exit, failure detection), which the bus folds into its
+    /// per-node NIC counters.
     pub fn set_trace(&mut self, trace: Trace) {
         self.trace = trace;
     }
@@ -370,11 +371,8 @@ impl Network {
             n.bytes_sent += bytes as u64;
             if !n.nodes[to.0].alive {
                 let at = now + n.cfg.failure_detect;
-                if n.trace.is_enabled() {
-                    n.trace
-                        .emit(at, TraceEvent::FailureDetected { node: to, by: from });
-                    n.trace.counter_add(from, "failure_detects", 1);
-                }
+                n.trace
+                    .emit(at, TraceEvent::FailureDetected { node: to, by: from });
                 if let Some(op) = span_op {
                     n.trace
                         .span_record_for(op, SpanPhase::FailDetect, from, now, at);
@@ -437,7 +435,6 @@ impl Network {
             let tx_done = n.nodes[from.0].tx.reserve(tx_start, tx_wire);
             if traced {
                 let depth = n.nodes[from.0].tx.queue_depth(tx_start);
-                let hwm = n.nodes[from.0].tx.queue_hwm();
                 let waited = tx_free.max(tx_start).since(tx_start);
                 n.trace.emit(
                     tx_start,
@@ -453,13 +450,10 @@ impl Network {
                         node: from,
                         dir: NicDir::Tx,
                         waited,
+                        bytes: bytes as u64,
+                        busy: tx_wire,
                     },
                 );
-                n.trace.counter_add(from, "nic_tx_msgs", 1);
-                n.trace.counter_add(from, "nic_tx_bytes", bytes as u64);
-                n.trace
-                    .counter_add(from, "nic_tx_busy_ns", tx_wire.as_nanos());
-                n.trace.counter_max(from, "nic_tx_queue_hwm", hwm);
             }
             // ...it propagates, then the receiver NIC drains and (for
             // eager) copies it out. The rx reservation is made *when the
@@ -487,7 +481,6 @@ impl Network {
                 let delivered = n.nodes[to.0].rx.reserve(arrival, rx_cost);
                 if traced {
                     let depth = n.nodes[to.0].rx.queue_depth(arrival);
-                    let hwm = n.nodes[to.0].rx.queue_hwm();
                     let waited = rx_free.max(arrival).since(arrival);
                     n.trace.emit(
                         arrival,
@@ -503,13 +496,10 @@ impl Network {
                             node: to,
                             dir: NicDir::Rx,
                             waited,
+                            bytes: bytes as u64,
+                            busy: rx_cost,
                         },
                     );
-                    n.trace.counter_add(to, "nic_rx_msgs", 1);
-                    n.trace.counter_add(to, "nic_rx_bytes", bytes as u64);
-                    n.trace
-                        .counter_add(to, "nic_rx_busy_ns", rx_cost.as_nanos());
-                    n.trace.counter_max(to, "nic_rx_queue_hwm", hwm);
                 }
                 if let Some(op) = span_op {
                     // Receiver-side phases: queue wait in arrival order,
@@ -795,7 +785,11 @@ mod tests {
             assert_eq!(bus.counter(NodeId(1), "nic_rx_msgs"), 1);
             assert_eq!(bus.counter(NodeId(0), "failure_detects"), 1);
             assert_eq!(bus.counter(NodeId(0), "nic_tx_queue_hwm"), 1);
-            assert!(bus.counter(NodeId(0), "nic_tx_busy_ns") > 0);
+            let (tx, _) = net.borrow().nic_busy(NodeId(0));
+            let (_, rx) = net.borrow().nic_busy(NodeId(1));
+            assert!(tx > SimDuration::ZERO);
+            assert_eq!(bus.counter(NodeId(0), "nic_tx_busy_ns"), tx.as_nanos());
+            assert_eq!(bus.counter(NodeId(1), "nic_rx_busy_ns"), rx.as_nanos());
         });
     }
 

@@ -39,12 +39,6 @@ impl QueueCap {
         }
     }
 
-    /// Adds a bound on queue wait.
-    pub fn with_delay(mut self, delay: SimDuration) -> Self {
-        self.delay = Some(delay);
-        self
-    }
-
     /// Whether work finding `depth` reservations outstanding and facing
     /// `wait` before service is admitted under this cap.
     pub fn admits(&self, depth: u64, wait: SimDuration) -> bool {
@@ -321,16 +315,6 @@ impl WorkerPool {
     /// like [`WorkerPool::reserve`].
     pub fn try_reserve(&mut self, now: SimTime, service: SimDuration) -> Option<SimTime> {
         self.admits(now).then(|| self.reserve(now, service))
-    }
-
-    /// Bounded-queue [`WorkerPool::reserve_timed`]: refuses under the
-    /// installed [`QueueCap`], otherwise returns `(start, end)`.
-    pub fn try_reserve_timed(
-        &mut self,
-        now: SimTime,
-        service: SimDuration,
-    ) -> Option<(SimTime, SimTime)> {
-        self.admits(now).then(|| self.reserve_timed(now, service))
     }
 
     /// Advances the backlog watermark to `now` and drops bookkeeping for

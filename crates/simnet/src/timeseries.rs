@@ -1,10 +1,11 @@
 //! Windowed time-series aggregation over the TraceBus event stream.
 //!
-//! The aggregator folds events into fixed-width virtual-time windows as
-//! they are emitted: per-window throughput, latency percentiles, bytes on
-//! the wire, and per-node codec-busy time. Window `k` covers the half-open
-//! interval `[k*w, (k+1)*w)`, so an event stamped exactly on a window edge
-//! belongs to the *next* window.
+//! The aggregator is a [`TraceSink`]: registered on the bus like the
+//! JSONL and CSV exporters, it folds events into fixed-width virtual-time
+//! windows as they are emitted: per-window throughput, latency
+//! percentiles, bytes on the wire, and per-node codec-busy time. Window
+//! `k` covers the half-open interval `[k*w, (k+1)*w)`, so an event
+//! stamped exactly on a window edge belongs to the *next* window.
 //!
 //! Windows are stored densely in a `Vec` indexed by `at / w` — iteration
 //! order is inherently deterministic and gaps show up as empty windows
@@ -14,7 +15,7 @@ use std::collections::BTreeMap;
 
 use crate::stats::Histogram;
 use crate::time::{SimDuration, SimTime};
-use crate::tracebus::TraceEvent;
+use crate::tracebus::{TraceEvent, TraceRecord, TraceSink};
 
 /// Aggregates of one fixed-width virtual-time window.
 #[derive(Debug, Clone, Default)]
@@ -35,9 +36,8 @@ pub struct SeriesWindow {
     pub codec_busy: BTreeMap<usize, SimDuration>,
 }
 
-/// The windowed aggregator. Fed by
-/// [`TraceBus::emit`](crate::TraceBus::emit); read after the run via
-/// [`TraceBus::series`](crate::TraceBus::series).
+/// The windowed aggregator: a sink the caller registers on the bus
+/// behind `Rc<RefCell<...>>` and reads after the run.
 #[derive(Debug, Clone)]
 pub struct TimeSeries {
     window: SimDuration,
@@ -56,11 +56,6 @@ impl TimeSeries {
             window,
             windows: Vec::new(),
         }
-    }
-
-    /// The configured window width.
-    pub fn window_len(&self) -> SimDuration {
-        self.window
     }
 
     /// The windows recorded so far, in time order. Index `k` covers
@@ -102,7 +97,7 @@ impl TimeSeries {
 
     /// Folds one event into its window. Only the event classes that feed an
     /// aggregate are inspected; everything else passes through untouched.
-    pub(crate) fn observe(&mut self, at: SimTime, event: &TraceEvent) {
+    fn observe(&mut self, at: SimTime, event: &TraceEvent) {
         match *event {
             TraceEvent::OpCompleted {
                 latency,
@@ -159,6 +154,12 @@ impl TimeSeries {
             );
         }
         out
+    }
+}
+
+impl TraceSink for TimeSeries {
+    fn on_event(&mut self, rec: &TraceRecord) {
+        self.observe(rec.at, &rec.event);
     }
 }
 

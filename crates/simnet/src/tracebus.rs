@@ -6,10 +6,11 @@
 //! disabled handle is `None` inside — every substrate emission site
 //! branches on that and pays nothing else (the engine builds its op-level
 //! events either way, because its metrics fold them). An enabled handle
-//! fans events out to pluggable [`TraceSink`]s (any closure over records,
-//! JSONL/CSV text exporters), feeds the windowed
-//! [`TimeSeries`](crate::TimeSeries) aggregator, and maintains a per-node
-//! counter registry.
+//! folds every event into a per-node counter registry, then fans it out
+//! to pluggable [`TraceSink`]s (any closure over records, the JSONL/CSV
+//! text exporters, the windowed [`TimeSeries`](crate::TimeSeries)
+//! aggregator). The registry is nothing but that fold: no layer updates a
+//! counter directly, so this module alone defines what each counter means.
 //!
 //! Determinism is a hard requirement: events carry only virtual timestamps
 //! and a monotonically increasing sequence number, sinks buffer into
@@ -42,7 +43,6 @@ use std::rc::Rc;
 use crate::net::NodeId;
 use crate::span::{SpanCollector, SpanOpClass, SpanPhase};
 use crate::time::{SimDuration, SimTime};
-use crate::timeseries::TimeSeries;
 use crate::trace::PhaseBreakdown;
 
 /// Version of the export schema (the JSONL/CSV field layout). Bumped
@@ -138,6 +138,23 @@ impl NicDir {
     }
 }
 
+/// The NIC counters of each direction, indexed by `NicDir as usize`:
+/// queue high-water mark, messages, bytes and busy time.
+const NIC_COUNTERS: [[&str; 4]; 2] = [
+    [
+        "nic_tx_queue_hwm",
+        "nic_tx_msgs",
+        "nic_tx_bytes",
+        "nic_tx_busy_ns",
+    ],
+    [
+        "nic_rx_queue_hwm",
+        "nic_rx_msgs",
+        "nic_rx_bytes",
+        "nic_rx_busy_ns",
+    ],
+];
+
 /// Which codec kernel a codec span ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CodecOp {
@@ -213,6 +230,11 @@ pub enum TraceEvent {
         dir: NicDir,
         /// Time spent queued behind earlier transfers.
         waited: SimDuration,
+        /// Payload bytes of the transfer (not exported).
+        bytes: u64,
+        /// Time the transfer held the NIC: serialization, plus the eager
+        /// bounce-buffer copy on the receive side (not exported).
+        busy: SimDuration,
     },
     /// A codec kernel started on a node's CPU.
     CodecStart {
@@ -253,6 +275,11 @@ pub enum TraceEvent {
         node: NodeId,
         /// Rebuilt shard bytes.
         bytes: u64,
+        /// Survivor bytes read to rebuild it (not exported).
+        read: u64,
+        /// The node that read the survivors: the repair client (not
+        /// exported).
+        reader: NodeId,
     },
     /// A RAM eviction victim spilled to a server's flash tier.
     SsdSpill {
@@ -517,7 +544,9 @@ impl TraceRecord {
                 f.kind = Some(dir.label());
                 f.bytes = Some(depth);
             }
-            TraceEvent::NicQueueExit { node, dir, waited } => {
+            TraceEvent::NicQueueExit {
+                node, dir, waited, ..
+            } => {
                 f.node = Some(node);
                 f.kind = Some(dir.label());
                 f.dur_ns = Some(waited.as_nanos());
@@ -538,7 +567,7 @@ impl TraceRecord {
                 f.node = Some(client);
                 f.kind = Some(op.label());
             }
-            TraceEvent::RepairShard { node, bytes }
+            TraceEvent::RepairShard { node, bytes, .. }
             | TraceEvent::SsdSpill { node, bytes }
             | TraceEvent::SsdRead { node, bytes } => {
                 f.node = Some(node);
@@ -814,14 +843,13 @@ impl TraceSink for CsvSink {
     }
 }
 
-/// The event hub: sequence numbering, sink fan-out, the windowed
-/// time-series aggregator, and the per-node counter registry.
+/// The event hub: sequence numbering, the per-node counter registry
+/// folded from the events, sink fan-out, and the optional span layer.
 #[derive(Default)]
 pub struct TraceBus {
     seq: u64,
     sinks: Vec<Rc<RefCell<dyn TraceSink>>>,
     counters: BTreeMap<(usize, &'static str), u64>,
-    series: Option<TimeSeries>,
     spans: Option<SpanCollector>,
 }
 
@@ -831,14 +859,13 @@ impl fmt::Debug for TraceBus {
             .field("seq", &self.seq)
             .field("sinks", &self.sinks.len())
             .field("counters", &self.counters.len())
-            .field("series", &self.series.is_some())
             .field("spans", &self.spans.is_some())
             .finish()
     }
 }
 
 impl TraceBus {
-    /// Creates a bus with no sinks, no aggregator, empty counters.
+    /// Creates a bus with no sinks and empty counters.
     pub fn new() -> Self {
         Self::default()
     }
@@ -846,20 +873,6 @@ impl TraceBus {
     /// Registers a sink; every subsequent event is forwarded to it.
     pub fn add_sink(&mut self, sink: Rc<RefCell<dyn TraceSink>>) {
         self.sinks.push(sink);
-    }
-
-    /// Enables the windowed time-series aggregator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn enable_series(&mut self, window: SimDuration) {
-        self.series = Some(TimeSeries::new(window));
-    }
-
-    /// The aggregator, if enabled.
-    pub fn series(&self) -> Option<&TimeSeries> {
-        self.series.as_ref()
     }
 
     /// Enables the causal span layer, retaining raw span trees for the
@@ -875,16 +888,9 @@ impl TraceBus {
         self.spans.as_ref()
     }
 
-    /// Mutable access to the span collector, if enabled.
-    pub fn spans_mut(&mut self) -> Option<&mut SpanCollector> {
-        self.spans.as_mut()
-    }
-
-    /// Emits one event: aggregates it, stamps it, and fans it out.
+    /// Emits one event: counts it, stamps it, and fans it out.
     pub fn emit(&mut self, at: SimTime, event: TraceEvent) {
-        if let Some(series) = &mut self.series {
-            series.observe(at, &event);
-        }
+        self.count(&event);
         let rec = TraceRecord {
             at,
             seq: self.seq,
@@ -901,16 +907,63 @@ impl TraceBus {
         self.seq
     }
 
-    /// Adds `v` to counter `name` of `node`, saturating at `u64::MAX`.
-    pub fn counter_add(&mut self, node: NodeId, name: &'static str, v: u64) {
-        let c = self.counters.entry((node.0, name)).or_insert(0);
-        *c = c.saturating_add(v);
+    /// Folds one event into the counter registry: the only place a
+    /// counter is updated, so the match below defines them all. Each
+    /// counter lives on the node the event names (`failure_detects` on
+    /// the discovering node, `repair_read_bytes` on the node that read
+    /// the survivors). Adds saturate at `u64::MAX`; an add of zero still
+    /// creates its key.
+    fn count(&mut self, event: &TraceEvent) {
+        match *event {
+            TraceEvent::FailureDetected { by, .. } => self.add(by, "failure_detects", 1),
+            TraceEvent::NicQueueEnter { node, dir, depth } => {
+                let [hwm, ..] = NIC_COUNTERS[dir as usize];
+                let c = self.counters.entry((node.0, hwm)).or_insert(0);
+                *c = (*c).max(depth);
+            }
+            TraceEvent::NicQueueExit {
+                node,
+                dir,
+                bytes,
+                busy,
+                ..
+            } => {
+                let [_, msgs, nic_bytes, busy_ns] = NIC_COUNTERS[dir as usize];
+                self.add(node, msgs, 1);
+                self.add(node, nic_bytes, bytes);
+                self.add(node, busy_ns, busy.as_nanos());
+            }
+            TraceEvent::CodecEnd { node, took, .. } => {
+                self.add(node, "codec_invocations", 1);
+                self.add(node, "codec_busy_ns", took.as_nanos());
+            }
+            TraceEvent::QueueCapped { node, repair, .. } => {
+                self.add(node, if repair { "shed_repair" } else { "shed_fg" }, 1);
+            }
+            TraceEvent::SsdSpill { node, bytes } => {
+                self.add(node, "ssd_spill_bytes", bytes);
+                self.add(node, "ssd_writes", 1);
+            }
+            TraceEvent::SsdRead { node, bytes } => {
+                self.add(node, "ssd_read_bytes", bytes);
+                self.add(node, "ssd_reads", 1);
+            }
+            TraceEvent::RepairShard {
+                node,
+                bytes,
+                read,
+                reader,
+            } => {
+                self.add(reader, "repair_read_bytes", read);
+                self.add(node, "repair_write_bytes", bytes);
+            }
+            _ => {}
+        }
     }
 
-    /// Raises counter `name` of `node` to at least `v` (high-water mark).
-    pub fn counter_max(&mut self, node: NodeId, name: &'static str, v: u64) {
+    fn add(&mut self, node: NodeId, name: &'static str, v: u64) {
         let c = self.counters.entry((node.0, name)).or_insert(0);
-        *c = (*c).max(v);
+        *c = c.saturating_add(v);
     }
 
     /// Reads one counter (zero if never touched).
@@ -955,22 +1008,8 @@ impl Trace {
         }
     }
 
-    /// Adds to a per-node counter (no-op when disabled; saturating).
-    pub fn counter_add(&self, node: NodeId, name: &'static str, v: u64) {
-        if let Some(bus) = &self.0 {
-            bus.borrow_mut().counter_add(node, name, v);
-        }
-    }
-
-    /// Raises a per-node high-water mark (no-op when disabled).
-    pub fn counter_max(&self, node: NodeId, name: &'static str, v: u64) {
-        if let Some(bus) = &self.0 {
-            bus.borrow_mut().counter_max(node, name, v);
-        }
-    }
-
     /// Runs `f` against the bus; returns `None` when disabled. Used by
-    /// reporting code to read counters and the aggregator after a run.
+    /// reporting code to read counters and spans after a run.
     pub fn with_bus<R>(&self, f: impl FnOnce(&TraceBus) -> R) -> Option<R> {
         self.0.as_ref().map(|bus| f(&bus.borrow()))
     }
@@ -1076,7 +1115,6 @@ mod tests {
         let t = Trace::disabled();
         assert!(!t.is_enabled());
         t.emit(SimTime::ZERO, rec(0, 0).event);
-        t.counter_add(NodeId(0), "x", 1);
         assert!(t.with_bus(|_| ()).is_none());
     }
 
@@ -1107,23 +1145,112 @@ mod tests {
     #[test]
     fn counters_saturate_instead_of_overflowing() {
         let mut bus = TraceBus::new();
-        bus.counter_add(NodeId(2), "bytes", u64::MAX - 1);
-        bus.counter_add(NodeId(2), "bytes", 5);
-        assert_eq!(bus.counter(NodeId(2), "bytes"), u64::MAX);
-        bus.counter_max(NodeId(2), "hwm", 7);
-        bus.counter_max(NodeId(2), "hwm", 3);
-        assert_eq!(bus.counter(NodeId(2), "hwm"), 7);
-        assert_eq!(bus.counter(NodeId(9), "bytes"), 0);
+        for bytes in [u64::MAX - 1, 5] {
+            bus.emit(
+                SimTime::ZERO,
+                TraceEvent::SsdSpill {
+                    node: NodeId(2),
+                    bytes,
+                },
+            );
+        }
+        assert_eq!(bus.counter(NodeId(2), "ssd_spill_bytes"), u64::MAX);
+        assert_eq!(bus.counter(NodeId(2), "ssd_writes"), 2);
+        for depth in [7, 3] {
+            bus.emit(
+                SimTime::ZERO,
+                TraceEvent::NicQueueEnter {
+                    node: NodeId(2),
+                    dir: NicDir::Rx,
+                    depth,
+                },
+            );
+        }
+        assert_eq!(bus.counter(NodeId(2), "nic_rx_queue_hwm"), 7);
+        assert_eq!(bus.counter(NodeId(9), "ssd_spill_bytes"), 0);
     }
 
     #[test]
     fn counter_registry_iterates_in_key_order() {
         let mut bus = TraceBus::new();
-        bus.counter_add(NodeId(3), "b", 1);
-        bus.counter_add(NodeId(0), "z", 1);
-        bus.counter_add(NodeId(3), "a", 1);
+        bus.emit(
+            SimTime::ZERO,
+            TraceEvent::SsdRead {
+                node: NodeId(3),
+                bytes: 1,
+            },
+        );
+        bus.emit(
+            SimTime::ZERO,
+            TraceEvent::FailureDetected {
+                node: NodeId(3),
+                by: NodeId(0),
+            },
+        );
         let keys: Vec<(usize, &str)> = bus.counters().map(|(n, name, _)| (n.0, name)).collect();
-        assert_eq!(keys, vec![(0, "z"), (3, "a"), (3, "b")]);
+        assert_eq!(
+            keys,
+            vec![
+                (0, "failure_detects"),
+                (3, "ssd_read_bytes"),
+                (3, "ssd_reads")
+            ]
+        );
+    }
+
+    #[test]
+    fn the_registry_is_the_fold_of_the_events() {
+        let mut bus = TraceBus::new();
+        bus.emit(
+            SimTime::ZERO,
+            TraceEvent::NicQueueExit {
+                node: NodeId(1),
+                dir: NicDir::Tx,
+                waited: SimDuration::from_nanos(5),
+                bytes: 4096,
+                busy: SimDuration::from_nanos(900),
+            },
+        );
+        bus.emit(
+            SimTime::ZERO,
+            TraceEvent::CodecEnd {
+                node: NodeId(1),
+                op: CodecOp::Decode,
+                took: SimDuration::from_micros(2),
+            },
+        );
+        bus.emit(
+            SimTime::ZERO,
+            TraceEvent::QueueCapped {
+                node: NodeId(1),
+                depth: 4,
+                repair: true,
+            },
+        );
+        bus.emit(
+            SimTime::ZERO,
+            TraceEvent::RepairShard {
+                node: NodeId(2),
+                bytes: 512,
+                read: 0,
+                reader: NodeId(6),
+            },
+        );
+        let got: Vec<(usize, &str, u64)> = bus.counters().map(|(n, c, v)| (n.0, c, v)).collect();
+        assert_eq!(
+            got,
+            vec![
+                (1, "codec_busy_ns", 2000),
+                (1, "codec_invocations", 1),
+                (1, "nic_tx_busy_ns", 900),
+                (1, "nic_tx_bytes", 4096),
+                (1, "nic_tx_msgs", 1),
+                (1, "shed_repair", 1),
+                (2, "repair_write_bytes", 512),
+                // An add of zero still creates its key.
+                (6, "repair_read_bytes", 0),
+            ]
+        );
     }
 
     #[test]

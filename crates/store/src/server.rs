@@ -96,9 +96,9 @@ impl KvServer {
     }
 
     /// Admission decision for a request arriving at `now`: `true` admits,
-    /// `false` sheds. Refusals emit a `queue_capped` trace event and bump
-    /// the per-node `shed_fg`/`shed_repair` counters; they reserve no
-    /// worker time, which is what makes a shed reply fast.
+    /// `false` sheds. Refusals emit a `queue_capped` trace event (which
+    /// the bus counts as `shed_fg`/`shed_repair`); they reserve no worker
+    /// time, which is what makes a shed reply fast.
     pub fn admit(&mut self, now: SimTime, prio: RpcPriority) -> bool {
         // Every server-bound request passes through here at its delivery
         // instant — a real simulation clock, unlike the future-dated issue
@@ -124,15 +124,13 @@ impl KvServer {
                     repair,
                 },
             );
-            self.trace
-                .counter_add(self.node, if repair { "shed_repair" } else { "shed_fg" }, 1);
         }
         admitted
     }
 
-    /// Attaches a TraceBus handle: the flash tier (if any) emits
-    /// spill/read events, and the worker pool's queue-depth high-water mark
-    /// is tracked in the per-node counter registry.
+    /// Attaches a TraceBus handle: admission refusals emit events, the
+    /// flash tier (if any) emits spill/read events, and worker
+    /// reservations record spans.
     pub fn set_trace(&mut self, trace: Trace) {
         if let Some(ssd) = &mut self.ssd {
             ssd.set_trace(self.node, trace.clone());
@@ -140,17 +138,9 @@ impl KvServer {
         self.trace = trace;
     }
 
-    /// Publishes worker-pool counters to the registry after a reservation.
-    fn note_cpu(&self) {
-        if self.trace.is_enabled() {
-            self.trace
-                .counter_max(self.node, "cpu_queue_hwm", self.cpu.queue_hwm());
-        }
-    }
-
     /// Records the queue-wait / service split of one worker reservation on
     /// the ambient op's span tree.
-    fn note_cpu_spans(&self, now: SimTime, start: SimTime, done: SimTime) {
+    fn record_cpu_spans(&self, now: SimTime, start: SimTime, done: SimTime) {
         if self.trace.spans_enabled() {
             self.trace
                 .span_record(SpanPhase::SrvCpuQueue, self.node, now, start);
@@ -183,8 +173,7 @@ impl KvServer {
         self.cpu.prune(now);
         let (svc_start, done) = self.cpu.reserve_timed(now, service);
         let outcome = self.store_set(done, key, payload);
-        self.note_cpu();
-        self.note_cpu_spans(now, svc_start, done);
+        self.record_cpu_spans(now, svc_start, done);
         (done, outcome)
     }
 
@@ -219,8 +208,7 @@ impl KvServer {
         self.cpu.prune(now);
         let (svc_start, cpu_done) = self.cpu.reserve_timed(now, service);
         let done = cpu_done.max(flash_done);
-        self.note_cpu();
-        self.note_cpu_spans(now, svc_start, cpu_done);
+        self.record_cpu_spans(now, svc_start, cpu_done);
         if flash_done > now && self.trace.spans_enabled() {
             // The flash read overlaps CPU service; the critical-path walk
             // picks whichever ends later.
@@ -248,8 +236,7 @@ impl KvServer {
     /// storage — used by server-side ARPE work (encode/decode offload).
     pub fn reserve_cpu(&mut self, now: SimTime, service: SimDuration) -> SimTime {
         let (svc_start, done) = self.cpu.reserve_timed(now, service);
-        self.note_cpu();
-        self.note_cpu_spans(now, svc_start, done);
+        self.record_cpu_spans(now, svc_start, done);
         done
     }
 

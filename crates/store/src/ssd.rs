@@ -90,17 +90,13 @@ impl SsdTier {
         let done = self.device.reserve(now, service);
         self.store.set(key, payload);
         self.writes += 1;
-        if self.trace.is_enabled() {
-            self.trace.emit(
-                now,
-                TraceEvent::SsdSpill {
-                    node: self.node,
-                    bytes,
-                },
-            );
-            self.trace.counter_add(self.node, "ssd_spill_bytes", bytes);
-            self.trace.counter_add(self.node, "ssd_writes", 1);
-        }
+        self.trace.emit(
+            now,
+            TraceEvent::SsdSpill {
+                node: self.node,
+                bytes,
+            },
+        );
         done
     }
 
@@ -114,17 +110,13 @@ impl SsdTier {
                 self.device.prune(now);
                 let done = self.device.reserve(now, service);
                 self.reads += 1;
-                if self.trace.is_enabled() {
-                    self.trace.emit(
-                        now,
-                        TraceEvent::SsdRead {
-                            node: self.node,
-                            bytes,
-                        },
-                    );
-                    self.trace.counter_add(self.node, "ssd_read_bytes", bytes);
-                    self.trace.counter_add(self.node, "ssd_reads", 1);
-                }
+                self.trace.emit(
+                    now,
+                    TraceEvent::SsdRead {
+                        node: self.node,
+                        bytes,
+                    },
+                );
                 (done, Some(p))
             }
             None => (now, None),

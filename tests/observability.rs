@@ -7,15 +7,17 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use eckv::prelude::*;
-use eckv::simnet::{JsonlSink, OpClass, Trace, TraceBus, TraceEvent, TraceRecord};
+use eckv::simnet::{JsonlSink, OpClass, TimeSeries, Trace, TraceBus, TraceEvent, TraceRecord};
 
 /// Runs the canonical Era-CE-CD write/kill/read workload with a JSONL sink
-/// attached and returns (trace text, events emitted, series CSV).
+/// and a time-series sink attached and returns (trace text, events
+/// emitted, series CSV).
 fn traced_run(ops: usize) -> (String, u64, String) {
     let sink = Rc::new(RefCell::new(JsonlSink::new()));
+    let series = Rc::new(RefCell::new(TimeSeries::new(SimDuration::from_millis(10))));
     let mut bus = TraceBus::new();
     bus.add_sink(sink.clone());
-    bus.enable_series(SimDuration::from_millis(10));
+    bus.add_sink(series.clone());
     let trace = Trace::from_bus(bus);
 
     let world = World::new_traced(
@@ -40,9 +42,7 @@ fn traced_run(ops: usize) -> (String, u64, String) {
     let emitted = trace
         .with_bus(|bus| bus.events_emitted())
         .expect("trace is enabled");
-    let series = trace
-        .with_bus(|bus| bus.series().expect("series enabled").to_csv())
-        .expect("trace is enabled");
+    let series = series.borrow().to_csv();
     (text, emitted, series)
 }
 
