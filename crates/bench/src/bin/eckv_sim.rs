@@ -102,8 +102,10 @@
 //! * `--stats-interval 10ms` — windowed time series (throughput, p50/p99,
 //!   wire bytes, codec busy) printed after the run.
 //! * `--report` — per-node counter registry (NIC busy/queue high-water,
-//!   codec invocations, repair traffic, SSD spills) and each server's
-//!   worker-queue high-water mark, printed after the run.
+//!   codec invocations, repair traffic, SSD spills), each server's
+//!   worker-queue high-water mark and the engine's DES events and peak
+//!   pending events, printed after the run. Wall time and events per
+//!   wall-second go to stderr, so two runs' reports still diff clean.
 //!   When degraded reads occurred, the GET latency and phase breakdown are
 //!   additionally split into healthy and degraded cohorts.
 //! * `--explain-tail` — record causal spans for every op, compute each
@@ -125,6 +127,7 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::time::Instant;
 
 use eckv_core::{
     driver, ops::Op, repair, AdmissionConfig, EngineConfig, HedgeConfig, RepairConfig, Scheme,
@@ -688,6 +691,7 @@ fn main() {
     }
     let world = World::new_traced(engine, trace.clone());
     let mut sim = Simulation::new();
+    let started = Instant::now();
     for &(srv, factor) in &args.straggler {
         if srv >= args.servers {
             eprintln!("error: --straggler server {srv} out of range");
@@ -859,6 +863,15 @@ fn main() {
                 server.queue_hwm()
             );
         }
+        println!("\n== engine ==");
+        println!("DES events        : {}", sim.events_executed());
+        println!("peak pending      : {} events", sim.peak_pending());
+        let wall = started.elapsed().as_secs_f64();
+        eprintln!("wall time         : {wall:.3} s");
+        eprintln!(
+            "events per wall-s : {:.0}",
+            sim.events_executed() as f64 / wall
+        );
     }
     if args.explain_tail {
         if let Some(Some(text)) = trace.with_bus(|bus| bus.spans().map(|s| s.explain_tail())) {

@@ -82,7 +82,11 @@ impl Striper {
     /// Computes the `m` parity shards of `k` equal-length data shards.
     pub fn encode_parity(&self, data: &[&[u8]]) -> Vec<Vec<u8>> {
         let shard_len = data.first().map_or(0, |d| d.len());
-        let mut parity = vec![vec![0u8; shard_len]; self.codec.parity_shards()];
+        // One zeroed allocation per shard: `vec![vec![..]; m]` would clone
+        // (allocate and copy) the first buffer for every further shard.
+        let mut parity: Vec<Vec<u8>> = (0..self.codec.parity_shards())
+            .map(|_| vec![0u8; shard_len])
+            .collect();
         let mut prefs: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
         self.codec
             .encode(data, &mut prefs)
