@@ -465,6 +465,19 @@ fn scheme_of(a: &Args) -> Result<Scheme, String> {
     })
 }
 
+/// The process's peak resident set (`VmHWM`), as `/proc/self/status`
+/// spells it, or `n/a` where that file is missing.
+fn peak_rss() -> String {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            status
+                .lines()
+                .find_map(|line| Some(line.strip_prefix("VmHWM:")?.trim().to_owned()))
+        })
+        .unwrap_or_else(|| "n/a".to_owned())
+}
+
 fn print_report(world: &Rc<World>) {
     let m = world.metrics.borrow();
     println!("\n== results ==");
@@ -866,8 +879,13 @@ fn main() {
         println!("\n== engine ==");
         println!("DES events        : {}", sim.events_executed());
         println!("peak pending      : {} events", sim.peak_pending());
+        println!(
+            "peak in flight    : {} messages",
+            world.cluster.net.borrow().peak_in_flight()
+        );
         let wall = started.elapsed().as_secs_f64();
         eprintln!("wall time         : {wall:.3} s");
+        eprintln!("peak RSS          : {}", peak_rss());
         eprintln!(
             "events per wall-s : {:.0}",
             sim.events_executed() as f64 / wall

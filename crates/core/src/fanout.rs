@@ -70,8 +70,19 @@ impl ShardReply {
     }
 }
 
-/// Callback a [`ShardIo`] closure invokes when its request completes.
-pub(crate) type ReplyCb = Box<dyn FnOnce(&mut Simulation, ShardReply)>;
+/// What a [`ShardIo`] closure calls, once, when its request completes:
+/// the reply for one slot of one fan-out.
+pub(crate) struct ReplyCb {
+    state: Rc<RefCell<Inner>>,
+    slot: usize,
+}
+
+impl ReplyCb {
+    /// Books `reply` with the fan-out.
+    pub fn call(self, sim: &mut Simulation, reply: ShardReply) {
+        on_reply(&self.state, sim, self.slot, reply);
+    }
+}
 
 /// One request the fan-out asks its [`ShardIo`] to issue.
 pub(crate) struct Issue {
@@ -93,7 +104,7 @@ pub(crate) struct Issue {
 /// for `reply` to fire exactly once (or never, if the request is
 /// cancelled). Returns the instant the request hit the wire, which seeds
 /// the hedge clock for the first request of the first wave.
-pub(crate) type ShardIo = Box<dyn Fn(&mut Simulation, Issue, ReplyCb) -> SimTime>;
+pub(crate) type ShardIo = Rc<dyn Fn(&mut Simulation, Issue, ReplyCb) -> SimTime>;
 
 /// How large the opening wave is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -230,9 +241,9 @@ struct Inner {
     policy: QuorumPolicy,
     liveness: Liveness,
     hedge_node: NodeId,
-    /// Behind `Rc` so a wave can invoke it with the state borrow released
-    /// (an io may answer synchronously, e.g. a local store lookup).
-    io: Rc<ShardIo>,
+    /// Shared so a wave can invoke it with the state borrow released (an
+    /// io may answer synchronously, e.g. a local store lookup).
+    io: ShardIo,
     good: Vec<(usize, Payload)>,
     succeeded: usize,
     outstanding: usize,
@@ -310,7 +321,7 @@ impl FanOut {
             policy: spec.policy,
             liveness: spec.liveness,
             hedge_node: spec.hedge_node,
-            io: Rc::new(io),
+            io,
             good: Vec::new(),
             succeeded: 0,
             outstanding: 0,
@@ -371,8 +382,10 @@ fn issue_wave(
             let (slot, srv) = st.candidates[cand];
             (slot, srv, st.cancel.clone())
         };
-        let state2 = state.clone();
-        let reply: ReplyCb = Box::new(move |sim, r| on_reply(&state2, sim, slot, r));
+        let reply = ReplyCb {
+            state: state.clone(),
+            slot,
+        };
         let issue = Issue {
             slot,
             srv,
@@ -636,12 +649,12 @@ pub(crate) fn chunk_io(
     let world = world.clone();
     let node = origin.node(&world);
     let post = world.cluster.net_config().post_overhead;
-    Box::new(move |sim, issue, reply| {
+    Rc::new(move |sim: &mut Simulation, issue: Issue, reply: ReplyCb| {
         let srv = issue.srv;
         let request = pick(issue.slot);
         if origin == Origin::Server(srv) {
             let local = serve_local(&world, srv, issue.from, request);
-            reply(sim, shard_reply(&world, view, node, srv, prio, Ok(local)));
+            reply.call(sim, shard_reply(&world, view, node, srv, prio, Ok(local)));
             return issue.from;
         }
         let start = match origin {
@@ -675,7 +688,7 @@ pub(crate) fn chunk_io(
                 prio,
                 move |sim, r| {
                     let r = r.map(|a| (a.at, a.outcome.is_stored(), None));
-                    reply(sim, shard_reply(&world2, view, node, srv, prio, r));
+                    reply.call(sim, shard_reply(&world2, view, node, srv, prio, r));
                 },
             ),
             Request::Get(key) => rpc::get_with_cancel(
@@ -689,7 +702,7 @@ pub(crate) fn chunk_io(
                 prio,
                 move |sim, r| {
                     let r = r.map(|g| (g.at, g.value.is_some(), g.value));
-                    reply(sim, shard_reply(&world2, view, node, srv, prio, r));
+                    reply.call(sim, shard_reply(&world2, view, node, srv, prio, r));
                 },
             ),
         }

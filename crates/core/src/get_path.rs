@@ -40,7 +40,7 @@ pub(crate) fn start_get(
     key: Arc<str>,
     done: DoneCb,
 ) {
-    if world.try_targets(&key).is_err() {
+    let Ok(targets) = world.try_targets(&key) else {
         // The membership dropped below the scheme's group width (an
         // over-eager drain): no valid placement exists to read from, so
         // the operation fails cleanly instead of panicking.
@@ -48,10 +48,10 @@ pub(crate) fn start_get(
         let outcome = OpOutcome::failed(OpKind::Get, op_start, SimDuration::ZERO, false);
         finish_op(world, sim, op_start, outcome, done);
         return;
-    }
+    };
     match world.scheme {
         Scheme::NoRep | Scheme::AsyncRep { .. } | Scheme::SyncRep { .. } => {
-            get_replicated(world, sim, client, key, done)
+            get_replicated(world, sim, client, key, targets, done)
         }
         Scheme::Erasure { decode_at, .. } => {
             let op_start = sim.now();
@@ -60,13 +60,16 @@ pub(crate) fn start_get(
                 sim,
                 client,
                 key,
+                targets,
                 decode_at,
                 op_start,
                 SimDuration::ZERO,
                 done,
             )
         }
-        Scheme::Hybrid { replicas, .. } => get_hybrid(world, sim, client, key, replicas, done),
+        Scheme::Hybrid { replicas, .. } => {
+            get_hybrid(world, sim, client, key, targets, replicas, done)
+        }
     }
 }
 
@@ -79,21 +82,26 @@ fn get_hybrid(
     sim: &mut Simulation,
     client: usize,
     key: Arc<str>,
+    targets: Vec<usize>,
     replicas: usize,
     done: DoneCb,
 ) {
     let op_start = sim.now();
     let post = world.cluster.net_config().post_overhead;
     let client_node = world.cluster.client_node(client);
-    let rep_targets: Vec<usize> = world.targets(&key).into_iter().take(replicas).collect();
 
-    let Some(&srv) = rep_targets.iter().find(|&&s| world.view_alive(client, s)) else {
+    let Some(&srv) = targets
+        .iter()
+        .take(replicas)
+        .find(|&&s| world.view_alive(client, s))
+    else {
         // No replica holder is reachable; the chunk path may still work.
         get_erasure(
             world,
             sim,
             client,
             key,
+            targets,
             Side::Client,
             op_start,
             LIVENESS_CHECK,
@@ -137,15 +145,17 @@ fn get_hybrid(
             }
             // A clean miss means the value was erasure-coded: fall through
             // to the chunk path, keeping the probe's cost in the request
-            // phase.
+            // phase. A round trip later, the placement is resolved anew.
             Ok(r) => {
                 debug_assert!(r.value.is_none());
                 let request = LIVENESS_CHECK + post;
+                let targets = world2.targets(&key);
                 get_erasure(
                     &world2,
                     sim,
                     client,
                     key,
+                    targets,
                     Side::Client,
                     op_start,
                     request,
@@ -190,10 +200,10 @@ fn get_replicated(
     sim: &mut Simulation,
     client: usize,
     key: Arc<str>,
+    targets: Vec<usize>,
     done: DoneCb,
 ) {
     let op_start = sim.now();
-    let targets = world.targets(&key);
     let post = world.cluster.net_config().post_overhead;
 
     if !targets.iter().any(|&s| world.view_alive(client, s)) {
@@ -333,13 +343,13 @@ fn get_erasure(
     sim: &mut Simulation,
     client: usize,
     key: Arc<str>,
+    mut targets: Vec<usize>,
     site: Side,
     op_start: SimTime,
     request_base: SimDuration,
     done: DoneCb,
 ) {
     let (k, m, ..) = world.scheme.erasure_params().expect("erasure scheme");
-    let mut targets = world.targets(&key);
     targets.truncate(k + m);
     let post = world.cluster.net_config().post_overhead;
     let now = sim.now();

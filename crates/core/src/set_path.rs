@@ -84,22 +84,23 @@ pub(crate) fn start_set(
     payload: Payload,
     done: DoneCb,
 ) {
-    if world.try_targets(&key).is_err() {
+    let Ok(mut targets) = world.try_targets(&key) else {
         // The membership dropped below the scheme's group width (an
         // over-eager drain): there is no valid placement to write to, so
         // the operation fails cleanly instead of panicking.
         let value_len = payload.len();
         fail_unwritable(world, sim, value_len, done);
         return;
-    }
+    };
     match world.scheme {
         Scheme::NoRep | Scheme::AsyncRep { .. } => {
-            let targets = world.targets(&key);
             set_parallel_replicated(world, sim, client, key, payload, targets, done)
         }
-        Scheme::SyncRep { .. } => set_sync_replicated(world, sim, client, key, payload, done),
+        Scheme::SyncRep { .. } => {
+            set_sync_replicated(world, sim, client, key, payload, targets, done)
+        }
         Scheme::Erasure { encode_at, .. } => {
-            set_erasure(world, sim, client, key, payload, encode_at, done)
+            set_erasure(world, sim, client, key, payload, targets, encode_at, done)
         }
         Scheme::Hybrid {
             threshold,
@@ -109,11 +110,19 @@ pub(crate) fn start_set(
             // Small values replicate (chunking overheads dominate there);
             // large values take the Era-CE-CD path.
             if payload.len() <= threshold {
-                let mut targets = world.targets(&key);
                 targets.truncate(replicas);
                 set_parallel_replicated(world, sim, client, key, payload, targets, done)
             } else {
-                set_erasure(world, sim, client, key, payload, Side::Client, done)
+                set_erasure(
+                    world,
+                    sim,
+                    client,
+                    key,
+                    payload,
+                    targets,
+                    Side::Client,
+                    done,
+                )
             }
         }
     }
@@ -199,10 +208,10 @@ fn set_sync_replicated(
     client: usize,
     key: Arc<str>,
     payload: Payload,
+    targets: Vec<usize>,
     done: DoneCb,
 ) {
-    let targets: Vec<usize> = world
-        .targets(&key)
+    let targets: Vec<usize> = targets
         .into_iter()
         .filter(|&s| world.view_alive(client, s))
         .collect();
@@ -316,12 +325,14 @@ fn sync_step(
 /// chunk posts to replica slots also retire the plain key, so a value
 /// that outgrew replication leaves no stale copy for the read probe to
 /// find.
+#[allow(clippy::too_many_arguments)]
 fn set_erasure(
     world: &Rc<World>,
     sim: &mut Simulation,
     client: usize,
     key: Arc<str>,
     payload: Payload,
+    mut targets: Vec<usize>,
     site: Side,
     done: DoneCb,
 ) {
@@ -329,7 +340,6 @@ fn set_erasure(
     let value_len = payload.len();
     let digest = payload.digest();
     let (k, m, ..) = world.scheme.erasure_params().expect("erasure or hybrid");
-    let mut targets = world.targets(&key);
     targets.truncate(k + m);
     let mut live: Vec<(usize, usize)> = targets
         .into_iter()

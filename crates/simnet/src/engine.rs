@@ -2,10 +2,25 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::rc::Rc;
 
 use crate::time::{SimDuration, SimTime};
 
-type Action = Box<dyn FnOnce(&mut Simulation)>;
+/// A shared event target: [`Simulation::schedule_token_at`] schedules it
+/// with a `u32` token instead of a fresh closure, so a component that runs
+/// many events of a few kinds (the transport's hops) keeps their state in
+/// its own storage and allocates nothing per event.
+pub trait Handler {
+    /// Runs the event `token` names, at its instant.
+    fn fire(self: Rc<Self>, sim: &mut Simulation, token: u32);
+}
+
+/// What a pending event runs. The token is a `u32` so that a slot stays
+/// at 40 bytes.
+enum Action {
+    Once(Box<dyn FnOnce(&mut Simulation)>),
+    Token(Rc<dyn Handler>, u32),
+}
 
 /// An event's place in the total order: `at` (ns) in the high 64 bits, the
 /// insertion sequence number in the low 64, so ties break FIFO.
@@ -254,11 +269,11 @@ impl Calendar {
 
 /// A deterministic discrete-event simulation.
 ///
-/// Events are closures scheduled at virtual instants; [`Simulation::run`]
-/// executes them in timestamp order (insertion order on ties) while
-/// advancing the clock. Closures receive `&mut Simulation` so they can
-/// schedule follow-up events; shared world state lives in
-/// `Rc<RefCell<...>>` captured by the closures.
+/// Events are closures, or tokens for a shared [`Handler`], scheduled at
+/// virtual instants; [`Simulation::run`] executes them in timestamp order
+/// (insertion order on ties) while advancing the clock. Events receive
+/// `&mut Simulation` so they can schedule follow-up events; shared world
+/// state lives in `Rc<RefCell<...>>` captured by the closures.
 ///
 /// # Example
 ///
@@ -342,6 +357,21 @@ impl Simulation {
     where
         F: FnOnce(&mut Simulation) + 'static,
     {
+        self.push(at, Action::Once(Box::new(action)));
+    }
+
+    /// Schedules `handler.fire(sim, token)` at absolute time `at`. It takes
+    /// its place in the `(at, seq)` order exactly as
+    /// [`Simulation::schedule_at`] would, but allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past (before [`Simulation::now`]).
+    pub fn schedule_token_at(&mut self, at: SimTime, handler: Rc<dyn Handler>, token: u32) {
+        self.push(at, Action::Token(handler, token));
+    }
+
+    fn push(&mut self, at: SimTime, action: Action) {
         assert!(
             at >= self.now,
             "cannot schedule into the past: {at} < {}",
@@ -349,7 +379,7 @@ impl Simulation {
         );
         let key = u128::from(at.as_nanos()) << 64 | u128::from(self.next_seq);
         self.next_seq += 1;
-        self.queue.push(key, Box::new(action));
+        self.queue.push(key, action);
         self.peak_pending = self.peak_pending.max(self.queue.len);
     }
 
@@ -389,7 +419,10 @@ impl Simulation {
                 debug_assert!(at >= self.now, "clock must be monotonic");
                 self.now = at;
                 self.executed += 1;
-                action(self);
+                match action {
+                    Action::Once(action) => action(self),
+                    Action::Token(handler, token) => handler.fire(self, token),
+                }
                 true
             }
             None => false,
@@ -504,11 +537,46 @@ mod tests {
         assert_eq!(sim.peak_pending(), BURST);
     }
 
+    /// Logs every token it fires with, and the instant.
+    struct TokenLog(RefCell<Vec<(u64, u32)>>);
+
+    impl Handler for TokenLog {
+        fn fire(self: Rc<Self>, sim: &mut Simulation, token: u32) {
+            self.0.borrow_mut().push((sim.now().as_nanos(), token));
+        }
+    }
+
+    #[test]
+    fn a_token_burst_at_one_instant_pops_in_seq_order() {
+        const BURST: u32 = 200_000;
+        let mut sim = Simulation::new();
+        let log = Rc::new(TokenLog(RefCell::new(Vec::new())));
+        let handler = log.clone();
+        sim.schedule_in(SimDuration::from_micros(3), move |sim| {
+            for token in 0..BURST {
+                sim.schedule_token_at(sim.now(), handler.clone(), token);
+            }
+        });
+        sim.run();
+        let log = log.0.borrow();
+        assert!(log.iter().map(|&(_, token)| token).eq(0..BURST));
+        assert!(log.iter().all(|&(at, _)| at == 3_000));
+        assert_eq!(sim.events_executed(), u64::from(BURST) + 1);
+        assert_eq!(sim.peak_pending(), BURST as usize);
+    }
+
+    #[test]
+    fn a_slot_is_40_bytes() {
+        assert_eq!(std::mem::size_of::<Slot>(), 40);
+    }
+
     /// A generated event: it fires `delay` after it is scheduled and then
-    /// schedules each of its `children`.
+    /// schedules each of its `children`. A `token` node is a token event of
+    /// the [`Forest`] handler, the others are closures.
     #[derive(Debug, Clone)]
     struct Node {
         delay: u64,
+        token: bool,
         children: Vec<usize>,
     }
 
@@ -577,16 +645,36 @@ mod tests {
         }
     }
 
-    type Log = Rc<RefCell<Vec<(u64, usize)>>>;
+    /// The generated nodes and the `(instant, node)` log of the events
+    /// fired so far; fires the token nodes as their handler.
+    struct Forest {
+        nodes: Vec<Node>,
+        log: RefCell<Vec<(u64, usize)>>,
+    }
 
-    fn spawn(sim: &mut Simulation, nodes: &Rc<Vec<Node>>, log: &Log, node: usize) {
-        let (nodes, log) = (nodes.clone(), log.clone());
-        sim.schedule_in(SimDuration::from_nanos(nodes[node].delay), move |sim| {
-            log.borrow_mut().push((sim.now().as_nanos(), node));
-            for &child in &nodes[node].children {
-                spawn(sim, &nodes, &log, child);
+    impl Forest {
+        fn fired(self: &Rc<Self>, sim: &mut Simulation, node: usize) {
+            self.log.borrow_mut().push((sim.now().as_nanos(), node));
+            for &child in &self.nodes[node].children {
+                spawn(sim, self, child);
             }
-        });
+        }
+    }
+
+    impl Handler for Forest {
+        fn fire(self: Rc<Self>, sim: &mut Simulation, token: u32) {
+            self.fired(sim, token as usize);
+        }
+    }
+
+    fn spawn(sim: &mut Simulation, forest: &Rc<Forest>, node: usize) {
+        let at = sim.now() + SimDuration::from_nanos(forest.nodes[node].delay);
+        if forest.nodes[node].token {
+            sim.schedule_token_at(at, forest.clone(), node as u32);
+        } else {
+            let forest = forest.clone();
+            sim.schedule_at(at, move |sim| forest.fired(sim, node));
+        }
     }
 
     #[test]
@@ -597,9 +685,13 @@ mod tests {
             |rng| {
                 // A forest: each node is a child of at most one earlier node.
                 let grid = rng.index(2) == 0;
+                // A random share of the events are tokens, mixed with
+                // closures at the same instants and past the horizon.
+                let tokens = rng.index(3);
                 let mut nodes: Vec<Node> = (0..NODES)
                     .map(|_| Node {
                         delay: delay(rng, grid),
+                        token: rng.index(2) < tokens,
                         children: Vec::new(),
                     })
                     .collect();
@@ -621,14 +713,17 @@ mod tests {
                 (nodes, cmds)
             },
             |(nodes, cmds)| {
-                let shared = Rc::new(nodes.clone());
-                let log: Log = Rc::default();
+                let forest = Rc::new(Forest {
+                    nodes: nodes.clone(),
+                    log: RefCell::default(),
+                });
+                let log = &forest.log;
                 let mut sim = Simulation::new();
                 let mut oracle = Oracle::default();
                 for cmd in cmds {
                     match *cmd {
                         Cmd::Schedule(node) => {
-                            spawn(&mut sim, &shared, &log, node);
+                            spawn(&mut sim, &forest, node);
                             oracle.schedule(nodes, node);
                         }
                         Cmd::Step(n) => {

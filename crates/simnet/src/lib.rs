@@ -45,7 +45,7 @@ mod tracebus;
 
 pub use cluster::{ClusterProfile, CpuProfile, TransportKind};
 pub use compute::{trace_codec, ComputeModel};
-pub use engine::Simulation;
+pub use engine::{Handler, Simulation};
 pub use net::{Delivery, NetConfig, Network, NodeId, WireProtocol};
 pub use resource::{FifoResource, QueueCap, WorkerPool};
 pub use rng::SimRng;

@@ -20,7 +20,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use crate::engine::Simulation;
+use crate::engine::{Handler, Simulation};
 use crate::resource::FifoResource;
 use crate::rng::SimRng;
 use crate::span::SpanPhase;
@@ -170,18 +170,50 @@ fn draw_jitter(st: &mut Option<Straggler>) -> SimDuration {
     }
 }
 
+type OnComplete = Box<dyn FnOnce(&mut Simulation, Delivery)>;
+
+/// A message in flight: its route and what its later hops need.
+struct Msg {
+    from: NodeId,
+    to: NodeId,
+    bytes: usize,
+    /// The op scope of the sender, re-established around `on_complete`.
+    span_op: Option<u64>,
+    traced: bool,
+    /// The receiver NIC's service time, set when the send starts.
+    rx_cost: SimDuration,
+    /// `None` once the message completed and its slot is free.
+    on_complete: Option<OnComplete>,
+}
+
 /// The cluster-wide transport: one tx/rx NIC pair per node.
 ///
 /// Shared via `Rc<RefCell<...>>`; sends are initiated with
 /// [`Network::send`], which schedules resource usage at the requested start
 /// time and invokes the callback at delivery.
-#[derive(Debug)]
 pub struct Network {
     cfg: NetConfig,
     nodes: Vec<NodeState>,
     messages_sent: u64,
     bytes_sent: u64,
     trace: Trace,
+    /// The in-flight slab: one slot per message until it completes.
+    msgs: Vec<Msg>,
+    /// Free slots of `msgs`, reused last-freed first.
+    free: Vec<u32>,
+}
+
+impl std::fmt::Debug for Network {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Network")
+            .field("cfg", &self.cfg)
+            .field("nodes", &self.nodes)
+            .field("messages_sent", &self.messages_sent)
+            .field("bytes_sent", &self.bytes_sent)
+            .field("trace", &self.trace)
+            .field("in_flight", &self.in_flight())
+            .finish()
+    }
 }
 
 impl Network {
@@ -201,6 +233,8 @@ impl Network {
             messages_sent: 0,
             bytes_sent: 0,
             trace: Trace::disabled(),
+            msgs: Vec::new(),
+            free: Vec::new(),
         }))
     }
 
@@ -340,6 +374,14 @@ impl Network {
     /// callback fires after [`NetConfig::failure_detect`] with
     /// [`Delivery::TargetDead`].
     ///
+    /// The message takes one slot of the network's in-flight slab, which
+    /// holds the boxed `on_complete`, and its hops are token events of the
+    /// network itself (see [`Handler`]): one allocation per message. A
+    /// continuation that holds the network keeps it alive while the message
+    /// is in flight, so messages still in flight when their
+    /// [`Simulation`] is dropped, unrun, leak the network with them; a run
+    /// that drains its queue leaves none.
+    ///
     /// # Panics
     ///
     /// Panics if `start` is in the past or either node id is out of range.
@@ -354,179 +396,275 @@ impl Network {
     ) where
         F: FnOnce(&mut Simulation, Delivery) + 'static,
     {
-        // Causal span propagation: the op scope is ambient only while the
-        // caller runs, so capture it here and re-establish it around the
-        // completion callback. Resolves to `None` in a single cheap branch
-        // when tracing or spans are off.
-        let span_op = net.borrow().trace.span_scope();
-        let net = net.clone();
-        sim.schedule_at(start, move |sim| {
-            let now = sim.now();
+        let idx = {
             let mut n = net.borrow_mut();
-            assert!(
-                from.0 < n.nodes.len() && to.0 < n.nodes.len(),
-                "bad node id"
-            );
-            n.messages_sent += 1;
-            n.bytes_sent += bytes as u64;
-            if !n.nodes[to.0].alive {
-                let at = now + n.cfg.failure_detect;
-                n.trace
-                    .emit(at, TraceEvent::FailureDetected { node: to, by: from });
-                if let Some(op) = span_op {
-                    n.trace
-                        .span_record_for(op, SpanPhase::FailDetect, from, now, at);
-                }
-                let trace = n.trace.clone();
-                drop(n);
-                sim.schedule_at(at, move |sim| {
-                    let prev = trace.set_span_scope(span_op);
-                    on_complete(sim, Delivery::TargetDead(at));
-                    trace.set_span_scope(prev);
-                });
-                return;
-            }
-            let traced = n.trace.is_enabled();
-            if traced {
-                n.trace.emit(
-                    now,
-                    TraceEvent::ShardSend {
-                        from,
-                        to,
-                        bytes: bytes as u64,
-                    },
-                );
-            }
-            let wire = n.cfg.wire_time(bytes);
-            let overhead = n.cfg.protocol_overhead(bytes);
-            let latency = n.cfg.latency;
-            // Straggler injection: each endpoint's share of the transfer is
-            // scaled by that node's slowdown factor, and degraded endpoints
-            // add a seeded jitter to propagation. Healthy transfers take
-            // the `factor == 1.0` fast path and draw no random numbers.
-            let from_slow = n.slow_factor(from);
-            let to_slow = n.slow_factor(to);
-            let jitter = {
-                let mut j = draw_jitter(&mut n.nodes[from.0].straggler);
-                if to != from {
-                    j += draw_jitter(&mut n.nodes[to.0].straggler);
-                }
-                j
+            // Causal span propagation: the op scope is ambient only while
+            // the caller runs, so capture it here and re-establish it
+            // around the completion callback. Resolves to `None` in a
+            // single cheap branch when tracing or spans are off.
+            let span_op = n.trace.span_scope();
+            let msg = Msg {
+                from,
+                to,
+                bytes,
+                span_op,
+                traced: false,
+                rx_cost: SimDuration::ZERO,
+                on_complete: Some(Box::new(on_complete)),
             };
-            let tx_wire = scale_duration(wire, from_slow);
-            let rx_wire = scale_duration(wire, to_slow);
-            // Rendezvous pays its RTS/CTS handshake and registration
-            // *before* the bulk transfer starts (sender side); eager pays a
-            // receive-side bounce-buffer copy, which the receiver's polling
-            // loop performs in arrival order (so it serializes on the rx
-            // side).
-            let (tx_start, rx_extra) = match n.cfg.protocol_for(bytes) {
-                WireProtocol::Rendezvous => {
-                    (now + scale_duration(overhead, from_slow), SimDuration::ZERO)
+            match n.free.pop() {
+                Some(idx) => {
+                    n.msgs[idx as usize] = msg;
+                    idx
                 }
-                WireProtocol::Eager => (now, scale_duration(overhead, to_slow)),
-            };
-            // Sender serializes the payload onto the wire... The backlog
-            // ledger is compacted at the same instant the queue-enter event
-            // is stamped with, so the emitted depth sees exactly the
-            // still-outstanding transmissions.
-            n.nodes[from.0].tx.prune(tx_start);
-            let tx_free = n.nodes[from.0].tx.free_at();
-            let tx_done = n.nodes[from.0].tx.reserve(tx_start, tx_wire);
-            if traced {
-                let depth = n.nodes[from.0].tx.queue_depth(tx_start);
-                let waited = tx_free.max(tx_start).since(tx_start);
-                n.trace.emit(
-                    tx_start,
-                    TraceEvent::NicQueueEnter {
-                        node: from,
-                        dir: NicDir::Tx,
-                        depth,
-                    },
-                );
-                n.trace.emit(
-                    tx_done,
-                    TraceEvent::NicQueueExit {
-                        node: from,
-                        dir: NicDir::Tx,
-                        waited,
-                        bytes: bytes as u64,
-                        busy: tx_wire,
-                    },
-                );
+                None => {
+                    n.msgs.push(msg);
+                    u32::try_from(n.msgs.len() - 1)
+                        .ok()
+                        .filter(|&idx| idx < 1 << 30)
+                        .expect("fewer than 2^30 messages in flight")
+                }
             }
-            // ...it propagates, then the receiver NIC drains and (for
-            // eager) copies it out. The rx reservation is made *when the
-            // bytes arrive*, not at send time: the receiver NIC serves
-            // flows in arrival order, so a slow sender's late transfer
-            // cannot head-of-line-block a faster one issued after it.
-            let arrival = tx_done + latency + jitter;
-            let rx_cost = rx_wire + rx_extra;
+        };
+        sim.schedule_token_at(start, net.clone(), idx << 2 | START);
+    }
+
+    /// Messages sent and not yet completed.
+    fn in_flight(&self) -> usize {
+        self.msgs.len() - self.free.len()
+    }
+
+    /// The most messages ever in flight at once: the in-flight slab only
+    /// grows when every slot is taken.
+    pub fn peak_in_flight(&self) -> usize {
+        self.msgs.len()
+    }
+
+    /// The send starts: the sender's NIC takes the message, or a dead
+    /// target is detected.
+    fn start(net: Rc<RefCell<Network>>, sim: &mut Simulation, idx: u32) {
+        let now = sim.now();
+        let mut guard = net.borrow_mut();
+        let n = &mut *guard;
+        let Msg {
+            from,
+            to,
+            bytes,
+            span_op,
+            ..
+        } = n.msgs[idx as usize];
+        assert!(
+            from.0 < n.nodes.len() && to.0 < n.nodes.len(),
+            "bad node id"
+        );
+        n.messages_sent += 1;
+        n.bytes_sent += bytes as u64;
+        if !n.nodes[to.0].alive {
+            let at = now + n.cfg.failure_detect;
+            n.trace
+                .emit(at, TraceEvent::FailureDetected { node: to, by: from });
             if let Some(op) = span_op {
-                // Sender-side phases: protocol setup (rendezvous RTS/CTS),
-                // queue wait behind earlier transfers, then serialization.
-                let tx_svc = tx_free.max(tx_start);
-                let t = &n.trace;
-                t.span_record_for(op, SpanPhase::NetProto, from, now, tx_start);
-                t.span_record_for(op, SpanPhase::TxQueue, from, tx_start, tx_svc);
-                t.span_record_for(op, SpanPhase::Tx, from, tx_svc, tx_done);
-                t.span_record_for(op, SpanPhase::Propagate, to, tx_done, arrival);
+                n.trace
+                    .span_record_for(op, SpanPhase::FailDetect, from, now, at);
             }
-            drop(n);
-            let net = net.clone();
-            sim.schedule_at(arrival, move |sim| {
-                let mut n = net.borrow_mut();
-                n.nodes[to.0].rx.prune(arrival);
-                let rx_free = n.nodes[to.0].rx.free_at();
-                let delivered = n.nodes[to.0].rx.reserve(arrival, rx_cost);
-                if traced {
-                    let depth = n.nodes[to.0].rx.queue_depth(arrival);
-                    let waited = rx_free.max(arrival).since(arrival);
-                    n.trace.emit(
-                        arrival,
-                        TraceEvent::NicQueueEnter {
-                            node: to,
-                            dir: NicDir::Rx,
-                            depth,
-                        },
-                    );
-                    n.trace.emit(
-                        delivered,
-                        TraceEvent::NicQueueExit {
-                            node: to,
-                            dir: NicDir::Rx,
-                            waited,
-                            bytes: bytes as u64,
-                            busy: rx_cost,
-                        },
-                    );
-                }
-                if let Some(op) = span_op {
-                    // Receiver-side phases: queue wait in arrival order,
-                    // then drain (plus the eager bounce-buffer copy).
-                    let rx_svc = rx_free.max(arrival);
-                    n.trace
-                        .span_record_for(op, SpanPhase::RxQueue, to, arrival, rx_svc);
-                    n.trace
-                        .span_record_for(op, SpanPhase::Rx, to, rx_svc, delivered);
-                }
-                let trace = n.trace.clone();
-                drop(n);
-                sim.schedule_at(delivered, move |sim| {
-                    trace.emit(
-                        delivered,
-                        TraceEvent::ShardRecv {
-                            from,
-                            to,
-                            bytes: bytes as u64,
-                        },
-                    );
-                    let prev = trace.set_span_scope(span_op);
-                    on_complete(sim, Delivery::Delivered(delivered));
-                    trace.set_span_scope(prev);
-                });
-            });
-        });
+            drop(guard);
+            sim.schedule_token_at(at, net, idx << 2 | DEAD);
+            return;
+        }
+        let traced = n.trace.is_enabled();
+        if traced {
+            n.trace.emit(
+                now,
+                TraceEvent::ShardSend {
+                    from,
+                    to,
+                    bytes: bytes as u64,
+                },
+            );
+        }
+        let wire = n.cfg.wire_time(bytes);
+        let overhead = n.cfg.protocol_overhead(bytes);
+        let latency = n.cfg.latency;
+        // Straggler injection: each endpoint's share of the transfer is
+        // scaled by that node's slowdown factor, and degraded endpoints
+        // add a seeded jitter to propagation. Healthy transfers take
+        // the `factor == 1.0` fast path and draw no random numbers.
+        let from_slow = n.slow_factor(from);
+        let to_slow = n.slow_factor(to);
+        let jitter = {
+            let mut j = draw_jitter(&mut n.nodes[from.0].straggler);
+            if to != from {
+                j += draw_jitter(&mut n.nodes[to.0].straggler);
+            }
+            j
+        };
+        let tx_wire = scale_duration(wire, from_slow);
+        let rx_wire = scale_duration(wire, to_slow);
+        // Rendezvous pays its RTS/CTS handshake and registration
+        // *before* the bulk transfer starts (sender side); eager pays a
+        // receive-side bounce-buffer copy, which the receiver's polling
+        // loop performs in arrival order (so it serializes on the rx
+        // side).
+        let (tx_start, rx_extra) = match n.cfg.protocol_for(bytes) {
+            WireProtocol::Rendezvous => {
+                (now + scale_duration(overhead, from_slow), SimDuration::ZERO)
+            }
+            WireProtocol::Eager => (now, scale_duration(overhead, to_slow)),
+        };
+        // Sender serializes the payload onto the wire... The backlog
+        // ledger is compacted at the same instant the queue-enter event
+        // is stamped with, so the emitted depth sees exactly the
+        // still-outstanding transmissions.
+        let tx = &mut n.nodes[from.0].tx;
+        tx.prune(tx_start);
+        let tx_free = tx.free_at();
+        let tx_done = tx.reserve(tx_start, tx_wire);
+        if traced {
+            let depth = n.nodes[from.0].tx.queue_depth(tx_start);
+            let waited = tx_free.max(tx_start).since(tx_start);
+            n.trace.emit(
+                tx_start,
+                TraceEvent::NicQueueEnter {
+                    node: from,
+                    dir: NicDir::Tx,
+                    depth,
+                },
+            );
+            n.trace.emit(
+                tx_done,
+                TraceEvent::NicQueueExit {
+                    node: from,
+                    dir: NicDir::Tx,
+                    waited,
+                    bytes: bytes as u64,
+                    busy: tx_wire,
+                },
+            );
+        }
+        // ...it propagates, then the receiver NIC drains and (for
+        // eager) copies it out. The rx reservation is made *when the
+        // bytes arrive*, not at send time: the receiver NIC serves
+        // flows in arrival order, so a slow sender's late transfer
+        // cannot head-of-line-block a faster one issued after it.
+        let arrival = tx_done + latency + jitter;
+        if let Some(op) = span_op {
+            // Sender-side phases: protocol setup (rendezvous RTS/CTS),
+            // queue wait behind earlier transfers, then serialization.
+            let tx_svc = tx_free.max(tx_start);
+            let t = &n.trace;
+            t.span_record_for(op, SpanPhase::NetProto, from, now, tx_start);
+            t.span_record_for(op, SpanPhase::TxQueue, from, tx_start, tx_svc);
+            t.span_record_for(op, SpanPhase::Tx, from, tx_svc, tx_done);
+            t.span_record_for(op, SpanPhase::Propagate, to, tx_done, arrival);
+        }
+        let msg = &mut n.msgs[idx as usize];
+        msg.traced = traced;
+        msg.rx_cost = rx_wire + rx_extra;
+        drop(guard);
+        sim.schedule_token_at(arrival, net, idx << 2 | ARRIVAL);
+    }
+
+    /// The bytes reach the receiver, whose NIC drains them in arrival
+    /// order.
+    fn arrive(net: Rc<RefCell<Network>>, sim: &mut Simulation, idx: u32) {
+        let arrival = sim.now();
+        let mut guard = net.borrow_mut();
+        let n = &mut *guard;
+        let Msg {
+            to,
+            bytes,
+            span_op,
+            traced,
+            rx_cost,
+            ..
+        } = n.msgs[idx as usize];
+        let rx = &mut n.nodes[to.0].rx;
+        rx.prune(arrival);
+        let rx_free = rx.free_at();
+        let delivered = rx.reserve(arrival, rx_cost);
+        if traced {
+            let depth = n.nodes[to.0].rx.queue_depth(arrival);
+            let waited = rx_free.max(arrival).since(arrival);
+            n.trace.emit(
+                arrival,
+                TraceEvent::NicQueueEnter {
+                    node: to,
+                    dir: NicDir::Rx,
+                    depth,
+                },
+            );
+            n.trace.emit(
+                delivered,
+                TraceEvent::NicQueueExit {
+                    node: to,
+                    dir: NicDir::Rx,
+                    waited,
+                    bytes: bytes as u64,
+                    busy: rx_cost,
+                },
+            );
+        }
+        if let Some(op) = span_op {
+            // Receiver-side phases: queue wait in arrival order,
+            // then drain (plus the eager bounce-buffer copy).
+            let rx_svc = rx_free.max(arrival);
+            n.trace
+                .span_record_for(op, SpanPhase::RxQueue, to, arrival, rx_svc);
+            n.trace
+                .span_record_for(op, SpanPhase::Rx, to, rx_svc, delivered);
+        }
+        drop(guard);
+        sim.schedule_token_at(delivered, net, idx << 2 | DELIVER);
+    }
+
+    /// The outcome is known: frees the message's slot and runs its
+    /// continuation, which may send again, with the network released.
+    fn complete(net: Rc<RefCell<Network>>, sim: &mut Simulation, idx: u32, delivered: bool) {
+        let at = sim.now();
+        let (from, to, bytes, span_op, on_complete, trace) = {
+            let mut guard = net.borrow_mut();
+            let n = &mut *guard;
+            n.free.push(idx);
+            let msg = &mut n.msgs[idx as usize];
+            let on_complete = msg.on_complete.take().expect("a message completes once");
+            let trace = n.trace.clone();
+            (msg.from, msg.to, msg.bytes, msg.span_op, on_complete, trace)
+        };
+        drop(net);
+        let delivery = if delivered {
+            trace.emit(
+                at,
+                TraceEvent::ShardRecv {
+                    from,
+                    to,
+                    bytes: bytes as u64,
+                },
+            );
+            Delivery::Delivered(at)
+        } else {
+            Delivery::TargetDead(at)
+        };
+        let prev = trace.set_span_scope(span_op);
+        on_complete(sim, delivery);
+        trace.set_span_scope(prev);
+    }
+}
+
+/// The hops of a message, the low two bits of its token.
+const START: u32 = 0;
+const ARRIVAL: u32 = 1;
+const DELIVER: u32 = 2;
+const DEAD: u32 = 3;
+
+impl Handler for RefCell<Network> {
+    fn fire(self: Rc<Self>, sim: &mut Simulation, token: u32) {
+        let idx = token >> 2;
+        match token & 3 {
+            START => Network::start(self, sim, idx),
+            ARRIVAL => Network::arrive(self, sim, idx),
+            DELIVER => Network::complete(self, sim, idx, true),
+            _ => Network::complete(self, sim, idx, false),
+        }
     }
 }
 
@@ -791,6 +929,97 @@ mod tests {
             assert_eq!(bus.counter(NodeId(0), "nic_tx_busy_ns"), tx.as_nanos());
             assert_eq!(bus.counter(NodeId(1), "nic_rx_busy_ns"), rx.as_nanos());
         });
+    }
+
+    /// Sends `hops` messages one after another, each from the delivery
+    /// callback of the last, cycling through the nodes (dead ones too).
+    fn chain(net: &Rc<RefCell<Network>>, sim: &mut Simulation, from: usize, hops: usize) {
+        if hops == 0 {
+            return;
+        }
+        let to = (from + 1) % net.borrow().len();
+        let net2 = net.clone();
+        Network::send(
+            net,
+            sim,
+            sim.now(),
+            NodeId(from),
+            NodeId(to),
+            100 + 1000 * hops,
+            move |sim, _| chain(&net2, sim, to, hops - 1),
+        );
+    }
+
+    #[test]
+    fn chained_sends_and_dead_targets_leave_nothing_in_flight() {
+        let net = Network::new(4, test_cfg());
+        net.borrow_mut().kill(NodeId(2));
+        let mut sim = Simulation::new();
+        for from in 0..4 {
+            chain(&net, &mut sim, from, 9);
+        }
+        assert_eq!(net.borrow().in_flight(), 4);
+        sim.run();
+        let n = net.borrow();
+        assert_eq!(n.messages_sent(), 4 * 9);
+        assert_eq!(n.in_flight(), 0);
+        assert_eq!(n.peak_in_flight(), 4);
+        // Nothing the continuations captured outlives the run.
+        drop(n);
+        assert_eq!(Rc::strong_count(&net), 1);
+    }
+
+    /// Sends a wave of `width` concurrent messages; the last delivery of
+    /// a wave sends the next, `waves` times. Tracks the messages in flight
+    /// as seen from outside.
+    fn wave(
+        net: &Rc<RefCell<Network>>,
+        sim: &mut Simulation,
+        width: usize,
+        waves: usize,
+        seen: &Rc<RefCell<(usize, usize)>>,
+    ) {
+        if waves == 0 {
+            return;
+        }
+        let left = Rc::new(RefCell::new(width));
+        for dst in 0..width {
+            let (net2, seen2, left) = (net.clone(), seen.clone(), left.clone());
+            let mut s = seen.borrow_mut();
+            s.0 += 1;
+            s.1 = s.1.max(s.0);
+            drop(s);
+            Network::send(
+                net,
+                sim,
+                sim.now(),
+                NodeId(0),
+                NodeId(1 + dst % 2),
+                64 << dst,
+                move |sim, _| {
+                    seen2.borrow_mut().0 -= 1;
+                    *left.borrow_mut() -= 1;
+                    if *left.borrow() == 0 {
+                        wave(&net2, sim, width, waves - 1, &seen2);
+                    }
+                },
+            );
+        }
+    }
+
+    #[test]
+    fn slab_slots_are_reused_up_to_peak_concurrency() {
+        let net = Network::new(3, test_cfg());
+        let mut sim = Simulation::new();
+        let seen = Rc::new(RefCell::new((0, 0)));
+        wave(&net, &mut sim, 5, 20, &seen);
+        sim.run();
+        let (in_flight, peak) = *seen.borrow();
+        assert_eq!((in_flight, peak), (0, 5));
+        let n = net.borrow();
+        assert_eq!(n.messages_sent(), 5 * 20);
+        assert_eq!(n.in_flight(), 0);
+        assert_eq!(n.peak_in_flight(), peak);
     }
 
     fn timed_send(net: &Rc<RefCell<Network>>, bytes: usize) -> SimTime {
