@@ -18,8 +18,10 @@
 //! A fourth golden, `codec_sites.jsonl`, pins the whole encode/decode
 //! site matrix (Era-CE-CD, Era-SE-SD, Era-SE-CD, Era-CE-SD): healthy runs,
 //! a dead coordinator met with stale failure views, a hedged gather
-//! around a straggler, coordinator admission sheds, inline values decoded
-//! at both sites, and the single-chunk encoder with no live peer.
+//! around a straggler, coordinator admission sheds under a depth bound and
+//! under a delay bound, 64 KiB values sent by rendezvous beside small
+//! eager transfers, inline values decoded at both sites, and the
+//! single-chunk encoder with no live peer.
 //!
 //! A fifth golden, `counters.txt`, pins the TraceBus counter registry
 //! after every leg of the four scenarios above, and each leg checks that
@@ -308,6 +310,46 @@ fn herd(world: &Rc<World>, sim: &mut Simulation) {
     run_workload(world, sim, reads);
 }
 
+/// Every client interleaves writes of 64 KiB values with reads of loaded
+/// keys, then reads a neighbour's large values between loaded keys, so
+/// rendezvous transfers share the NICs with eager ones.
+fn large_values(world: &Rc<World>, sim: &mut Simulation) {
+    let clients = world.cfg.cluster.clients;
+    let big = |c: usize, j: usize| format!("L{c}.{j}");
+    let small = |c: usize, j: usize| Op::get(format!("g{:02}", (c + 5 * j) % KEYS));
+    let writes: Vec<Vec<Op>> = (0..clients)
+        .map(|c| {
+            (0..4)
+                .flat_map(|j| {
+                    let v = 900 + (4 * c + j) as u64;
+                    [Op::set_synthetic(big(c, j), 64 * 1024, v), small(c, j)]
+                })
+                .collect()
+        })
+        .collect();
+    run_workload(world, sim, writes);
+    let reads: Vec<Vec<Op>> = (0..clients)
+        .map(|c| {
+            let n = (c + 1) % clients;
+            (0..4)
+                .flat_map(|j| [Op::get(big(n, j)), small(c, j)])
+                .collect()
+        })
+        .collect();
+    run_workload(world, sim, reads);
+}
+
+/// Whether `trace` holds a transfer larger than `eager_threshold`, i.e.
+/// one sent by rendezvous.
+fn sends_rendezvous(trace: &str, eager_threshold: usize) -> bool {
+    trace
+        .lines()
+        .filter(|l| l.contains("\"event\":\"shard_send\""))
+        .filter_map(|l| l.rsplit_once("\"bytes\":"))
+        .filter_map(|(_, b)| b.trim_end_matches('}').parse::<usize>().ok())
+        .any(|b| b > eager_threshold)
+}
+
 /// Writes inline values, kills `DEAD`, and reads them back (decoding the
 /// real bytes wherever `DEAD` held a data chunk).
 fn inline_then_degraded_reads(world: &Rc<World>, sim: &mut Simulation) {
@@ -369,6 +411,30 @@ fn codec_sites_scenario() -> Golden {
         assert!(
             out.trace[before..].contains("\"event\":\"queue_capped\""),
             "{label}: the herd must overflow an admission bound"
+        );
+        let before = out.trace.len();
+        leg(
+            &mut out,
+            &format!("{label} admission sheds on projected wait"),
+            sites_cluster(scheme, 16)
+                .admission(AdmissionConfig::depth(10_000).delay(SimDuration::from_micros(2))),
+            herd,
+        );
+        assert!(
+            out.trace[before..].contains("\"event\":\"queue_capped\""),
+            "{label}: the herd must wait past the delay bound"
+        );
+        let before = out.trace.len();
+        let world = leg(
+            &mut out,
+            &format!("{label} 64 KiB values, 8 clients"),
+            sites_cluster(scheme, 8),
+            large_values,
+        );
+        let eager = world.cluster.net.borrow().config().eager_threshold;
+        assert!(
+            sends_rendezvous(&out.trace[before..], eager),
+            "{label}: 64 KiB values must cross the rendezvous threshold"
         );
         let world = leg(
             &mut out,
