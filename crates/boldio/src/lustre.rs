@@ -1,6 +1,6 @@
 //! A shared-bandwidth model of a Lustre parallel filesystem.
 
-use eckv_simnet::{FifoResource, SimDuration, SimTime};
+use eckv_simnet::{SimDuration, SimTime, WorkerPool};
 
 /// Calibration of the parallel filesystem.
 ///
@@ -46,8 +46,8 @@ impl LustreConfig {
 #[derive(Debug)]
 pub struct Lustre {
     cfg: LustreConfig,
-    write_pipe: FifoResource,
-    read_pipe: FifoResource,
+    write_pipe: WorkerPool,
+    read_pipe: WorkerPool,
     bytes_written: u64,
     bytes_read: u64,
 }
@@ -57,8 +57,8 @@ impl Lustre {
     pub fn new(cfg: LustreConfig) -> Self {
         Lustre {
             cfg,
-            write_pipe: FifoResource::new("lustre.write"),
-            read_pipe: FifoResource::new("lustre.read"),
+            write_pipe: WorkerPool::new(1),
+            read_pipe: WorkerPool::new(1),
             bytes_written: 0,
             bytes_read: 0,
         }

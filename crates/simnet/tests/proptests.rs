@@ -2,8 +2,8 @@
 
 use eckv_simnet::check::{check, check_seq, vec_of};
 use eckv_simnet::{
-    ClusterProfile, FifoResource, Histogram, Network, NodeId, SimDuration, SimRng, SimTime,
-    Simulation, TransportKind, WorkerPool,
+    ClusterProfile, Histogram, Network, NodeId, SimDuration, SimRng, SimTime, Simulation,
+    TransportKind, WorkerPool,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -39,7 +39,7 @@ fn fifo_resource_never_overlaps_reservations() {
             ((), vec_of(rng, 1..100, job))
         },
         |(_, jobs)| {
-            let mut r = FifoResource::new("r");
+            let mut r = WorkerPool::new(1);
             let mut intervals: Vec<(u64, u64)> = Vec::new();
             // Submissions must arrive in nondecreasing time order (as they
             // do from the event loop).
@@ -66,7 +66,7 @@ fn worker_pool_busy_time_is_conserved() {
             (workers, vec_of(rng, 1..80, |r| r.range_u64(1, 10_000)))
         },
         |(workers, jobs)| {
-            let mut p = WorkerPool::new("p", *workers);
+            let mut p = WorkerPool::new(*workers);
             let mut total = 0u64;
             for &d in jobs {
                 p.reserve(SimTime::ZERO, SimDuration::from_nanos(d));
@@ -81,7 +81,7 @@ fn worker_pool_busy_time_is_conserved() {
 #[test]
 fn pool_with_more_workers_finishes_no_later() {
     fn makespan(workers: usize, jobs: &[u64]) -> u64 {
-        let mut p = WorkerPool::new("p", workers);
+        let mut p = WorkerPool::new(workers);
         jobs.iter()
             .map(|&d| {
                 p.reserve(SimTime::ZERO, SimDuration::from_nanos(d))

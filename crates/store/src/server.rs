@@ -13,10 +13,10 @@ use crate::store_node::{SetOutcome, StoreNode, StoreStats};
 
 /// Per-class admission bounds on one server's worker queue.
 ///
-/// The foreground cap is installed as the worker pool's bounded-queue
-/// mode ([`WorkerPool::set_cap`]); the repair cap is a stricter bound
-/// checked on top of it, so under rising load background rebuild traffic
-/// is shed before any client request is.
+/// [`KvServer::admit`] passes the bound of the request's class to
+/// [`WorkerPool::admits_within`]: client requests meet the foreground cap,
+/// background rebuild traffic the stricter repair cap, so under rising
+/// load repair is shed before any client request is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionCaps {
     /// Bound applied to foreground client traffic.
@@ -79,7 +79,7 @@ impl KvServer {
             node,
             store: StoreNode::new(capacity_bytes),
             ssd: None,
-            cpu: WorkerPool::new(format!("{node}.workers"), workers),
+            cpu: WorkerPool::new(workers),
             costs,
             trace: Trace::disabled(),
             admission: None,
@@ -91,7 +91,6 @@ impl KvServer {
     /// unconditionally and [`KvServer::admit`] has zero side effects, so
     /// the event trace is unchanged relative to an admission-free build.
     pub fn set_admission(&mut self, caps: Option<AdmissionCaps>) {
-        self.cpu.set_cap(caps.map(|c| c.foreground));
         self.admission = caps;
     }
 
@@ -110,11 +109,8 @@ impl KvServer {
             return true;
         };
         let repair = prio.is_repair();
-        let admitted = if repair {
-            self.cpu.admits_within(now, &caps.repair)
-        } else {
-            self.cpu.admits(now)
-        };
+        let cap = if repair { caps.repair } else { caps.foreground };
+        let admitted = self.cpu.admits_within(now, &cap);
         if !admitted && self.trace.is_enabled() {
             self.trace.emit(
                 now,

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use eckv_simnet::{FifoResource, NodeId, SimDuration, SimTime, Trace, TraceEvent};
+use eckv_simnet::{NodeId, SimDuration, SimTime, Trace, TraceEvent, WorkerPool};
 
 use crate::payload::Payload;
 use crate::store_node::{StoreNode, StoreStats};
@@ -49,7 +49,7 @@ impl SsdSpec {
 pub struct SsdTier {
     spec: SsdSpec,
     store: StoreNode,
-    device: FifoResource,
+    device: WorkerPool,
     reads: u64,
     writes: u64,
     trace: Trace,
@@ -62,7 +62,7 @@ impl SsdTier {
         SsdTier {
             spec,
             store: StoreNode::new(spec.capacity),
-            device: FifoResource::new("ssd"),
+            device: WorkerPool::new(1),
             reads: 0,
             writes: 0,
             trace: Trace::disabled(),
