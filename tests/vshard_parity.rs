@@ -23,8 +23,13 @@
 //! eager transfers, inline values decoded at both sites, and the
 //! single-chunk encoder with no live peer.
 //!
-//! A fifth golden, `counters.txt`, pins the TraceBus counter registry
-//! after every leg of the four scenarios above, and each leg checks that
+//! A fifth golden, `request_errors.jsonl`, pins the failed-request paths
+//! of Sync-Rep, Async-Rep and the hybrid scheme (a dead holder met with
+//! stale views, admission sheds) and the shed rebuild traffic of an
+//! Era-SE-SD rebuild under a strict repair bound.
+//!
+//! A sixth golden, `counters.txt`, pins the TraceBus counter registry
+//! after every leg of the five scenarios above, and each leg checks that
 //! the registry's NIC busy time equals the network's own ledger.
 //!
 //! Regenerate the golden files (only after an *intentional* trace change)
@@ -474,6 +479,62 @@ fn codec_sites_scenario() -> Golden {
     out
 }
 
+/// The pinned request-error scenario: the failed-request paths of the
+/// schemes the codec-site scenario does not run. Sync-Rep's sequential
+/// chain, Async-Rep's parallel copies and the hybrid's replica probe and
+/// chunk writes each meet a dead holder through stale views and a
+/// shedding one under a depth bound; an Era-SE-SD rebuild under a strict
+/// repair bound has its survivor reads and write-backs shed.
+fn request_errors_scenario() -> Golden {
+    let mut out = Golden::default();
+    for (label, scheme) in [
+        ("sync-rep", Scheme::SyncRep { replicas: 3 }),
+        ("async-rep", Scheme::AsyncRep { replicas: 3 }),
+        ("hybrid", Scheme::hybrid(4096, 3, 2)),
+    ] {
+        let before = out.trace.len();
+        leg(
+            &mut out,
+            &format!("{label} dead holder met with stale views"),
+            sites_cluster(scheme, 2),
+            |world, sim| {
+                world.cluster.kill_server(DEAD);
+                overwrite_then_read_stale(world, sim);
+            },
+        );
+        assert!(
+            out.trace[before..].contains("\"event\":\"failure_detected\""),
+            "{label}: a stale view must meet the dead holder"
+        );
+        let before = out.trace.len();
+        leg(
+            &mut out,
+            &format!("{label} admission sheds"),
+            sites_cluster(scheme, 8).admission(AdmissionConfig::depth(1)),
+            herd,
+        );
+        assert!(
+            out.trace[before..].contains("\"event\":\"queue_capped\""),
+            "{label}: the herd must overflow an admission bound"
+        );
+    }
+    let before = out.trace.len();
+    leg(
+        &mut out,
+        "era-se-sd rebuild under a repair admission bound",
+        cluster(5, Scheme::era_se_sd(3, 2))
+            .admission(AdmissionConfig::depth(10_000).repair_depth(1)),
+        rebuild_online,
+    );
+    assert!(
+        out.trace[before..]
+            .lines()
+            .any(|l| l.contains("\"event\":\"op_shed\"") && l.contains("\"kind\":\"repair\"")),
+        "the strict repair bound must shed rebuild traffic"
+    );
+    out
+}
+
 /// Compares `got` with the blessed golden `name`, or rewrites the golden
 /// when `ECKV_BLESS_GOLDEN` is set.
 fn check_golden(name: &str, got: &str, why: &str) {
@@ -539,6 +600,16 @@ fn codec_site_traces_match_the_golden() {
 }
 
 #[test]
+fn request_error_traces_match_the_golden() {
+    check_golden(
+        "request_errors.jsonl",
+        &request_errors_scenario().trace,
+        "every dead or shedding holder must be met at the same instant and \
+         booked the same way",
+    );
+}
+
+#[test]
 fn counter_registries_match_the_golden() {
     let mut got = String::new();
     for (name, scenario) in [
@@ -546,6 +617,7 @@ fn counter_registries_match_the_golden() {
         ("repair paths", repair_paths_scenario),
         ("eviction", eviction_scenario),
         ("codec sites", codec_sites_scenario),
+        ("request errors", request_errors_scenario),
     ] {
         let _ = writeln!(got, "# {name}");
         got.push_str(&scenario().counters);
