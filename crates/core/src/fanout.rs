@@ -21,54 +21,11 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
 
 use eckv_simnet::{NodeId, SimDuration, SimTime, Simulation, SpanPhase, TraceEvent};
 use eckv_store::{rpc, rpc::CancelToken, Payload};
 
 use crate::world::World;
-
-/// Outcome of one shard request, as reported by a [`ShardIo`] closure.
-pub(crate) enum ShardReply {
-    /// The request succeeded; reads carry the shard payload, writes carry
-    /// `None`.
-    Good {
-        /// Completion instant.
-        at: SimTime,
-        /// The shard, for read fan-outs.
-        value: Option<Payload>,
-    },
-    /// The holder answered but had nothing (read miss) or stored nothing
-    /// (a write too large for its memory) — grounds for a top-up, not a
-    /// discovery.
-    Empty {
-        /// Completion instant.
-        at: SimTime,
-    },
-    /// The transport reported the holder dead. The issuing path updates
-    /// the failure view before reporting this.
-    Dead {
-        /// Detection instant.
-        at: SimTime,
-    },
-    /// The holder is alive but refused admission (bounded queue full).
-    /// Retry-worthy, but no liveness discovery: the server answered.
-    Shed {
-        /// Refusal instant.
-        at: SimTime,
-    },
-}
-
-impl ShardReply {
-    fn at(&self) -> SimTime {
-        match self {
-            ShardReply::Good { at, .. }
-            | ShardReply::Empty { at }
-            | ShardReply::Dead { at }
-            | ShardReply::Shed { at } => *at,
-        }
-    }
-}
 
 /// What a [`ShardIo`] closure calls, once, when its request completes:
 /// the reply for one slot of one fan-out.
@@ -78,8 +35,12 @@ pub(crate) struct ReplyCb {
 }
 
 impl ReplyCb {
-    /// Books `reply` with the fan-out.
-    pub fn call(self, sim: &mut Simulation, reply: ShardReply) {
+    /// Books `reply` with the fan-out. A reply that is not a hit (a read
+    /// miss, or a write too large for the holder's memory) is grounds for
+    /// a top-up, not a discovery; a dead holder is a discovery, which the
+    /// issuing path has already booked in its failure view; a shed one is
+    /// retry-worthy, but the server answered.
+    pub fn call(self, sim: &mut Simulation, reply: Result<rpc::Reply, rpc::RpcError>) {
         on_reply(&self.state, sim, self.slot, reply);
     }
 }
@@ -402,7 +363,12 @@ fn issue_wave(
 
 /// Books one reply and decides whether the fan-out settles, tops up, or
 /// keeps waiting.
-fn on_reply(state: &Rc<RefCell<Inner>>, sim: &mut Simulation, slot: usize, reply: ShardReply) {
+fn on_reply(
+    state: &Rc<RefCell<Inner>>,
+    sim: &mut Simulation,
+    slot: usize,
+    reply: Result<rpc::Reply, rpc::RpcError>,
+) {
     {
         let mut st = state.borrow_mut();
         if st.settled {
@@ -410,12 +376,16 @@ fn on_reply(state: &Rc<RefCell<Inner>>, sim: &mut Simulation, slot: usize, reply
             return;
         }
         st.outstanding -= 1;
-        let at = reply.at();
+        let at = reply.as_ref().map_or_else(|e| e.at(), |r| r.at);
         if at > st.last {
             st.last = at;
         }
         match reply {
-            ShardReply::Good { at, value } => {
+            Ok(rpc::Reply {
+                at,
+                hit: true,
+                value,
+            }) => {
                 if st.policy.hedge && st.good.is_empty() && value.is_some() {
                     let d = at.since(st.fetch_start);
                     st.world.note_first_chunk_latency(d);
@@ -425,11 +395,11 @@ fn on_reply(state: &Rc<RefCell<Inner>>, sim: &mut Simulation, slot: usize, reply
                     st.good.push((slot, v));
                 }
             }
-            ShardReply::Empty { .. } => {}
-            ShardReply::Dead { .. } => {
+            Ok(_) => {}
+            Err(rpc::RpcError::ServerDead(_)) => {
                 st.discovered = true;
             }
-            ShardReply::Shed { .. } => {
+            Err(rpc::RpcError::Shed(_)) => {
                 st.shed += 1;
             }
         }
@@ -622,15 +592,6 @@ impl Origin {
     }
 }
 
-/// What one request of a fan-out asks of its holder.
-pub(crate) enum Request {
-    /// Store the payload under the key, first retiring the optional stale
-    /// key on the same server.
-    Set(Arc<str>, Payload, Option<Arc<str>>),
-    /// Fetch the key.
-    Get(Arc<str>),
-}
-
 /// The transport glue of every fan-out: `pick` maps a slot to its
 /// request — a chunk or a full copy, to store or to fetch — and the io
 /// issues it from `origin`. A client origin reserves one post on its CPU
@@ -644,7 +605,7 @@ pub(crate) fn chunk_io(
     origin: Origin,
     view: Option<usize>,
     prio: rpc::RpcPriority,
-    pick: impl Fn(usize) -> Request + 'static,
+    pick: impl Fn(usize) -> rpc::Request + 'static,
 ) -> ShardIo {
     let world = world.clone();
     let node = origin.node(&world);
@@ -653,15 +614,14 @@ pub(crate) fn chunk_io(
         let srv = issue.srv;
         let request = pick(issue.slot);
         if origin == Origin::Server(srv) {
-            let local = serve_local(&world, srv, issue.from, request);
-            reply.call(sim, shard_reply(&world, view, node, srv, prio, Ok(local)));
+            reply.call(sim, Ok(serve_local(&world, srv, issue.from, request)));
             return issue.from;
         }
         let start = match origin {
             Origin::Client(client) => {
                 let at = match request {
-                    Request::Set(..) => issue.from,
-                    Request::Get(_) => sim.now(),
+                    rpc::Request::Set { .. } => issue.from,
+                    rpc::Request::Get { .. } => sim.now(),
                 };
                 world.reserve_client_cpu(client, at, post)
             }
@@ -673,100 +633,55 @@ pub(crate) fn chunk_io(
                 start
             }
         };
-        let server = world.cluster.servers[srv].clone();
         let world2 = world.clone();
-        match request {
-            Request::Set(key, payload, stale) => rpc::set_retiring(
-                &world.cluster.net,
-                &server,
-                sim,
-                start,
-                node,
-                key,
-                payload,
-                stale,
-                prio,
-                move |sim, r| {
-                    let r = r.map(|a| (a.at, a.outcome.is_stored(), None));
-                    reply.call(sim, shard_reply(&world2, view, node, srv, prio, r));
-                },
-            ),
-            Request::Get(key) => rpc::get_with_cancel(
-                &world.cluster.net,
-                &server,
-                sim,
-                start,
-                node,
-                key,
-                issue.cancel,
-                prio,
-                move |sim, r| {
-                    let r = r.map(|g| (g.at, g.value.is_some(), g.value));
-                    reply.call(sim, shard_reply(&world2, view, node, srv, prio, r));
-                },
-            ),
-        }
+        rpc::call(
+            &world.cluster.net,
+            &world.cluster.servers[srv],
+            sim,
+            start,
+            node,
+            request,
+            Some(issue.cancel),
+            prio,
+            move |sim, r| {
+                if let Err(err) = r {
+                    world2.note_rpc_error(err, view, node, srv, prio);
+                }
+                reply.call(sim, r);
+            },
+        );
         start
     })
 }
 
 /// A coordinator's request for its own slot, served at `at` through its
-/// server's storage path (RAM, then flash; RAM eviction victims spill):
-/// `(completion, present, value)`. Storing its own chunk of a SET costs
-/// no worker time beyond the value ingest the coordinator already paid;
-/// reading its own chunk costs one store lookup, plus the flash read if
-/// the chunk spilled.
-fn serve_local(
-    world: &World,
-    srv: usize,
-    at: SimTime,
-    request: Request,
-) -> (SimTime, bool, Option<Payload>) {
+/// server's storage path (RAM, then flash; RAM eviction victims spill).
+/// Storing its own chunk of a SET costs no worker time beyond the value
+/// ingest the coordinator already paid; reading its own chunk is a Get
+/// served by its own workers, with no transfer.
+fn serve_local(world: &World, srv: usize, at: SimTime, request: rpc::Request) -> rpc::Reply {
     let mut server = world.cluster.servers[srv].borrow_mut();
     match request {
-        Request::Set(key, payload, stale) => {
+        rpc::Request::Set {
+            key,
+            payload,
+            stale,
+        } => {
             debug_assert!(stale.is_none(), "only the hybrid retires keys");
-            (at, server.store_set(at, key, payload).is_stored(), None)
-        }
-        Request::Get(key) => {
-            let (flash_done, chunk) = server.store_get(at, &key);
-            let bytes = chunk.as_ref().map_or(0, Payload::len);
-            let service = server.costs().op_time(bytes);
-            let cpu_done = server.reserve_cpu(at, service);
-            if flash_done > at {
-                let node = server.node();
-                world
-                    .trace
-                    .span_record(SpanPhase::SsdRead, node, at, flash_done);
+            let hit = server.store_set(at, key, payload).is_stored();
+            rpc::Reply {
+                at,
+                hit,
+                value: None,
             }
-            (cpu_done.max(flash_done), chunk.is_some(), chunk)
         }
-    }
-}
-
-/// The one RPC-result → [`ShardReply`] mapping. `Ok` carries the
-/// completion instant, whether the holder stored (SET) or had (GET) the
-/// item, and the fetched value.
-fn shard_reply(
-    world: &World,
-    view: Option<usize>,
-    node: NodeId,
-    srv: usize,
-    prio: rpc::RpcPriority,
-    r: Result<(SimTime, bool, Option<Payload>), rpc::RpcError>,
-) -> ShardReply {
-    match r {
-        Ok((at, true, value)) => ShardReply::Good { at, value },
-        Ok((at, false, _)) => ShardReply::Empty { at },
-        Err(rpc::RpcError::ServerDead(t)) => {
-            if let Some(client) = view {
-                world.mark_dead(client, srv);
+        rpc::Request::Get { key } => {
+            let (at, value) = server.process_get(at, &key);
+            rpc::Reply {
+                at,
+                hit: value.is_some(),
+                value,
             }
-            ShardReply::Dead { at: t }
-        }
-        Err(rpc::RpcError::Shed(t)) => {
-            world.note_shed(t, node, srv, prio);
-            ShardReply::Shed { at: t }
         }
     }
 }

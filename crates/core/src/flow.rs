@@ -3,7 +3,7 @@
 use std::rc::Rc;
 use std::sync::Arc;
 
-use eckv_simnet::{Delivery, Network, PhaseBreakdown, SimDuration, SimTime, Simulation};
+use eckv_simnet::{PhaseBreakdown, SimDuration, SimTime, Simulation};
 use eckv_store::rpc;
 
 use crate::ops::OpKind;
@@ -122,55 +122,33 @@ impl Coordinator {
         serve: impl FnOnce(&mut Simulation, SimTime, DoneCb) + 'static,
     ) {
         let client_node = world.cluster.client_node(self.client);
-        let node = world.cluster.servers[self.srv].borrow().node();
         let issue_at = world.reserve_client_cpu(self.client, self.op_start, self.request);
         let world2 = world.clone();
-        let fail = move |world: &World, sim: &mut Simulation, at: SimTime, done: DoneCb| {
-            let outcome = OpOutcome {
-                value_len,
-                ..OpOutcome::failed(self.kind, at, self.request, true)
-            };
-            finish_op(world, sim, self.op_start, outcome, done);
-        };
-        Network::send(
+        rpc::request(
             &world.cluster.net,
+            &world.cluster.servers[self.srv],
             sim,
             issue_at,
             client_node,
-            node,
             bytes,
-            move |sim, delivery| {
-                let at = match delivery {
-                    Delivery::TargetDead(t) => {
-                        world2.mark_dead(self.client, self.srv);
-                        fail(&world2, sim, t, done);
-                        return;
-                    }
-                    Delivery::Delivered(at) => at,
-                };
-                // The coordinator's ingest bypasses `rpc`, so it applies
-                // the admission bound itself.
-                let admitted = world2.cluster.servers[self.srv]
-                    .borrow_mut()
-                    .admit(at, rpc::RpcPriority::Foreground);
-                if admitted {
-                    serve(sim, at, done);
-                    return;
+            rpc::RpcPriority::Foreground,
+            None,
+            move |sim, admitted| match admitted {
+                Ok(at) => serve(sim, at, done),
+                Err(err) => {
+                    let at = world2.note_rpc_error(
+                        err,
+                        Some(self.client),
+                        client_node,
+                        self.srv,
+                        rpc::RpcPriority::Foreground,
+                    );
+                    let outcome = OpOutcome {
+                        value_len,
+                        ..OpOutcome::failed(self.kind, at, self.request, true)
+                    };
+                    finish_op(&world2, sim, self.op_start, outcome, done);
                 }
-                let world3 = world2.clone();
-                Network::send(
-                    &world2.cluster.net,
-                    sim,
-                    at,
-                    node,
-                    client_node,
-                    rpc::ACK_BYTES,
-                    move |sim, d| {
-                        let at = d.at();
-                        world3.note_shed(at, client_node, self.srv, rpc::RpcPriority::Foreground);
-                        fail(&world3, sim, at, done);
-                    },
-                );
             },
         );
     }
@@ -186,19 +164,18 @@ impl Coordinator {
         outcome: OpOutcome,
         done: DoneCb,
     ) {
-        let node = world.cluster.servers[self.srv].borrow().node();
         let world2 = world.clone();
-        Network::send(
+        rpc::respond(
             &world.cluster.net,
             sim,
             at,
-            node,
+            world.cluster.server_node(self.srv),
             world.cluster.client_node(self.client),
             bytes,
-            move |sim, d| {
+            move |sim, arrival| {
                 let outcome = OpOutcome {
-                    at: d.at(),
-                    ok: outcome.ok && d.is_delivered(),
+                    at: arrival.unwrap_or_else(rpc::RpcError::at),
+                    ok: outcome.ok && arrival.is_ok(),
                     ..outcome
                 };
                 finish_op(&world2, sim, self.op_start, outcome, done);

@@ -21,7 +21,7 @@ use eckv_simnet::{trace_codec, CodecOp, SimDuration, SimTime, Simulation};
 use eckv_store::{rpc, Payload, Xxh64};
 
 use crate::fanout::{
-    chunk_io, FanOut, FanOutSpec, Liveness, Origin, QuorumPolicy, Request, SettleCb, Settled,
+    chunk_io, FanOut, FanOutSpec, Liveness, Origin, QuorumPolicy, SettleCb, Settled,
 };
 use crate::flow::{finish_op, Coordinator, DoneCb, OpOutcome};
 use crate::ops::OpKind;
@@ -110,18 +110,22 @@ fn get_hybrid(
         return;
     };
     let issue_at = world.reserve_client_cpu(client, op_start, LIVENESS_CHECK + post);
-    let server = world.cluster.servers[srv].clone();
     let world2 = world.clone();
-    rpc::get(
+    rpc::call(
         &world.cluster.net,
-        &server,
+        &world.cluster.servers[srv],
         sim,
         issue_at,
         client_node,
-        key.clone(),
+        rpc::Request::Get { key: key.clone() },
+        None,
+        rpc::RpcPriority::Foreground,
         move |sim, reply| match reply {
-            Ok(r) if r.value.is_some() => {
-                let value = r.value.expect("checked");
+            Ok(rpc::Reply {
+                at,
+                value: Some(value),
+                ..
+            }) => {
                 let integrity = check_value(&world2, &key, &value);
                 let len = value.len();
                 finish_op(
@@ -130,7 +134,7 @@ fn get_hybrid(
                     op_start,
                     OpOutcome {
                         kind: OpKind::Get,
-                        at: r.at,
+                        at,
                         request: LIVENESS_CHECK + post,
                         compute: SimDuration::ZERO,
                         ok: true,
@@ -146,8 +150,7 @@ fn get_hybrid(
             // A clean miss means the value was erasure-coded: fall through
             // to the chunk path, keeping the probe's cost in the request
             // phase. A round trip later, the placement is resolved anew.
-            Ok(r) => {
-                debug_assert!(r.value.is_none());
+            Ok(_) => {
                 let request = LIVENESS_CHECK + post;
                 let targets = world2.targets(&key);
                 get_erasure(
@@ -166,16 +169,13 @@ fn get_hybrid(
             // value was chunked: retry so the probe hits the next replica.
             // A shed probe retries the same holder after backoff.
             Err(err) => {
-                let t = match err {
-                    rpc::RpcError::ServerDead(t) => {
-                        world2.mark_dead(client, srv);
-                        t
-                    }
-                    rpc::RpcError::Shed(t) => {
-                        world2.note_shed(t, client_node, srv, rpc::RpcPriority::Foreground);
-                        t
-                    }
-                };
+                let t = world2.note_rpc_error(
+                    err,
+                    Some(client),
+                    client_node,
+                    srv,
+                    rpc::RpcPriority::Foreground,
+                );
                 let outcome = OpOutcome::failed(OpKind::Get, t, LIVENESS_CHECK + post, true);
                 finish_op(&world2, sim, op_start, outcome, done);
             }
@@ -227,7 +227,7 @@ fn get_replicated(
         Origin::Client(client),
         Some(client),
         rpc::RpcPriority::Foreground,
-        move |_| Request::Get(key2.clone()),
+        move |_| rpc::Request::Get { key: key2.clone() },
     );
     let world2 = world.clone();
     let launched = FanOut::launch(
@@ -382,7 +382,9 @@ fn get_erasure(
                 origin,
                 Some(client),
                 rpc::RpcPriority::Foreground,
-                move |slot| Request::Get(World::shard_key(&key2, slot)),
+                move |slot| rpc::Request::Get {
+                    key: World::shard_key(&key2, slot),
+                },
             );
             let launched = FanOut::launch(world, sim, spec, from, io, on_settle);
             debug_assert!(launched, "the pinned wave is never short of k");

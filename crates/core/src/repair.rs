@@ -51,7 +51,7 @@ use eckv_simnet::{trace_codec, CodecOp, SimDuration, SimTime, Simulation, TraceE
 use eckv_store::{fnv1a_64, rpc, Payload};
 
 use crate::fanout::{
-    chunk_io, FanOut, FanOutSpec, Liveness, Origin, QuorumPolicy, Request, Settled, ShardIo,
+    chunk_io, FanOut, FanOutSpec, Liveness, Origin, QuorumPolicy, Settled, ShardIo,
 };
 use crate::scheme::Scheme;
 use crate::world::{RepairConfig, World};
@@ -596,7 +596,7 @@ fn run_task(world: &Rc<World>, sim: &mut Simulation, task: RepairTask, done: Rep
         Origin::Client(0),
         None,
         rpc::RpcPriority::Repair,
-        move |_| Request::Get(key2.clone()),
+        move |_| rpc::Request::Get { key: key2.clone() },
     );
     let dest = Dest {
         to,
@@ -616,7 +616,9 @@ fn shard_read_io(world: &Rc<World>, key: &Arc<str>) -> ShardIo {
         Origin::Client(0),
         None,
         rpc::RpcPriority::Repair,
-        move |slot| Request::Get(World::shard_key(&key, slot)),
+        move |slot| rpc::Request::Get {
+            key: World::shard_key(&key, slot),
+        },
     )
 }
 
@@ -797,20 +799,23 @@ fn write_to_new_holder(
     let client_node = world.cluster.client_node(0);
     let written = value.len();
     let to = dest.to;
-    let server = world.cluster.servers[to].clone();
     let world2 = world.clone();
-    rpc::set_retiring(
+    let request = rpc::Request::Set {
+        key: dest.store_key,
+        payload: value,
+        stale: dest.stale,
+    };
+    rpc::call(
         &world.cluster.net,
-        &server,
+        &world.cluster.servers[to],
         sim,
         at,
         client_node,
-        dest.store_key,
-        value,
-        dest.stale,
+        request,
+        None,
         rpc::RpcPriority::Repair,
         move |sim, reply| match reply {
-            Ok(r) if r.outcome.is_stored() => {
+            Ok(r) if r.hit => {
                 let node = world2.cluster.server_node(to);
                 world2.note(
                     sim.now(),
@@ -823,8 +828,8 @@ fn write_to_new_holder(
                 );
                 done(sim, RepairOutcome::Repaired, read, written);
             }
-            Err(rpc::RpcError::Shed(t)) => {
-                world2.note_shed(t, client_node, to, rpc::RpcPriority::Repair);
+            Err(err @ rpc::RpcError::Shed(_)) => {
+                world2.note_rpc_error(err, None, client_node, to, rpc::RpcPriority::Repair);
                 done(sim, RepairOutcome::Shed, read, 0);
             }
             // The destination cannot hold the value at all.

@@ -24,9 +24,7 @@ use eckv_erasure::Striper;
 use eckv_simnet::{trace_codec, CodecOp, SimDuration, SimTime, Simulation};
 use eckv_store::{rpc, Bytes, Payload};
 
-use crate::fanout::{
-    chunk_io, FanOut, FanOutSpec, Liveness, Origin, QuorumPolicy, Request, Settled,
-};
+use crate::fanout::{chunk_io, FanOut, FanOutSpec, Liveness, Origin, QuorumPolicy, Settled};
 use crate::flow::{finish_op, Coordinator, DoneCb, OpOutcome};
 use crate::ops::OpKind;
 use crate::scheme::{Scheme, Side};
@@ -166,7 +164,11 @@ fn set_parallel_replicated(
         Origin::Client(client),
         Some(client),
         rpc::RpcPriority::Foreground,
-        move |_| Request::Set(key2.clone(), payload.clone(), None),
+        move |_| rpc::Request::Set {
+            key: key2.clone(),
+            payload: payload.clone(),
+            stale: None,
+        },
     );
     let world2 = world.clone();
     let launched = FanOut::launch(
@@ -263,19 +265,21 @@ fn sync_step(
     }
     let srv = targets[idx];
     let issue_at = world.reserve_client_cpu(client, sim.now(), post);
-    let server = world.cluster.servers[srv].clone();
     let client_node = world.cluster.client_node(client);
     let world2 = world.clone();
-    let key2 = key.clone();
-    let payload2 = payload.clone();
-    rpc::set(
+    let request = rpc::Request::Set {
+        key: key.clone(),
+        payload: payload.clone(),
+        stale: None,
+    };
+    rpc::call(
         &world.cluster.net,
-        &server,
+        &world.cluster.servers[srv],
         sim,
         issue_at,
         client_node,
-        key.clone(),
-        payload.clone(),
+        request,
+        None,
         rpc::RpcPriority::Foreground,
         move |sim, reply| {
             // Blocking semantics: the op fails at the first broken link in
@@ -284,13 +288,13 @@ fn sync_step(
             // walks the same chain again, as does one that could not hold
             // the value.
             let t = match reply {
-                Ok(r) if r.outcome.is_stored() => {
+                Ok(r) if r.hit => {
                     return sync_step(
                         &world2,
                         sim,
                         client,
-                        key2,
-                        payload2,
+                        key,
+                        payload,
                         targets,
                         idx + 1,
                         op_start,
@@ -298,14 +302,13 @@ fn sync_step(
                     );
                 }
                 Ok(r) => r.at,
-                Err(rpc::RpcError::ServerDead(t)) => {
-                    world2.mark_dead(client, srv);
-                    t
-                }
-                Err(rpc::RpcError::Shed(t)) => {
-                    world2.note_shed(t, client_node, srv, rpc::RpcPriority::Foreground);
-                    t
-                }
+                Err(err) => world2.note_rpc_error(
+                    err,
+                    Some(client),
+                    client_node,
+                    srv,
+                    rpc::RpcPriority::Foreground,
+                ),
             };
             let outcome = OpOutcome {
                 value_len,
@@ -398,7 +401,11 @@ fn set_erasure(
             rpc::RpcPriority::Foreground,
             move |slot| {
                 let stale = scheme.is_replica_slot(slot).then(|| key.clone());
-                Request::Set(World::shard_key(&key, slot), shards[slot].clone(), stale)
+                rpc::Request::Set {
+                    key: World::shard_key(&key, slot),
+                    payload: shards[slot].clone(),
+                    stale,
+                }
             },
         );
         let launched = FanOut::launch(world, sim, spec, from, io, on_settle);

@@ -9,7 +9,8 @@ use eckv_erasure::Striper;
 use eckv_simnet::{
     Histogram, NodeId, QueueCap, SimDuration, SimRng, SimTime, Trace, TraceEvent, WorkerPool,
 };
-use eckv_store::{rpc::RpcPriority, AdmissionCaps, ClusterConfig, KvCluster};
+use eckv_store::rpc::{RpcError, RpcPriority};
+use eckv_store::{AdmissionCaps, ClusterConfig, KvCluster};
 
 use crate::costs;
 use crate::metrics::Metrics;
@@ -674,25 +675,37 @@ impl World {
         self.trace.emit(at, event);
     }
 
-    /// Reports one admission refusal observed at `client_node` (an
-    /// `op_shed` event). The failure views are untouched — a shedding
+    /// Books one failed request to server `srv`, issued from `node`, and
+    /// returns the instant the error surfaced. A dead server updates
+    /// `view`'s failure view, if any (repair judges liveness by ground
+    /// truth and passes `None`). A shed request is reported as an
+    /// `op_shed` event and leaves the failure views untouched: a shedding
     /// server is alive, and the refusal must not divert future waves away
     /// from it for good.
-    pub(crate) fn note_shed(
+    pub(crate) fn note_rpc_error(
         &self,
-        at: SimTime,
-        client_node: NodeId,
+        err: RpcError,
+        view: Option<usize>,
+        node: NodeId,
         srv: usize,
         prio: RpcPriority,
-    ) {
-        self.note(
-            at,
-            TraceEvent::OpShed {
-                client: client_node,
-                server: self.cluster.server_node(srv),
-                repair: prio.is_repair(),
-            },
-        );
+    ) -> SimTime {
+        match err {
+            RpcError::ServerDead(_) => {
+                if let Some(client) = view {
+                    self.mark_dead(client, srv);
+                }
+            }
+            RpcError::Shed(at) => self.note(
+                at,
+                TraceEvent::OpShed {
+                    client: node,
+                    server: self.cluster.server_node(srv),
+                    repair: prio.is_repair(),
+                },
+            ),
+        }
+        err.at()
     }
 
     /// Notes that `client` observed server `srv` back (post-repair).

@@ -13,7 +13,6 @@ use eckv_simnet::{Delivery, Network, NodeId, SimTime, Simulation};
 
 use crate::payload::Payload;
 use crate::server::KvServer;
-use crate::store_node::SetOutcome;
 
 /// Wire size of a Set/Get request header (opcode, key length, flags, cas).
 pub const REQUEST_OVERHEAD: usize = 48;
@@ -61,143 +60,6 @@ impl RpcPriority {
     }
 }
 
-/// Reply to a Set RPC: when it completed and what the store did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SetReply {
-    /// Completion instant at the client.
-    pub at: SimTime,
-    /// What the server's store did with the item.
-    pub outcome: SetOutcome,
-}
-
-/// Reply to a Get RPC: when it completed and the value, if any.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GetReply {
-    /// Completion instant at the client.
-    pub at: SimTime,
-    /// The value, or `None` on miss.
-    pub value: Option<Payload>,
-}
-
-/// Issues a Set of (`key`, `payload`) from `client` to `server`, starting
-/// no earlier than `start`.
-///
-/// `on_reply` fires when the ack arrives back at the client (or when the
-/// failure is detected). A server at its admission cap answers with a
-/// fast [`RpcError::Shed`] refusal instead of queueing the work: no
-/// worker time is reserved and only the status-only ack crosses back.
-#[allow(clippy::too_many_arguments)] // an RPC is naturally wide: route + payload + continuation
-pub fn set<F>(
-    net: &Rc<RefCell<Network>>,
-    server: &Rc<RefCell<KvServer>>,
-    sim: &mut Simulation,
-    start: SimTime,
-    client: NodeId,
-    key: Arc<str>,
-    payload: Payload,
-    prio: RpcPriority,
-    on_reply: F,
-) where
-    F: FnOnce(&mut Simulation, Result<SetReply, RpcError>) + 'static,
-{
-    set_retiring(
-        net, server, sim, start, client, key, payload, None, prio, on_reply,
-    );
-}
-
-/// [`set`] that, when admitted, first deletes `stale` (another key) from
-/// the server in the same request. The hybrid scheme's chunked rewrite
-/// uses it to retire the plain replica an earlier small value left on a
-/// replica holder, at no extra message.
-#[allow(clippy::too_many_arguments)]
-pub fn set_retiring<F>(
-    net: &Rc<RefCell<Network>>,
-    server: &Rc<RefCell<KvServer>>,
-    sim: &mut Simulation,
-    start: SimTime,
-    client: NodeId,
-    key: Arc<str>,
-    payload: Payload,
-    stale: Option<Arc<str>>,
-    prio: RpcPriority,
-    on_reply: F,
-) where
-    F: FnOnce(&mut Simulation, Result<SetReply, RpcError>) + 'static,
-{
-    let server_node = server.borrow().node();
-    let request_bytes = REQUEST_OVERHEAD + key.len() + payload.len() as usize;
-    let net2 = net.clone();
-    let server = server.clone();
-    Network::send(
-        net,
-        sim,
-        start,
-        client,
-        server_node,
-        request_bytes,
-        move |sim, delivery| match delivery {
-            Delivery::TargetDead(t) => on_reply(sim, Err(RpcError::ServerDead(t))),
-            Delivery::Delivered(at) => {
-                if !server.borrow_mut().admit(at, prio) {
-                    shed_reply(&net2, sim, at, server_node, client, move |sim, t| {
-                        on_reply(sim, Err(RpcError::Shed(t)))
-                    });
-                    return;
-                }
-                let (done, outcome) = {
-                    let mut server = server.borrow_mut();
-                    if let Some(stale) = &stale {
-                        server.delete(stale);
-                    }
-                    server.process_set(at, key, payload)
-                };
-                Network::send(
-                    &net2,
-                    sim,
-                    done,
-                    server_node,
-                    client,
-                    ACK_BYTES,
-                    move |sim, d2| match d2 {
-                        Delivery::TargetDead(t) => on_reply(sim, Err(RpcError::ServerDead(t))),
-                        Delivery::Delivered(at) => on_reply(sim, Ok(SetReply { at, outcome })),
-                    },
-                );
-            }
-        },
-    );
-}
-
-/// Sends the status-only refusal ack of a shed request back to the
-/// client. The refusal reserves no server worker time — that is what
-/// makes shedding cheaper than serving — so the only cost is the ack's
-/// wire crossing.
-fn shed_reply<F>(
-    net: &Rc<RefCell<Network>>,
-    sim: &mut Simulation,
-    at: SimTime,
-    server_node: NodeId,
-    client: NodeId,
-    on_reply: F,
-) where
-    F: FnOnce(&mut Simulation, SimTime) + 'static,
-{
-    Network::send(
-        net,
-        sim,
-        at,
-        server_node,
-        client,
-        ACK_BYTES,
-        move |sim, d2| {
-            let t = match d2 {
-                Delivery::TargetDead(t) | Delivery::Delivered(t) => t,
-            };
-            on_reply(sim, t);
-        },
-    );
-}
-
 /// A shared cancellation flag for speculative (hedged) requests. The
 /// issuer keeps a clone; once the race is decided it calls
 /// [`CancelToken::cancel`], and any losing request whose server has not
@@ -224,52 +86,85 @@ impl CancelToken {
     }
 }
 
-/// Issues a Get of `key` from `client` to `server`, starting no earlier
-/// than `start`.
-pub fn get<F>(
-    net: &Rc<RefCell<Network>>,
-    server: &Rc<RefCell<KvServer>>,
-    sim: &mut Simulation,
-    start: SimTime,
-    client: NodeId,
-    key: Arc<str>,
-    on_reply: F,
-) where
-    F: FnOnce(&mut Simulation, Result<GetReply, RpcError>) + 'static,
-{
-    get_with_cancel(
-        net,
-        server,
-        sim,
-        start,
-        client,
-        key,
-        CancelToken::new(),
-        RpcPriority::Foreground,
-        on_reply,
-    );
+/// What a store request asks of its server.
+#[derive(Debug, Clone)]
+pub enum Request {
+    /// Store `payload` under `key`. When admitted, the server first
+    /// deletes `stale` (another key) in the same request: the hybrid
+    /// scheme's chunked rewrite retires the plain replica an earlier small
+    /// value left on a replica holder, at no extra message.
+    Set {
+        /// The key to store under.
+        key: Arc<str>,
+        /// The value.
+        payload: Payload,
+        /// A key to delete first, if any.
+        stale: Option<Arc<str>>,
+    },
+    /// Fetch `key`.
+    Get {
+        /// The key to fetch.
+        key: Arc<str>,
+    },
 }
 
-/// Like [`get`], but the request carries `cancel`: if the token is
-/// cancelled before the request reaches the server, the server drops it —
-/// no processing, no response, and **`on_reply` never fires**. Callers
-/// must not rely on the callback for accounting of cancelled requests.
+impl Request {
+    /// Wire size of the request: header, key and any value.
+    fn bytes(&self) -> usize {
+        match self {
+            Request::Set { key, payload, .. } => {
+                REQUEST_OVERHEAD + key.len() + payload.len() as usize
+            }
+            Request::Get { key } => REQUEST_OVERHEAD + key.len(),
+        }
+    }
+}
+
+/// Reply to a store request.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Reply {
+    /// Completion instant at the client.
+    pub at: SimTime,
+    /// Whether the server stored (Set) or had (Get) the item.
+    pub hit: bool,
+    /// The fetched value (Gets that hit).
+    pub value: Option<Payload>,
+}
+
+impl RpcError {
+    /// The instant the error surfaced at the client.
+    pub fn at(self) -> SimTime {
+        match self {
+            RpcError::ServerDead(t) | RpcError::Shed(t) => t,
+        }
+    }
+}
+
+/// The request leg of every server-bound message: sends `bytes` from
+/// `client` to `server`, starting no earlier than `start`, and hands
+/// `on_admitted` the delivery instant once the server admits it.
+///
+/// A dead server surfaces as [`RpcError::ServerDead`]. A request whose
+/// `cancel` token was cancelled before it arrived is dropped there — no
+/// processing, no response, and **`on_admitted` never fires**. A server at
+/// its admission cap answers with a fast [`RpcError::Shed`] refusal
+/// instead of queueing the work: no worker time is reserved and only the
+/// status-only ack crosses back.
 #[allow(clippy::too_many_arguments)] // an RPC is naturally wide: route + payload + continuation
-pub fn get_with_cancel<F>(
+pub fn request<F>(
     net: &Rc<RefCell<Network>>,
     server: &Rc<RefCell<KvServer>>,
     sim: &mut Simulation,
     start: SimTime,
     client: NodeId,
-    key: Arc<str>,
-    cancel: CancelToken,
+    bytes: usize,
     prio: RpcPriority,
-    on_reply: F,
+    cancel: Option<CancelToken>,
+    on_admitted: F,
 ) where
-    F: FnOnce(&mut Simulation, Result<GetReply, RpcError>) + 'static,
+    F: FnOnce(&mut Simulation, Result<SimTime, RpcError>) + 'static,
 {
     let server_node = server.borrow().node();
-    let request_bytes = REQUEST_OVERHEAD + key.len();
     let net2 = net.clone();
     let server = server.clone();
     Network::send(
@@ -278,35 +173,124 @@ pub fn get_with_cancel<F>(
         start,
         client,
         server_node,
-        request_bytes,
+        bytes,
         move |sim, delivery| match delivery {
-            Delivery::TargetDead(t) => on_reply(sim, Err(RpcError::ServerDead(t))),
+            Delivery::TargetDead(t) => on_admitted(sim, Err(RpcError::ServerDead(t))),
             Delivery::Delivered(at) => {
-                if cancel.is_cancelled() {
+                if cancel.is_some_and(|c| c.is_cancelled()) {
                     return;
                 }
-                if !server.borrow_mut().admit(at, prio) {
-                    shed_reply(&net2, sim, at, server_node, client, move |sim, t| {
-                        on_reply(sim, Err(RpcError::Shed(t)))
-                    });
-                    return;
+                if server.borrow_mut().admit(at, prio) {
+                    return on_admitted(sim, Ok(at));
                 }
-                let (done, value) = server.borrow_mut().process_get(at, &key);
-                let response_bytes = ACK_BYTES + value.as_ref().map_or(0, |v| v.len() as usize);
+                // The refusal reserves no server worker time — that is
+                // what makes shedding cheaper than serving — so its only
+                // cost is the ack's wire crossing.
                 Network::send(
                     &net2,
                     sim,
-                    done,
+                    at,
                     server_node,
                     client,
-                    response_bytes,
-                    move |sim, d2| match d2 {
-                        Delivery::TargetDead(t) => on_reply(sim, Err(RpcError::ServerDead(t))),
-                        Delivery::Delivered(at) => on_reply(sim, Ok(GetReply { at, value })),
-                    },
+                    ACK_BYTES,
+                    move |sim, d| on_admitted(sim, Err(RpcError::Shed(d.at()))),
                 );
             }
         },
+    );
+}
+
+/// The response leg of every server-bound message: sends `bytes` from
+/// `server` back to `client` at `at` and hands `on_arrival` the arrival
+/// instant, or [`RpcError::ServerDead`] when the transfer fails.
+pub fn respond<F>(
+    net: &Rc<RefCell<Network>>,
+    sim: &mut Simulation,
+    at: SimTime,
+    server: NodeId,
+    client: NodeId,
+    bytes: usize,
+    on_arrival: F,
+) where
+    F: FnOnce(&mut Simulation, Result<SimTime, RpcError>) + 'static,
+{
+    Network::send(net, sim, at, server, client, bytes, move |sim, d| {
+        let r = match d {
+            Delivery::Delivered(at) => Ok(at),
+            Delivery::TargetDead(t) => Err(RpcError::ServerDead(t)),
+        };
+        on_arrival(sim, r);
+    });
+}
+
+/// Issues `req` from `client` to `server`, starting no earlier than
+/// `start`: the [`request`] leg, the server's worker processing, and the
+/// [`respond`] leg. `on_reply` fires when the response arrives back at the
+/// client, or when the request fails; never for a request dropped by
+/// `cancel`.
+#[allow(clippy::too_many_arguments)] // an RPC is naturally wide: route + payload + continuation
+pub fn call<F>(
+    net: &Rc<RefCell<Network>>,
+    server: &Rc<RefCell<KvServer>>,
+    sim: &mut Simulation,
+    start: SimTime,
+    client: NodeId,
+    req: Request,
+    cancel: Option<CancelToken>,
+    prio: RpcPriority,
+    on_reply: F,
+) where
+    F: FnOnce(&mut Simulation, Result<Reply, RpcError>) + 'static,
+{
+    let bytes = req.bytes();
+    let net2 = net.clone();
+    let server2 = server.clone();
+    let on_admitted = move |sim: &mut Simulation, admitted: Result<SimTime, RpcError>| {
+        let at = match admitted {
+            Ok(at) => at,
+            Err(e) => return on_reply(sim, Err(e)),
+        };
+        let mut server = server2.borrow_mut();
+        let (done, hit, value) = match req {
+            Request::Set {
+                key,
+                payload,
+                stale,
+            } => {
+                if let Some(stale) = &stale {
+                    server.delete(stale);
+                }
+                let (done, outcome) = server.process_set(at, key, payload);
+                (done, outcome.is_stored(), None)
+            }
+            Request::Get { key } => {
+                let (done, value) = server.process_get(at, &key);
+                (done, value.is_some(), value)
+            }
+        };
+        let server_node = server.node();
+        drop(server);
+        let bytes = ACK_BYTES + value.as_ref().map_or(0, |v| v.len() as usize);
+        respond(
+            &net2,
+            sim,
+            done,
+            server_node,
+            client,
+            bytes,
+            move |sim, r| on_reply(sim, r.map(|at| Reply { at, hit, value })),
+        );
+    };
+    request(
+        net,
+        server,
+        sim,
+        start,
+        client,
+        bytes,
+        prio,
+        cancel,
+        on_admitted,
     );
 }
 
@@ -315,6 +299,18 @@ mod tests {
     use super::*;
     use crate::server::ServerCosts;
     use eckv_simnet::{ClusterProfile, TransportKind};
+
+    fn set(key: &str, payload: Payload) -> Request {
+        Request::Set {
+            key: key.into(),
+            payload,
+            stale: None,
+        }
+    }
+
+    fn get(key: &str) -> Request {
+        Request::Get { key: key.into() }
+    }
 
     fn setup() -> (Rc<RefCell<Network>>, Rc<RefCell<KvServer>>, Simulation) {
         let cfg = ClusterProfile::RiQdr.net_config(TransportKind::Rdma);
@@ -333,30 +329,32 @@ mod tests {
         let (net, server, mut sim) = setup();
         let client = NodeId(1);
         let value = Payload::inline(vec![42u8; 4096]);
-        let got: Rc<RefCell<Option<GetReply>>> = Rc::new(RefCell::new(None));
+        let got: Rc<RefCell<Option<Reply>>> = Rc::new(RefCell::new(None));
         let got2 = got.clone();
 
         let net2 = net.clone();
         let server2 = server.clone();
-        set(
+        call(
             &net,
             &server,
             &mut sim,
             SimTime::ZERO,
             client,
-            "k".into(),
-            value.clone(),
+            set("k", value.clone()),
+            None,
             RpcPriority::Foreground,
             move |sim, reply| {
                 let reply = reply.expect("server is alive");
-                assert_eq!(reply.outcome, SetOutcome::Stored);
-                get(
+                assert!(reply.hit, "the value is stored");
+                call(
                     &net2,
                     &server2,
                     sim,
                     reply.at,
                     client,
-                    "k".into(),
+                    get("k"),
+                    None,
+                    RpcPriority::Foreground,
                     move |_, reply| {
                         *got2.borrow_mut() = Some(reply.expect("alive"));
                     },
@@ -373,15 +371,19 @@ mod tests {
         let (net, server, mut sim) = setup();
         let seen = Rc::new(RefCell::new(false));
         let seen2 = seen.clone();
-        get(
+        call(
             &net,
             &server,
             &mut sim,
             SimTime::ZERO,
             NodeId(1),
-            "ghost".into(),
+            get("ghost"),
+            None,
+            RpcPriority::Foreground,
             move |_, reply| {
-                assert!(reply.unwrap().value.is_none());
+                let reply = reply.unwrap();
+                assert!(!reply.hit);
+                assert!(reply.value.is_none());
                 *seen2.borrow_mut() = true;
             },
         );
@@ -395,14 +397,14 @@ mod tests {
         net.borrow_mut().kill(NodeId(0));
         let seen = Rc::new(RefCell::new(false));
         let seen2 = seen.clone();
-        set(
+        call(
             &net,
             &server,
             &mut sim,
             SimTime::ZERO,
             NodeId(1),
-            "k".into(),
-            Payload::synthetic(100, 0),
+            set("k", Payload::synthetic(100, 0)),
+            None,
             RpcPriority::Foreground,
             move |_, reply| {
                 assert!(matches!(reply, Err(RpcError::ServerDead(_))));
@@ -424,14 +426,14 @@ mod tests {
         let fired = Rc::new(RefCell::new(false));
         let f2 = fired.clone();
         let token = CancelToken::new();
-        get_with_cancel(
+        call(
             &net,
             &server,
             &mut sim,
             SimTime::ZERO,
             NodeId(1),
-            "k".into(),
-            token.clone(),
+            get("k"),
+            Some(token.clone()),
             RpcPriority::Foreground,
             move |_, _| {
                 *f2.borrow_mut() = true;
@@ -449,14 +451,14 @@ mod tests {
         let (net, server, mut sim) = setup();
         let fired = Rc::new(RefCell::new(false));
         let f2 = fired.clone();
-        get_with_cancel(
+        call(
             &net,
             &server,
             &mut sim,
             SimTime::ZERO,
             NodeId(1),
-            "k".into(),
-            CancelToken::new(),
+            get("k"),
+            Some(CancelToken::new()),
             RpcPriority::Foreground,
             move |_, _| {
                 *f2.borrow_mut() = true;
@@ -479,30 +481,32 @@ mod tests {
         let busy_before = server.borrow().cpu_busy();
 
         // Repair traffic is refused outright at its zero-depth bound...
-        let repair_reply: Rc<RefCell<Option<Result<GetReply, RpcError>>>> =
+        let repair_reply: Rc<RefCell<Option<Result<Reply, RpcError>>>> =
             Rc::new(RefCell::new(None));
         let r2 = repair_reply.clone();
-        get_with_cancel(
+        call(
             &net,
             &server,
             &mut sim,
             SimTime::ZERO,
             NodeId(1),
-            "k".into(),
-            CancelToken::new(),
+            get("k"),
+            None,
             RpcPriority::Repair,
             move |_, reply| *r2.borrow_mut() = Some(reply),
         );
         // ...while a foreground get on the same server is served.
-        let fg_reply: Rc<RefCell<Option<Result<GetReply, RpcError>>>> = Rc::new(RefCell::new(None));
+        let fg_reply: Rc<RefCell<Option<Result<Reply, RpcError>>>> = Rc::new(RefCell::new(None));
         let f2 = fg_reply.clone();
-        get(
+        call(
             &net,
             &server,
             &mut sim,
             SimTime::ZERO,
             NodeId(1),
-            "k".into(),
+            get("k"),
+            None,
+            RpcPriority::Foreground,
             move |_, reply| *f2.borrow_mut() = Some(reply),
         );
         sim.run();
@@ -530,14 +534,14 @@ mod tests {
             let (net, server, mut sim) = setup();
             let done = Rc::new(RefCell::new(SimTime::ZERO));
             let d2 = done.clone();
-            set(
+            call(
                 &net,
                 &server,
                 &mut sim,
                 SimTime::ZERO,
                 NodeId(1),
-                "k".into(),
-                Payload::synthetic(bytes as u64, 0),
+                set("k", Payload::synthetic(bytes as u64, 0)),
+                None,
                 RpcPriority::Foreground,
                 move |_, reply| {
                     *d2.borrow_mut() = reply.unwrap().at;

@@ -166,7 +166,6 @@ impl KvServer {
         payload: Payload,
     ) -> (SimTime, SetOutcome) {
         let service = self.costs.op_time(payload.len());
-        self.cpu.prune(now);
         let (svc_start, done) = self.cpu.reserve_timed(now, service);
         let outcome = self.store_set(done, key, payload);
         self.record_cpu_spans(now, svc_start, done);
@@ -201,7 +200,6 @@ impl KvServer {
         let (flash_done, value) = self.store_get(now, key);
         let bytes = value.as_ref().map_or(0, Payload::len);
         let service = self.costs.op_time(bytes);
-        self.cpu.prune(now);
         let (svc_start, cpu_done) = self.cpu.reserve_timed(now, service);
         let done = cpu_done.max(flash_done);
         self.record_cpu_spans(now, svc_start, cpu_done);
