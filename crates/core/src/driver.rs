@@ -31,7 +31,7 @@ fn span_class(kind: OpKind) -> SpanOpClass {
 }
 
 struct ClientState {
-    queue: VecDeque<(Op, usize)>,
+    queue: VecDeque<Op>,
     in_flight: usize,
 }
 
@@ -110,11 +110,8 @@ pub fn enqueue_client(world: &Rc<World>, sim: &mut Simulation, client: usize, op
         "client {client} of {}",
         world.cfg.cluster.clients
     );
-    // On a dead-server discovery an operation is transparently retried
-    // against the updated failure view, up to once per server.
-    let max_retries = world.cfg.cluster.servers;
     let state = Rc::new(RefCell::new(ClientState {
-        queue: ops.into_iter().map(|op| (op, max_retries)).collect(),
+        queue: VecDeque::from(ops),
         in_flight: 0,
     }));
     pump(world, sim, client, &state);
@@ -123,8 +120,11 @@ pub fn enqueue_client(world: &Rc<World>, sim: &mut Simulation, client: usize, op
 /// Admits operations for `client` until the window is full or the stream
 /// is exhausted.
 fn pump(world: &Rc<World>, sim: &mut Simulation, client: usize, state: &Rc<RefCell<ClientState>>) {
+    // On a dead-server discovery an operation is transparently retried
+    // against the updated failure view, up to once per server.
+    let retries_left = world.cfg.cluster.servers;
     loop {
-        let (op, retries_left) = {
+        let op = {
             let mut s = state.borrow_mut();
             if s.in_flight >= world.window() || s.queue.is_empty() {
                 return;

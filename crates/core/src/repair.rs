@@ -740,8 +740,8 @@ fn reconstruct_to(
                 return;
             };
             let t_dec = world2
-                .decode_time(w.len, 1)
-                .max(world2.encode_time(w.len) / 2);
+                .decode_time_at(client_node, w.len, 1)
+                .max(world2.encode_time_at(client_node, w.len) / 2);
             let dec_done = world2.reserve_client_cpu(0, s.last, t_dec);
             trace_codec(
                 &world2.trace,

@@ -587,27 +587,16 @@ impl World {
             .shard_len_for(len as usize) as u64
     }
 
-    /// Simulated encode duration for a value of `len` bytes.
-    pub(crate) fn encode_time(&self, len: u64) -> SimDuration {
-        let striper = self.striper.as_ref().expect("erasure scheme");
-        costs::encode_time(&self.cluster.compute(), striper, len)
-    }
-
-    /// Simulated decode duration when `erased_data` data chunks are missing.
-    pub(crate) fn decode_time(&self, len: u64, erased_data: usize) -> SimDuration {
-        let striper = self.striper.as_ref().expect("erasure scheme");
-        costs::decode_time(&self.cluster.compute(), striper, len, erased_data)
-    }
-
-    /// Like [`World::encode_time`], but charged at `node`'s CPU: a
-    /// degraded (straggling) node encodes proportionally slower.
+    /// Simulated encode duration for a value of `len` bytes at `node`'s
+    /// CPU: a degraded (straggling) node encodes proportionally slower.
     pub(crate) fn encode_time_at(&self, node: NodeId, len: u64) -> SimDuration {
         let striper = self.striper.as_ref().expect("erasure scheme");
         let f = self.cluster.net.borrow().slow_factor(node);
         costs::encode_time(&self.cluster.compute().slowed(f), striper, len)
     }
 
-    /// Like [`World::decode_time`], but charged at `node`'s CPU.
+    /// Simulated decode duration at `node`'s CPU when `erased_data` data
+    /// chunks of a `len`-byte value are missing.
     pub(crate) fn decode_time_at(&self, node: NodeId, len: u64, erased_data: usize) -> SimDuration {
         let striper = self.striper.as_ref().expect("erasure scheme");
         let f = self.cluster.net.borrow().slow_factor(node);
@@ -897,6 +886,7 @@ mod tests {
     fn straggling_node_degrades_codec_throughput() {
         let w = World::new(cfg(Scheme::era_ce_cd(3, 2)));
         let healthy = w.decode_time_at(NodeId(1), 1 << 20, 1);
+        let healthy_encode = w.encode_time_at(NodeId(1), 1 << 20);
         w.cluster
             .slow_server(SimTime::ZERO, 1, 8.0, SimDuration::ZERO);
         let degraded = w.decode_time_at(NodeId(1), 1 << 20, 1);
@@ -904,6 +894,6 @@ mod tests {
         assert!((7.5..=8.5).contains(&ratio), "ratio={ratio}");
         // Other nodes are unaffected.
         assert_eq!(w.decode_time_at(NodeId(2), 1 << 20, 1), healthy);
-        assert_eq!(w.encode_time_at(NodeId(2), 1 << 20), w.encode_time(1 << 20));
+        assert_eq!(w.encode_time_at(NodeId(2), 1 << 20), healthy_encode);
     }
 }

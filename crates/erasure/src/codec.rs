@@ -9,7 +9,7 @@ use crate::{CauchyRs, Liberation, RsVandermonde};
 
 /// How a codec's computational cost scales, for simulation cost models.
 ///
-/// Real encode/decode time is measured by the Criterion benchmarks; inside
+/// Real encode/decode time is measured by `paper-figures fig4`; inside
 /// deterministic simulations the cost model needs to know which kernel
 /// family a codec uses and how much work one stripe is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,7 +1,7 @@
 //! Calibrated cost model for erasure-coding computation inside simulations.
 //!
-//! Stand-alone codec benchmarks (Figure 4) run the *real* Rust codecs under
-//! Criterion. Inside cluster simulations, encode/decode must be
+//! Stand-alone codec benchmarks (Figure 4, `paper-figures fig4`) time the
+//! *real* Rust codecs. Inside cluster simulations, encode/decode must be
 //! deterministic and host-independent, so their *duration* comes from this
 //! model while the data transformation still uses the real codec.
 //!
