@@ -1,7 +1,9 @@
 //! Client-visible Set/Get RPCs composed over the simulated transport.
 //!
-//! Each RPC is request transfer → server worker processing → response
-//! transfer. The non-blocking engine in `eckv-core` issues many of these
+//! Every server-bound message is a [`request`] leg (transfer, then
+//! admission), a serve step and a [`respond`] leg; [`call`] runs the three
+//! for a store [`Request`], serving it with the server's workers. The
+//! non-blocking engine in `eckv-core` issues many of these
 //! concurrently and reaps completions through its window, exactly like the
 //! `memcached_iset`/`iget` + `memcached_wait` APIs the paper builds on.
 
@@ -28,6 +30,15 @@ pub enum RpcError {
     /// admission cap; the fast refusal reached the client at the given
     /// time. Retryable — the server has not failed, it is overloaded.
     Shed(SimTime),
+}
+
+impl RpcError {
+    /// The instant the error surfaced at the client.
+    pub fn at(self) -> SimTime {
+        match self {
+            RpcError::ServerDead(t) | RpcError::Shed(t) => t,
+        }
+    }
 }
 
 impl std::fmt::Display for RpcError {
@@ -129,15 +140,6 @@ pub struct Reply {
     pub hit: bool,
     /// The fetched value (Gets that hit).
     pub value: Option<Payload>,
-}
-
-impl RpcError {
-    /// The instant the error surfaced at the client.
-    pub fn at(self) -> SimTime {
-        match self {
-            RpcError::ServerDead(t) | RpcError::Shed(t) => t,
-        }
-    }
 }
 
 /// The request leg of every server-bound message: sends `bytes` from
