@@ -216,7 +216,7 @@ impl KvServer {
     /// time: looks `key` up in RAM at `now`, then in the flash tier, if
     /// any. Returns when the flash read completes (`now` when it was not
     /// needed) and the value, if present.
-    pub fn store_get(&mut self, now: SimTime, key: &str) -> (SimTime, Option<Payload>) {
+    fn store_get(&mut self, now: SimTime, key: &str) -> (SimTime, Option<Payload>) {
         if let Some(value) = self.store.get_at(key, now) {
             return (now, Some(value));
         }
