@@ -29,6 +29,8 @@ pub struct Zipfian {
     zetan: f64,
     eta: f64,
     zeta2theta: f64,
+    /// `1 + 0.5^theta`: a scaled draw below it picks item 1.
+    rank1_cut: f64,
 }
 
 fn zeta(n: u64, theta: f64) -> f64 {
@@ -65,6 +67,7 @@ impl Zipfian {
             zetan,
             eta: (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2theta / zetan),
             zeta2theta,
+            rank1_cut: 1.0 + 0.5f64.powf(theta),
         }
     }
 
@@ -102,7 +105,7 @@ impl Zipfian {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < self.rank1_cut {
             return 1;
         }
         let v = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
