@@ -15,7 +15,7 @@
 //!          [--hedge-after p95|50us] [--deadline 2ms]
 //!          [--admission-depth 48] [--admission-repair-depth 8]
 //!          [--admission-delay 200us]
-//!          [--ssd CAPACITY]
+//!          [--memory SIZE] [--ssd CAPACITY]
 //!          [--trace out.jsonl] [--timeline out.csv]
 //!          [--stats-interval 10ms] [--report]
 //!          [--explain-tail] [--perfetto out.json] [--trace-schema]
@@ -91,6 +91,15 @@
 //! rebuild (the engine rejects reconfiguration mid-rebuild). With neither
 //! flag the placement, and therefore the whole event trace, is
 //! byte-identical to fixed-topology builds.
+//!
+//! Memory-tier flags:
+//!
+//! * `--memory 256K` — cache RAM per server (accepts K/M/G suffixes).
+//!   Default: 20 GiB, which no run of practical size fills.
+//! * `--ssd 2M` — attach a flash tier of the given capacity behind each
+//!   server's RAM. Items the LRU evicts spill to it (`ssd_spill`) and
+//!   later misses read them back (`ssd_read`); with the default
+//!   `--memory` nothing is ever evicted, so pair it with a small one.
 //!
 //! Observability flags (all feed the deterministic TraceBus — identical
 //! seeds and flags produce byte-identical output files):
@@ -177,6 +186,7 @@ struct Args {
     explain_tail: bool,
     perfetto: Option<String>,
     trace_schema: bool,
+    memory: Option<u64>,
     ssd: Option<u64>,
 }
 
@@ -311,6 +321,7 @@ fn parse_args() -> Result<Args, String> {
         explain_tail: false,
         perfetto: None,
         trace_schema: false,
+        memory: None,
         ssd: None,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -435,6 +446,7 @@ fn parse_args() -> Result<Args, String> {
                 i += 1;
                 continue;
             }
+            "--memory" => a.memory = Some(parse_size(value(i)?)?),
             "--ssd" => a.ssd = Some(parse_size(value(i)?)?),
             "--help" | "-h" => {
                 println!("see the module docs at the top of eckv_sim.rs for usage");
@@ -618,6 +630,9 @@ fn main() {
         .client_nodes(args.client_nodes.unwrap_or(args.clients.max(1)));
     if !args.scale_out.is_empty() {
         cluster = cluster.max_servers(provisioned);
+    }
+    if let Some(bytes) = args.memory {
+        cluster = cluster.server_memory(bytes);
     }
     if let Some(capacity) = args.ssd {
         cluster = cluster.ssd(eckv_store::SsdSpec::RI_QDR_PCIE.with_capacity(capacity));
