@@ -490,6 +490,21 @@ fn peak_rss() -> String {
         .unwrap_or_else(|| "n/a".to_owned())
 }
 
+/// `bytes` in the largest binary unit (B, KiB, MiB, GiB) it reaches.
+fn human_bytes(bytes: u64) -> String {
+    const UNITS: [&str; 3] = ["KiB", "MiB", "GiB"];
+    if bytes < 1 << 10 {
+        return format!("{bytes} B");
+    }
+    let mut value = bytes as f64 / 1024.0;
+    let mut unit = 0;
+    while value >= 1024.0 && unit + 1 < UNITS.len() {
+        value /= 1024.0;
+        unit += 1;
+    }
+    format!("{value:.2} {}", UNITS[unit])
+}
+
 fn print_report(world: &Rc<World>) {
     let m = world.metrics.borrow();
     println!("\n== results ==");
@@ -544,9 +559,9 @@ fn print_report(world: &Rc<World>) {
     drop(m);
     let mem = world.memory_report();
     println!(
-        "cluster memory    : {:.2} GB used of {:.2} GB ({:.1}%), {} evictions",
-        mem.used_bytes as f64 / (1u64 << 30) as f64,
-        mem.capacity_bytes as f64 / (1u64 << 30) as f64,
+        "cluster memory    : {} used of {} ({:.1}%), {} evictions",
+        human_bytes(mem.used_bytes),
+        human_bytes(mem.capacity_bytes),
         mem.pct_used(),
         mem.evictions,
     );
@@ -921,5 +936,18 @@ fn main() {
                 Err(e) => eprintln!("failed to write {path}: {e}"),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::human_bytes;
+
+    #[test]
+    fn bytes_print_in_a_unit_chosen_by_size() {
+        assert_eq!(human_bytes(0), "0 B");
+        assert_eq!(human_bytes(1 << 20), "1.00 MiB");
+        assert_eq!(human_bytes(5 << 20), "5.00 MiB");
+        assert_eq!(human_bytes(20 << 30), "20.00 GiB");
     }
 }

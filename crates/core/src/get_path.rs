@@ -18,7 +18,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use eckv_simnet::{trace_codec, CodecOp, SimDuration, SimTime, Simulation};
-use eckv_store::{rpc, Payload, Xxh64};
+use eckv_store::{rpc, Payload, StoreKey, Xxh64};
 
 use crate::fanout::{
     chunk_io, FanOut, FanOutSpec, Liveness, Origin, QuorumPolicy, SettleCb, Settled,
@@ -117,7 +117,9 @@ fn get_hybrid(
         sim,
         issue_at,
         client_node,
-        rpc::Request::Get { key: key.clone() },
+        rpc::Request::Get {
+            key: StoreKey::from(&key),
+        },
         None,
         rpc::RpcPriority::Foreground,
         move |sim, reply| match reply {
@@ -221,13 +223,15 @@ fn get_replicated(
         liveness: Liveness::View(client),
         hedge_node: world.cluster.client_node(client),
     };
-    let key2 = key.clone();
+    let store_key = StoreKey::from(&key);
     let io = chunk_io(
         world,
         Origin::Client(client),
         Some(client),
         rpc::RpcPriority::Foreground,
-        move |_| rpc::Request::Get { key: key2.clone() },
+        move |_| rpc::Request::Get {
+            key: store_key.clone(),
+        },
     );
     let world2 = world.clone();
     let launched = FanOut::launch(
@@ -383,7 +387,7 @@ fn get_erasure(
                 Some(client),
                 rpc::RpcPriority::Foreground,
                 move |slot| rpc::Request::Get {
-                    key: World::shard_key(&key2, slot),
+                    key: StoreKey::chunk(key2.clone(), slot),
                 },
             );
             let launched = FanOut::launch(world, sim, spec, from, io, on_settle);

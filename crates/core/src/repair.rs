@@ -48,7 +48,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use eckv_simnet::{trace_codec, CodecOp, SimDuration, SimTime, Simulation, TraceEvent};
-use eckv_store::{fnv1a_64, rpc, Payload};
+use eckv_store::{fnv1a_64, rpc, Payload, StoreKey};
 
 use crate::fanout::{
     chunk_io, FanOut, FanOutSpec, Liveness, Origin, QuorumPolicy, Settled, ShardIo,
@@ -508,8 +508,8 @@ fn issue_repair_task(world: &Rc<World>, sim: &mut Simulation, task: RepairTask, 
 #[derive(Clone)]
 struct Dest {
     to: usize,
-    store_key: Arc<str>,
-    stale: Option<Arc<str>>,
+    store_key: StoreKey,
+    stale: Option<StoreKey>,
 }
 
 /// What a copy falls back to when no source served the value and none
@@ -543,8 +543,9 @@ fn run_task(world: &Rc<World>, sim: &mut Simulation, task: RepairTask, done: Rep
         // that is dead or empty, reconstructs from `k` survivors instead.
         let dest = Dest {
             to,
-            store_key: World::shard_key(&key, slot),
-            stale: (from.is_some() && world.scheme.is_replica_slot(slot)).then(|| key.clone()),
+            store_key: StoreKey::chunk(key.clone(), slot),
+            stale: (from.is_some() && world.scheme.is_replica_slot(slot))
+                .then(|| StoreKey::from(&key)),
         };
         let spec = FanOutSpec {
             candidates: from.filter(alive).map(|f| (slot, f)).into_iter().collect(),
@@ -590,7 +591,8 @@ fn run_task(world: &Rc<World>, sim: &mut Simulation, task: RepairTask, done: Rep
         None => spec.rotated_by(fnv1a_64(key.as_bytes())),
         Some(_) => spec,
     };
-    let key2 = key.clone();
+    let store_key = StoreKey::from(key);
+    let key2 = store_key.clone();
     let io = chunk_io(
         world,
         Origin::Client(0),
@@ -600,7 +602,7 @@ fn run_task(world: &Rc<World>, sim: &mut Simulation, task: RepairTask, done: Rep
     );
     let dest = Dest {
         to,
-        store_key: key,
+        store_key,
         stale: None,
     };
     let lost: OnMiss = Box::new(|sim, done| done(sim, RepairOutcome::Lost, 0, 0));
@@ -617,7 +619,7 @@ fn shard_read_io(world: &Rc<World>, key: &Arc<str>) -> ShardIo {
         None,
         rpc::RpcPriority::Repair,
         move |slot| rpc::Request::Get {
-            key: World::shard_key(&key, slot),
+            key: StoreKey::chunk(key.clone(), slot),
         },
     )
 }

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use eckv_erasure::Striper;
 use eckv_simnet::{trace_codec, CodecOp, SimDuration, SimTime, Simulation};
-use eckv_store::{rpc, Bytes, Payload};
+use eckv_store::{rpc, Bytes, Payload, StoreKey};
 
 use crate::fanout::{chunk_io, FanOut, FanOutSpec, Liveness, Origin, QuorumPolicy, Settled};
 use crate::flow::{finish_op, Coordinator, DoneCb, OpOutcome};
@@ -158,14 +158,14 @@ fn set_parallel_replicated(
         liveness: Liveness::View(client),
         hedge_node: world.cluster.client_node(client),
     };
-    let key2 = key.clone();
+    let store_key = StoreKey::from(&key);
     let io = chunk_io(
         world,
         Origin::Client(client),
         Some(client),
         rpc::RpcPriority::Foreground,
         move |_| rpc::Request::Set {
-            key: key2.clone(),
+            key: store_key.clone(),
             payload: payload.clone(),
             stale: None,
         },
@@ -268,7 +268,7 @@ fn sync_step(
     let client_node = world.cluster.client_node(client);
     let world2 = world.clone();
     let request = rpc::Request::Set {
-        key: key.clone(),
+        key: StoreKey::from(&key),
         payload: payload.clone(),
         stale: None,
     };
@@ -400,9 +400,9 @@ fn set_erasure(
             Some(client),
             rpc::RpcPriority::Foreground,
             move |slot| {
-                let stale = scheme.is_replica_slot(slot).then(|| key.clone());
+                let stale = scheme.is_replica_slot(slot).then(|| StoreKey::from(&key));
                 rpc::Request::Set {
-                    key: World::shard_key(&key, slot),
+                    key: StoreKey::chunk(key.clone(), slot),
                     payload: shards[slot].clone(),
                     stale,
                 }

@@ -558,23 +558,6 @@ impl World {
             .targets_for(key.as_bytes(), self.scheme.servers_per_key())
     }
 
-    /// Storage key of erasure chunk `i` of `key`: `"{key}.s{i}"`. For a
-    /// single-digit index and a key that fits the stack buffer it is
-    /// spelled there and copied into its `Arc` once: one allocation.
-    pub fn shard_key(key: &str, i: usize) -> Arc<str> {
-        const CAP: usize = 64;
-        let n = key.len();
-        if i >= 10 || n + 3 > CAP {
-            return format!("{key}.s{i}").into();
-        }
-        let mut buf = [0u8; CAP];
-        buf[..n].copy_from_slice(key.as_bytes());
-        buf[n..n + 3].copy_from_slice(&[b'.', b's', b'0' + i as u8]);
-        std::str::from_utf8(&buf[..n + 3])
-            .expect("a str with an ASCII suffix")
-            .into()
-    }
-
     /// Shard length for a value of `len` bytes under the current codec.
     ///
     /// # Panics
@@ -804,31 +787,6 @@ mod tests {
             Scheme::era_ce_cd(3, 2),
         );
         let _ = World::new(c);
-    }
-
-    #[test]
-    fn shard_keys_are_distinct() {
-        assert_ne!(World::shard_key("k", 0), World::shard_key("k", 1));
-        assert_ne!(World::shard_key("k", 0), World::shard_key("k2", 0));
-    }
-
-    #[test]
-    fn shard_key_matches_its_format_spelling() {
-        // Keys that fill the 64-byte stack buffer exactly (61 bytes plus
-        // ".sN"), overflow it by one, and go far past it; multi-byte UTF-8,
-        // also across the buffer's edge.
-        let long = ["x".repeat(61), "y".repeat(62), "z".repeat(300)];
-        let wide = [
-            "ключ".repeat(7),
-            format!("{}é", "a".repeat(59)),
-            "🔑".repeat(16),
-        ];
-        let short = ["", "k", "user:42", "g07.s3", "ключ"].map(String::from);
-        for key in short.iter().chain(&long).chain(&wide) {
-            for i in 0..=16 {
-                assert_eq!(&*World::shard_key(key, i), format!("{key}.s{i}"));
-            }
-        }
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub mod prelude {
     };
     pub use eckv_erasure::{CodecKind, ErasureCodec, Striper};
     pub use eckv_simnet::{ClusterProfile, SimDuration, SimTime, Simulation, TransportKind};
-    pub use eckv_store::{ClusterConfig, Payload, PlacementError};
+    pub use eckv_store::{ClusterConfig, Payload, PlacementError, StoreKey};
 }
 
 #[cfg(test)]

@@ -6,10 +6,11 @@
 //! returns the result directly.
 
 use std::rc::Rc;
+use std::sync::Arc;
 
 use eckv_core::{driver, ops::Op, repair, EngineConfig, RepairReport, Scheme, World};
 use eckv_simnet::{SimDuration, Simulation};
-use eckv_store::{Bytes, ClusterConfig, Payload};
+use eckv_store::{Bytes, ClusterConfig, Payload, StoreKey};
 
 /// Errors surfaced by [`KvSession`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -145,7 +146,7 @@ impl KvSession {
         let cluster = &self.world.cluster;
         // Each value found is a shared view (a reference-count bump, not a
         // copy); the decode reads chunks in place.
-        let peek = |srv: usize, store_key: &str| -> Option<Bytes> {
+        let peek = |srv: usize, store_key: &StoreKey| -> Option<Bytes> {
             if !cluster.is_server_alive(srv) {
                 return None;
             }
@@ -155,7 +156,9 @@ impl KvSession {
             }
         };
         let targets = self.world.targets(key);
-        if let Some(copy) = targets.iter().find_map(|&srv| peek(srv, key)) {
+        let key: Arc<str> = key.into();
+        let plain = StoreKey::from(&key);
+        if let Some(copy) = targets.iter().find_map(|&srv| peek(srv, &plain)) {
             return copy.to_vec();
         }
         let striper = self
@@ -167,7 +170,7 @@ impl KvSession {
             .map(|i| {
                 targets
                     .get(i)
-                    .and_then(|&srv| peek(srv, &World::shard_key(key, i)))
+                    .and_then(|&srv| peek(srv, &StoreKey::chunk(key.clone(), i)))
             })
             .collect();
         striper

@@ -403,11 +403,11 @@ mod tests {
         c.servers[0]
             .borrow_mut()
             .store_mut()
-            .set("a".into(), Payload::synthetic(100, 0));
+            .set("a", Payload::synthetic(100, 0));
         c.servers[2]
             .borrow_mut()
             .store_mut()
-            .set("b".into(), Payload::synthetic(100, 1));
+            .set("b", Payload::synthetic(100, 1));
         let agg = c.aggregate_stats();
         assert_eq!(agg.items, 2);
         assert_eq!(agg.capacity_bytes, 3 * (20 << 30));

@@ -16,6 +16,8 @@
 //!   of rehashing the world. At fixed membership the composition equals
 //!   the paper's chunk placement ("the designated server plus the N-1
 //!   following servers", [`HashRing::servers_for`]) exactly.
+//! * [`StoreKey`] — what an item is stored under: a plain key, or chunk
+//!   `i` of a key, sharing the key's `Arc`.
 //! * [`StoreNode`] — one server's storage: slab-class memory accounting,
 //!   LRU eviction, hit/miss/eviction statistics (Figure 10's memory
 //!   efficiency and data-loss numbers come from here).
@@ -42,6 +44,7 @@
 mod bytes;
 mod cluster;
 mod hashring;
+mod key;
 mod payload;
 pub mod rpc;
 mod server;
@@ -52,6 +55,7 @@ mod store_node;
 pub use bytes::Bytes;
 pub use cluster::{ClusterConfig, KvCluster};
 pub use hashring::{HashRing, PlacementError, VShardMap, VShardMove};
+pub use key::StoreKey;
 pub use payload::{fnv1a_64, xxh64, Payload, Xxh64};
 pub use server::{AdmissionCaps, KvServer, ServerCosts};
 pub use slab::{chunk_size_for, SlabConfig, ITEM_OVERHEAD};

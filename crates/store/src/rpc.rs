@@ -9,10 +9,10 @@
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::sync::Arc;
 
 use eckv_simnet::{Delivery, Network, NodeId, SimTime, Simulation};
 
+use crate::key::StoreKey;
 use crate::payload::Payload;
 use crate::server::KvServer;
 
@@ -106,16 +106,16 @@ pub enum Request {
     /// value left on a replica holder, at no extra message.
     Set {
         /// The key to store under.
-        key: Arc<str>,
+        key: StoreKey,
         /// The value.
         payload: Payload,
         /// A key to delete first, if any.
-        stale: Option<Arc<str>>,
+        stale: Option<StoreKey>,
     },
     /// Fetch `key`.
     Get {
         /// The key to fetch.
-        key: Arc<str>,
+        key: StoreKey,
     },
 }
 
@@ -124,9 +124,9 @@ impl Request {
     fn bytes(&self) -> usize {
         match self {
             Request::Set { key, payload, .. } => {
-                REQUEST_OVERHEAD + key.len() + payload.len() as usize
+                REQUEST_OVERHEAD + key.wire_len() + payload.len() as usize
             }
-            Request::Get { key } => REQUEST_OVERHEAD + key.len(),
+            Request::Get { key } => REQUEST_OVERHEAD + key.wire_len(),
         }
     }
 }
@@ -424,7 +424,7 @@ mod tests {
         server
             .borrow_mut()
             .store_mut()
-            .set("k".into(), Payload::synthetic(4096, 1));
+            .set("k", Payload::synthetic(4096, 1));
         let fired = Rc::new(RefCell::new(false));
         let f2 = fired.clone();
         let token = CancelToken::new();

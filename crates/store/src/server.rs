@@ -1,11 +1,10 @@
 //! The server process model: storage plus worker-pool processing costs.
 
-use std::sync::Arc;
-
 use eckv_simnet::{
     NodeId, QueueCap, SimDuration, SimTime, SpanPhase, Trace, TraceEvent, WorkerPool,
 };
 
+use crate::key::StoreKey;
 use crate::payload::Payload;
 use crate::rpc::RpcPriority;
 use crate::ssd::{SsdSpec, SsdTier};
@@ -162,7 +161,7 @@ impl KvServer {
     pub fn process_set(
         &mut self,
         now: SimTime,
-        key: Arc<str>,
+        key: StoreKey,
         payload: Payload,
     ) -> (SimTime, SetOutcome) {
         let service = self.costs.op_time(payload.len());
@@ -176,7 +175,7 @@ impl KvServer {
     /// time: stores `payload` in RAM at `now`. With a flash tier, RAM
     /// eviction victims overflow to it; the flash writes are asynchronous
     /// write-behind and delay nothing.
-    pub fn store_set(&mut self, now: SimTime, key: Arc<str>, payload: Payload) -> SetOutcome {
+    pub fn store_set(&mut self, now: SimTime, key: StoreKey, payload: Payload) -> SetOutcome {
         match &mut self.ssd {
             Some(ssd) => self.store.set_spilling(key, payload, None, &mut |k, p| {
                 ssd.spill(now, k, p);
@@ -187,7 +186,7 @@ impl KvServer {
 
     /// Removes `key` from RAM and flash. Costs no worker time: it only
     /// ever rides on another request.
-    pub fn delete(&mut self, key: &str) {
+    pub fn delete(&mut self, key: &StoreKey) {
         self.store.delete(key);
         if let Some(ssd) = &mut self.ssd {
             ssd.delete(key);
@@ -196,7 +195,7 @@ impl KvServer {
 
     /// Processes a Get arriving at `now`; returns the completion instant
     /// and the value, if present.
-    pub fn process_get(&mut self, now: SimTime, key: &str) -> (SimTime, Option<Payload>) {
+    pub fn process_get(&mut self, now: SimTime, key: &StoreKey) -> (SimTime, Option<Payload>) {
         let (flash_done, value) = self.store_get(now, key);
         let bytes = value.as_ref().map_or(0, Payload::len);
         let service = self.costs.op_time(bytes);
@@ -216,7 +215,7 @@ impl KvServer {
     /// time: looks `key` up in RAM at `now`, then in the flash tier, if
     /// any. Returns when the flash read completes (`now` when it was not
     /// needed) and the value, if present.
-    fn store_get(&mut self, now: SimTime, key: &str) -> (SimTime, Option<Payload>) {
+    fn store_get(&mut self, now: SimTime, key: &StoreKey) -> (SimTime, Option<Payload>) {
         if let Some(value) = self.store.get_at(key, now) {
             return (now, Some(value));
         }
@@ -286,7 +285,7 @@ mod tests {
         let (done, out) = s.process_set(t0, "k".into(), Payload::synthetic(1024, 7));
         assert_eq!(out, SetOutcome::Stored);
         assert!(done > t0);
-        let (done2, v) = s.process_get(done, "k");
+        let (done2, v) = s.process_get(done, &"k".into());
         assert!(done2 > done);
         assert_eq!(v.unwrap().digest(), Payload::synthetic(1024, 7).digest());
     }
@@ -311,7 +310,7 @@ mod tests {
         let mut wide_last = t0;
         let mut narrow_last = t0;
         for i in 0..8 {
-            let key: Arc<str> = format!("k{i}").into();
+            let key = StoreKey::from(format!("k{i}").as_str());
             let (d, _) = wide.process_set(t0, key.clone(), Payload::synthetic(64 * 1024, 0));
             wide_last = wide_last.max(d);
             let (d, _) = narrow.process_set(t0, key, Payload::synthetic(64 * 1024, 0));
@@ -332,15 +331,15 @@ mod tests {
         s.process_set(SimTime::ZERO, "old".into(), Payload::synthetic(40 << 10, 1));
         // The second value evicts the first from RAM into flash.
         s.process_set(SimTime::ZERO, "new".into(), Payload::synthetic(40 << 10, 2));
-        assert!(s.process_get(SimTime::ZERO, "old").1.is_some());
-        s.delete("old");
-        assert!(s.process_get(SimTime::ZERO, "old").1.is_none());
+        assert!(s.process_get(SimTime::ZERO, &"old".into()).1.is_some());
+        s.delete(&"old".into());
+        assert!(s.process_get(SimTime::ZERO, &"old".into()).1.is_none());
     }
 
     #[test]
     fn get_miss_is_cheap_and_counted() {
         let mut s = server(2);
-        let (done, v) = s.process_get(SimTime::ZERO, "ghost");
+        let (done, v) = s.process_get(SimTime::ZERO, &"ghost".into());
         assert!(v.is_none());
         assert_eq!(done.since(SimTime::ZERO), ServerCosts::default().base_op);
         assert_eq!(s.stats().misses, 1);

@@ -6,10 +6,9 @@
 //! that miss RAM fall through to the SSD at flash latency/bandwidth. Only
 //! when the SSD itself overflows is cached data truly lost.
 
-use std::sync::Arc;
-
 use eckv_simnet::{NodeId, SimDuration, SimTime, Trace, TraceEvent, WorkerPool};
 
+use crate::key::StoreKey;
 use crate::payload::Payload;
 use crate::store_node::{StoreNode, StoreStats};
 
@@ -84,7 +83,7 @@ impl SsdTier {
 
     /// Spills a RAM eviction victim to flash; returns when the device
     /// write completes. Flash overflow evicts (permanently) in LRU order.
-    pub fn spill(&mut self, now: SimTime, key: Arc<str>, payload: Payload) -> SimTime {
+    pub fn spill(&mut self, now: SimTime, key: StoreKey, payload: Payload) -> SimTime {
         let bytes = payload.len();
         let service = self.xfer(self.spec.write_gbps, bytes);
         let done = self.device.reserve(now, service);
@@ -102,7 +101,7 @@ impl SsdTier {
 
     /// Reads `key` from flash, if present; returns the device completion
     /// instant alongside the value.
-    pub fn read(&mut self, now: SimTime, key: &str) -> (SimTime, Option<Payload>) {
+    pub fn read(&mut self, now: SimTime, key: &StoreKey) -> (SimTime, Option<Payload>) {
         match self.store.get_at(key, now) {
             Some(p) => {
                 let bytes = p.len();
@@ -124,7 +123,7 @@ impl SsdTier {
     }
 
     /// Drops `key` from flash.
-    pub fn delete(&mut self, key: &str) {
+    pub fn delete(&mut self, key: &StoreKey) {
         self.store.delete(key);
     }
 
@@ -157,7 +156,7 @@ mod tests {
         let mut t = tier(1 << 30);
         let done = t.spill(SimTime::ZERO, "k".into(), Payload::synthetic(1 << 20, 7));
         assert!(done.since(SimTime::ZERO) >= SimDuration::from_micros(80));
-        let (rdone, v) = t.read(done, "k");
+        let (rdone, v) = t.read(done, &"k".into());
         assert_eq!(v.unwrap().digest(), Payload::synthetic(1 << 20, 7).digest());
         assert!(rdone > done);
         assert_eq!(t.ops(), (1, 1));
@@ -167,7 +166,7 @@ mod tests {
     fn reads_are_faster_than_writes_for_equal_sizes() {
         let mut t = tier(1 << 30);
         let w = t.spill(SimTime::ZERO, "a".into(), Payload::synthetic(8 << 20, 1));
-        let (r, _) = t.read(w, "a");
+        let (r, _) = t.read(w, &"a".into());
         assert!(r.since(w) < w.since(SimTime::ZERO));
     }
 
@@ -188,12 +187,12 @@ mod tests {
         for i in 0..8 {
             t.spill(
                 SimTime::ZERO,
-                format!("k{i}").into(),
+                format!("k{i}").as_str().into(),
                 Payload::synthetic(1 << 20, i),
             );
         }
         assert!(t.stats().evictions > 0);
-        let (_, gone) = t.read(SimTime::ZERO, "k0");
+        let (_, gone) = t.read(SimTime::ZERO, &"k0".into());
         assert!(gone.is_none(), "oldest spill must have been dropped");
     }
 }

@@ -1,11 +1,11 @@
 //! Model-based property tests: the slab/LRU store against a naive
 //! reference model, and ring invariants.
 
-use std::sync::Arc;
-
 use eckv_simnet::check::{check, check_seq, vec_of};
 use eckv_simnet::{SimRng, SimTime};
-use eckv_store::{chunk_size_for, HashRing, Payload, SetOutcome, StoreNode, ITEM_OVERHEAD};
+use eckv_store::{
+    chunk_size_for, HashRing, Payload, SetOutcome, StoreKey, StoreNode, ITEM_OVERHEAD,
+};
 
 /// Keys are drawn from a small space so overwrites (also of a full
 /// store) are common.
@@ -40,8 +40,8 @@ fn gen_op(rng: &mut SimRng) -> StoreOp {
     }
 }
 
-fn name(key: u8) -> String {
-    format!("key-{key}")
+fn name(key: u8) -> StoreKey {
+    format!("key-{key}").as_str().into()
 }
 
 /// What a Set did, as the reference model sees it.
@@ -67,7 +67,7 @@ struct ModelLru {
 
 impl ModelLru {
     fn charged(key: u8, len: u16) -> u64 {
-        chunk_size_for(len as u64 + name(key).len() as u64 + ITEM_OVERHEAD)
+        chunk_size_for(len as u64 + name(key).wire_len() as u64 + ITEM_OVERHEAD)
     }
 
     fn used(&self) -> u64 {
@@ -159,7 +159,7 @@ fn store_matches_reference_lru_model() {
                         let existed = store.contains(&name(key));
                         let mut spilled = Vec::new();
                         let got = store.set_spilling(
-                            name(key).into(),
+                            name(key),
                             Payload::synthetic(len as u64, key as u64),
                             expires_at.map(|t| SimTime::from_nanos(t * 1000)),
                             &mut |k, p| spilled.push((k, p.len())),
@@ -172,9 +172,9 @@ fn store_matches_reference_lru_model() {
                                 seen.too_large_dropped_old += u64::from(existed);
                             }
                             ModelSet::Stored(victims) => {
-                                let want_spilled: Vec<(Arc<str>, u64)> = victims
+                                let want_spilled: Vec<(StoreKey, u64)> = victims
                                     .iter()
-                                    .map(|&(k, l)| (name(k).into(), u64::from(l)))
+                                    .map(|&(k, l)| (name(k), u64::from(l)))
                                     .collect();
                                 assert_eq!(spilled, want_spilled, "set({key}, {len}) victims");
                                 let evicted_bytes: u64 =

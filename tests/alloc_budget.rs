@@ -1,10 +1,10 @@
 //! The op hot path's heap budget: a closed-loop mix of GETs and SETs on
-//! 4 KiB values must cost at most 26 heap allocations per op, counted in
+//! 4 KiB values must cost at most 20 heap allocations per op, counted in
 //! the simulation run alone (after the load, after the ops are admitted).
 //!
 //! The budget guards the transport's one allocation per message, the
 //! fan-out's by-value reply handles, the single placement lookup per op
-//! and `World::shard_key`'s single allocation. The count is deterministic
+//! and chunk keys that share their user key. The count is deterministic
 //! for a build, so a regression shows as an exact number, not as noise.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -13,7 +13,7 @@ use std::cell::Cell;
 use eckv::prelude::*;
 
 /// Allocations the budget allows per op.
-const BUDGET: f64 = 26.0;
+const BUDGET: f64 = 20.0;
 
 /// Counts the calling thread's allocations; frees are not counted.
 struct Counting;

@@ -26,10 +26,10 @@ fn replication_places_full_copies_on_f_consecutive_servers() {
         .servers_for(b"key-x", 3)
         .expect("3 fit on 5");
     for (i, srv) in world.cluster.servers.iter().enumerate() {
-        let has = srv.borrow().store().contains("key-x");
+        let has = srv.borrow().store().contains(&"key-x".into());
         assert_eq!(has, targets.contains(&i), "server {i}");
         if has {
-            let p = srv.borrow().store().peek("key-x").unwrap();
+            let p = srv.borrow().store().peek(&"key-x".into()).unwrap();
             assert_eq!(p.len(), 1000, "replicas are full copies");
         }
     }
@@ -51,11 +51,14 @@ fn erasure_places_one_chunk_per_server_with_shard_sized_payloads() {
             let chunk = store
                 .borrow()
                 .store()
-                .peek(&format!("key-y.s{i}"))
+                .peek(&StoreKey::chunk("key-y".into(), i))
                 .unwrap_or_else(|| panic!("{scheme}: chunk {i} missing on server {srv}"));
             assert_eq!(chunk.len(), 1000, "{scheme}: shard = ceil(3000/3)");
             // No full copy anywhere.
-            assert!(!store.borrow().store().contains("key-y"), "{scheme}");
+            assert!(
+                !store.borrow().store().contains(&"key-y".into()),
+                "{scheme}"
+            );
         }
     }
 }

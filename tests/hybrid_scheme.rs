@@ -43,7 +43,7 @@ fn small_values_are_replicated_large_are_chunked() {
     ];
     eckv::core::driver::run_workload(&world, &mut sim, vec![writes]);
     // The replicated key exists verbatim on its first three placement
-    // servers; the chunked key exists only as ".sN" shards.
+    // servers; the chunked key exists only as chunks.
     let tiny_targets = world
         .cluster
         .ring
@@ -51,7 +51,10 @@ fn small_values_are_replicated_large_are_chunked() {
         .expect("3 fit on 5");
     for &s in &tiny_targets {
         assert!(
-            world.cluster.servers[s].borrow().store().contains("tiny"),
+            world.cluster.servers[s]
+                .borrow()
+                .store()
+                .contains(&"tiny".into()),
             "replica missing on server {s}"
         );
     }
@@ -63,13 +66,13 @@ fn small_values_are_replicated_large_are_chunked() {
     assert!(!world.cluster.servers[big_targets[0]]
         .borrow()
         .store()
-        .contains("big"));
+        .contains(&"big".into()));
     for (i, &s) in big_targets.iter().enumerate() {
         assert!(
             world.cluster.servers[s]
                 .borrow()
                 .store()
-                .contains(&format!("big.s{i}")),
+                .contains(&StoreKey::chunk("big".into(), i)),
             "chunk {i} missing on server {s}"
         );
     }
@@ -222,4 +225,30 @@ fn a_chunk_migrated_back_onto_a_former_replica_holder_retires_its_copy() {
     eckv::core::driver::run_workload(&world, &mut sim, vec![vec![Op::get("x26")]]);
     let m = world.metrics.borrow();
     assert_eq!((m.errors, m.integrity_errors, m.bytes_read), (0, 0, 7888));
+}
+
+#[test]
+fn a_plain_key_spelled_like_a_chunk_is_its_own_item() {
+    // Chunk 1 of a large `x` and the small replicated value of a key
+    // literally named `x.s1` must stay two items on a server that holds
+    // both; were chunks stored under their spelling `"{key}.s{i}"`, the
+    // second write would clobber the first.
+    let mut kv =
+        eckv::session::KvSession::new(ClusterProfile::RiQdr, Scheme::hybrid(THRESHOLD, 3, 2), 5);
+    let (_, replicas, ..) = kv.world().scheme.hybrid_params().expect("hybrid");
+    let (large_key, small_key) = (0..)
+        .map(|n| (format!("x{n}"), format!("x{n}.s1")))
+        .find(|(large, small)| {
+            let chunk1 = kv.world().targets(large)[1];
+            kv.world().targets(small)[..replicas].contains(&chunk1)
+        })
+        .expect("some pair shares a server");
+    let large: Vec<u8> = (0..100_000u32).map(|i| (i % 249) as u8).collect();
+    let small = vec![7u8; 1000];
+    kv.set(&large_key, large.clone()).expect("large set");
+    kv.set(&small_key, small.clone()).expect("small set");
+    for (key, value) in [(&large_key, &large), (&small_key, &small)] {
+        let read_back = kv.get(key).map(|got| got.map(|got| got == *value));
+        assert_eq!(read_back, Ok(Some(true)), "{key}");
+    }
 }

@@ -35,27 +35,27 @@ fn loaded_world(scheme: Scheme) -> (Rc<World>, Simulation) {
 
 /// The server holding chunk `shard` of `key`.
 fn holder(world: &World, key: &str, shard: usize) -> usize {
-    let chunk = format!("{key}.s{shard}");
+    let chunk = StoreKey::chunk(key.into(), shard);
     let holders: Vec<usize> = (0..world.cluster.servers.len())
         .filter(|&s| world.cluster.servers[s].borrow().store().contains(&chunk))
         .collect();
-    assert_eq!(holders.len(), 1, "{chunk} lives on exactly one server");
+    assert_eq!(holders.len(), 1, "{chunk:?} lives on exactly one server");
     holders[0]
 }
 
 /// Flips one bit in the middle of chunk `shard` of `key`, in place.
 fn tamper(world: &World, key: &str, shard: usize) {
-    let chunk = format!("{key}.s{shard}");
+    let chunk = StoreKey::chunk(key.into(), shard);
     let server = &world.cluster.servers[holder(world, key, shard)];
     let mut server = server.borrow_mut();
     let store = server.store_mut();
     let Some(Payload::Inline(bytes)) = store.peek(&chunk) else {
-        panic!("{chunk} holds inline bytes");
+        panic!("{chunk:?} holds inline bytes");
     };
     let mut bytes = bytes.to_vec();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x10;
-    store.set(chunk.into(), Payload::inline(bytes));
+    store.set(chunk, Payload::inline(bytes));
 }
 
 /// One GET's outcome counters.
@@ -132,17 +132,17 @@ fn a_truncated_survivor_chunk_loses_one_key_instead_of_crashing_the_rebuild() {
     world.cluster.kill_server(0);
     world.cluster.kill_server(1);
     let chunk = (0..5)
-        .map(|s| format!("k3.s{s}"))
+        .map(|s| StoreKey::chunk("k3".into(), s))
         .find(|c| world.cluster.servers[2].borrow().store().contains(c))
         .expect("server 2 holds a chunk of k3");
     {
         let mut server = world.cluster.servers[2].borrow_mut();
         let store = server.store_mut();
         let Some(Payload::Inline(bytes)) = store.peek(&chunk) else {
-            panic!("{chunk} holds inline bytes");
+            panic!("{chunk:?} holds inline bytes");
         };
         let short = bytes[..bytes.len() / 2].to_vec();
-        store.set(chunk.into(), Payload::inline(short));
+        store.set(chunk, Payload::inline(short));
     }
     let report = repair_server(&world, &mut sim, 0);
     assert_eq!(report.keys_lost, 1, "only the truncated key is lost");

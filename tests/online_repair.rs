@@ -271,7 +271,9 @@ fn replica_rebuild_tops_up_past_a_holder_that_lost_its_copy() {
             .rev()
             .find(|&&s| s != FAILED)
             .expect("a surviving holder");
-        world.cluster.servers[holder].borrow_mut().delete(&key);
+        world.cluster.servers[holder]
+            .borrow_mut()
+            .delete(&key.as_str().into());
     }
     world.cluster.kill_server(FAILED);
     let report = repair_server(&world, &mut sim, FAILED);
