@@ -321,36 +321,6 @@ pub fn ssd_table(quick: bool) -> Table {
     t
 }
 
-/// Repair locality (future work: locally repairable codes): shards read to
-/// repair one lost shard, RS vs LRC at comparable storage overhead.
-pub fn lrc_locality_table() -> Table {
-    use eckv_erasure::{ErasureCodec, Lrc, RsVandermonde};
-    let mut t = Table::new(
-        "Extension - Single-failure repair locality: shards read per lost shard",
-        &[
-            "code",
-            "storage overhead",
-            "reads (data shard)",
-            "reads (parity)",
-        ],
-    );
-    let rs = RsVandermonde::new(6, 4).expect("valid");
-    t.row(vec![
-        "RS(6,4)".to_owned(),
-        format!("{:.2}x", rs.total_shards() as f64 / 6.0),
-        "6".to_owned(),
-        "6".to_owned(),
-    ]);
-    let lrc = Lrc::new(6, 2, 2).expect("valid");
-    t.row(vec![
-        "LRC(6,2,2)".to_owned(),
-        format!("{:.2}x", lrc.total_shards() as f64 / 6.0),
-        lrc.repair_reads(0).to_string(),
-        lrc.repair_reads(9).to_string(),
-    ]);
-    t
-}
-
 /// Load balance under the skewed Zipfian pattern: per-server request share
 /// for replication vs erasure coding. The paper attributes part of
 /// Era-CE-CD's YCSB win to this ("interacts uniformly with all five
@@ -493,13 +463,6 @@ mod tests {
         let ssd_errors: f64 = t.value("RAM + PCIe-SSD", "read errors").unwrap();
         assert!(ram_errors > 0.0);
         assert_eq!(ssd_errors, 0.0);
-    }
-
-    #[test]
-    fn lrc_repairs_locally() {
-        let t = lrc_locality_table();
-        assert_eq!(t.cell("LRC(6,2,2)", "reads (data shard)"), Some("3"));
-        assert_eq!(t.cell("RS(6,4)", "reads (data shard)"), Some("6"));
     }
 
     #[test]

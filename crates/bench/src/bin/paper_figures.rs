@@ -63,11 +63,12 @@ fn main() {
         };
         for profile in [ClusterProfile::SdscComet, ClusterProfile::Ri2Edr] {
             for workload in [Workload::A, Workload::B] {
+                let sweep = fig11_12::Sweep::run(profile, workload, &scale);
                 if all || which == "fig11" {
-                    println!("{}", fig11_12::latency_table(profile, workload, &scale));
+                    println!("{}", sweep.latency_table());
                 }
                 if all || which == "fig12" {
-                    println!("{}", fig11_12::throughput_table(profile, workload, &scale));
+                    println!("{}", sweep.throughput_table());
                 }
             }
         }
@@ -102,7 +103,6 @@ fn main() {
         println!("{}", ablations::km_sweep(quick));
         println!("{}", ablations::hybrid_sweep(quick));
         println!("{}", ablations::recovery_table(quick));
-        println!("{}", ablations::lrc_locality_table());
         println!("{}", ablations::load_balance_table(quick));
         println!("{}", ablations::iterative_table(quick));
         println!("{}", ablations::availability_timeline(quick));

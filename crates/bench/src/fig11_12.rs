@@ -129,55 +129,73 @@ pub fn run_point(
     eckv_ycsb::run(&world, &mut sim, &cfg)
 }
 
-/// Figure 11: average read/write latency per variant and value size.
-pub fn latency_table(profile: ClusterProfile, workload: Workload, scale: &Scale) -> Table {
-    let mut t = Table::new(
-        format!(
-            "Fig. 11 - YCSB-{workload:?} ({}) avg latency on {profile}, us",
-            workload.ratio_label()
-        ),
-        &[
-            "variant/size",
-            "read us",
-            "read p99",
-            "write us",
-            "write p99",
-        ],
-    );
-    for v in variants() {
-        for &size in &scale.sizes {
-            let r = run_point(profile, &v, workload, scale, size);
+/// Every (variant, size) point of one profile and workload, each run once
+/// and rendered as both Figure 11 and Figure 12.
+pub struct Sweep {
+    /// The workload as the table titles name it, e.g. `YCSB-A (50:50)`.
+    workload: String,
+    profile: ClusterProfile,
+    /// Row label and report of each point, in table order.
+    points: Vec<(String, YcsbReport)>,
+}
+
+impl Sweep {
+    /// Runs every variant at every size of `scale`.
+    pub fn run(profile: ClusterProfile, workload: Workload, scale: &Scale) -> Sweep {
+        let mut points = Vec::new();
+        for v in variants() {
+            for &size in &scale.sizes {
+                let r = run_point(profile, &v, workload, scale, size);
+                points.push((format!("{}/{}", v.label, size_label(size)), r));
+            }
+        }
+        Sweep {
+            workload: format!("YCSB-{workload:?} ({})", workload.ratio_label()),
+            profile,
+            points,
+        }
+    }
+
+    /// Figure 11: average read/write latency per variant and value size.
+    pub fn latency_table(&self) -> Table {
+        let title = format!(
+            "Fig. 11 - {} avg latency on {}, us",
+            self.workload, self.profile
+        );
+        let mut t = Table::new(
+            title,
+            &[
+                "variant/size",
+                "read us",
+                "read p99",
+                "write us",
+                "write p99",
+            ],
+        );
+        for (label, r) in &self.points {
             t.row(vec![
-                format!("{}/{}", v.label, size_label(size)),
+                label.clone(),
                 format!("{:.1}", r.read_latency.mean.as_micros_f64()),
                 format!("{:.1}", r.read_latency.p99.as_micros_f64()),
                 format!("{:.1}", r.write_latency.mean.as_micros_f64()),
                 format!("{:.1}", r.write_latency.p99.as_micros_f64()),
             ]);
         }
+        t
     }
-    t
-}
 
-/// Figure 12: aggregate throughput per variant and value size.
-pub fn throughput_table(profile: ClusterProfile, workload: Workload, scale: &Scale) -> Table {
-    let mut t = Table::new(
-        format!(
-            "Fig. 12 - YCSB-{workload:?} ({}) throughput on {profile}, ops/s",
-            workload.ratio_label()
-        ),
-        &["variant/size", "ops/s"],
-    );
-    for v in variants() {
-        for &size in &scale.sizes {
-            let r = run_point(profile, &v, workload, scale, size);
-            t.row(vec![
-                format!("{}/{}", v.label, size_label(size)),
-                format!("{:.0}", r.throughput),
-            ]);
+    /// Figure 12: aggregate throughput per variant and value size.
+    pub fn throughput_table(&self) -> Table {
+        let title = format!(
+            "Fig. 12 - {} throughput on {}, ops/s",
+            self.workload, self.profile
+        );
+        let mut t = Table::new(title, &["variant/size", "ops/s"]);
+        for (label, r) in &self.points {
+            t.row(vec![label.clone(), format!("{:.0}", r.throughput)]);
         }
+        t
     }
-    t
 }
 
 #[cfg(test)]

@@ -220,13 +220,17 @@ impl Attempt {
     }
 }
 
+/// Base delay of the exponential backoff between transparent retries
+/// (doubles per attempt).
+const RETRY_BACKOFF: eckv_simnet::SimDuration = eckv_simnet::SimDuration::from_micros(2);
+
 /// Doublings after which the exponential backoff stops growing.
 const MAX_BACKOFF_DOUBLINGS: u32 = 10;
 
 /// Exponential backoff base for the `index`-th retry: `base << index`,
 /// clamped at `MAX_BACKOFF_DOUBLINGS` doublings and saturating instead of
-/// overflowing (a pathological `retry_backoff` near `u64::MAX` must cap,
-/// not panic or wrap to a near-zero wait that re-fuels the retry storm).
+/// overflowing (a pathological base near `u64::MAX` must cap, not panic
+/// or wrap to a near-zero wait that re-fuels the retry storm).
 fn retry_backoff_base(base: eckv_simnet::SimDuration, index: u32) -> eckv_simnet::SimDuration {
     let factor = 1u64
         .checked_shl(index.min(MAX_BACKOFF_DOUBLINGS))
@@ -265,10 +269,8 @@ fn dispatch_with_retry(
                     op: class,
                 },
             );
-            let backoff = world2.jittered_backoff(
-                client,
-                retry_backoff_base(world2.cfg.retry_backoff, attempt.index),
-            );
+            let backoff =
+                world2.jittered_backoff(client, retry_backoff_base(RETRY_BACKOFF, attempt.index));
             if let Some(op) = attempt.span {
                 world2.trace.span_record_for(
                     op,
@@ -697,17 +699,13 @@ mod tests {
 
     #[test]
     fn backoff_retries_still_route_around_failures() {
-        use eckv_simnet::SimDuration;
         // Async replication reads one replica at a time, so a dead first
         // replica surfaces as a retryable error the driver must back off
         // and re-dispatch (erasure reads would instead top up in-op).
-        let world = World::new(
-            EngineConfig::new(
-                ClusterConfig::new(ClusterProfile::RiQdr, 5, 1),
-                Scheme::AsyncRep { replicas: 3 },
-            )
-            .retry_backoff(SimDuration::from_micros(50)),
-        );
+        let world = World::new(EngineConfig::new(
+            ClusterConfig::new(ClusterProfile::RiQdr, 5, 1),
+            Scheme::AsyncRep { replicas: 3 },
+        ));
         let mut sim = Simulation::new();
         run_workload(&world, &mut sim, vec![set_ops(0, 10, 8 << 10)]);
         world.cluster.kill_server(2);

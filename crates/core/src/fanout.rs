@@ -110,14 +110,14 @@ impl QuorumPolicy {
     }
 
     /// One-holder read (replicated Gets, replica repair): a single fetch
-    /// decides the operation; hedging optionally races a second holder.
-    pub fn single(hedge: bool) -> Self {
+    /// decides the operation, and nothing hedges it.
+    pub fn single() -> Self {
         Self {
             required: 1,
             first_wave: FirstWave::Required,
             top_up: false,
             early_settle: true,
-            hedge,
+            hedge: false,
         }
     }
 

@@ -219,7 +219,7 @@ fn get_replicated(
     let spec = FanOutSpec {
         candidates: targets.into_iter().enumerate().collect(),
         pinned: 0,
-        policy: QuorumPolicy::single(false),
+        policy: QuorumPolicy::single(),
         liveness: Liveness::View(client),
         hedge_node: world.cluster.client_node(client),
     };

@@ -550,7 +550,7 @@ fn run_task(world: &Rc<World>, sim: &mut Simulation, task: RepairTask, done: Rep
         let spec = FanOutSpec {
             candidates: from.filter(alive).map(|f| (slot, f)).into_iter().collect(),
             pinned: 0,
-            policy: QuorumPolicy::single(false),
+            policy: QuorumPolicy::single(),
             liveness: Liveness::PreFiltered,
             hedge_node,
         };

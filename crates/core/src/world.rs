@@ -244,9 +244,6 @@ pub struct EngineConfig {
     /// long after admission stops retrying, and its completion counts as a
     /// deadline miss. `None` = unbounded (retries limited by count only).
     pub deadline: Option<SimDuration>,
-    /// Base delay of the exponential backoff between transparent retries
-    /// (doubles per attempt).
-    pub retry_backoff: SimDuration,
     /// Online repair engine policy (window and bandwidth throttle).
     pub repair: RepairConfig,
     /// Per-node admission control (`None` = unbounded queues, the
@@ -266,7 +263,6 @@ impl EngineConfig {
             validate: true,
             hedge: None,
             deadline: None,
-            retry_backoff: SimDuration::from_micros(2),
             repair: RepairConfig::default(),
             admission: None,
         }
@@ -303,12 +299,6 @@ impl EngineConfig {
     pub fn deadline(mut self, d: SimDuration) -> Self {
         assert!(d > SimDuration::ZERO, "deadline must be positive");
         self.deadline = Some(d);
-        self
-    }
-
-    /// Sets the base retry backoff (builder style).
-    pub fn retry_backoff(mut self, d: SimDuration) -> Self {
-        self.retry_backoff = d;
         self
     }
 

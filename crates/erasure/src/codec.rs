@@ -84,9 +84,8 @@ pub trait ErasureCodec: Send + Sync + fmt::Debug {
     /// # Errors
     ///
     /// Returns [`ErasureError::TooManyErasures`] when fewer than `k` shards
-    /// survive (or, for a non-MDS code, when the survivors cannot determine
-    /// a wanted shard), [`ErasureError::ShapeMismatch`] when survivor
-    /// lengths differ or a wanted index is not below `k + m`, and
+    /// survive, [`ErasureError::ShapeMismatch`] when survivor lengths differ
+    /// or a wanted index is not below `k + m`, and
     /// [`ErasureError::BadAlignment`] for a misaligned survivor length.
     fn reconstruct(
         &self,

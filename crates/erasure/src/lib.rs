@@ -45,7 +45,6 @@ mod codec;
 mod crs;
 mod error;
 mod liberation;
-mod lrc;
 mod rs_van;
 pub mod schedule;
 mod stripe;
@@ -54,6 +53,5 @@ pub use codec::{CodecKind, CostProfile, ErasureCodec};
 pub use crs::CauchyRs;
 pub use error::ErasureError;
 pub use liberation::Liberation;
-pub use lrc::Lrc;
 pub use rs_van::RsVandermonde;
 pub use stripe::{EncodedStripe, Striper};
