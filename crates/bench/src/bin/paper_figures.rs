@@ -1,7 +1,7 @@
 //! Regenerates the paper's tables and figures on the simulated clusters.
 //!
 //! ```text
-//! paper-figures [gf|fig4|fig8|fig9|fig10|fig11|fig12|fig13|tail|repair|scale-out|overload|all] [--quick]
+//! paper-figures [gf|fig4|fig8|fig9|fig10|fig11|fig12|fig13|tail|repair|scale-out|overload|model|ablations|all] [--quick]
 //! ```
 //!
 //! `--quick` shrinks client counts/op counts for a fast smoke run; omit it

@@ -23,7 +23,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use eckv_simnet::{NodeId, SimDuration, SimTime, Simulation, SpanPhase, TraceEvent};
-use eckv_store::{rpc, rpc::CancelToken, Payload};
+use eckv_store::{rpc, rpc::CancelToken, Item};
 
 use crate::world::World;
 
@@ -176,8 +176,8 @@ impl FanOutSpec {
 
 /// What the fan-out hands its settle callback.
 pub(crate) struct Settled {
-    /// Shards that came back present, in arrival order (reads).
-    pub good: Vec<(usize, Payload)>,
+    /// Items that came back present, by slot, in arrival order (reads).
+    pub good: Vec<(usize, Item)>,
     /// Successful replies, including value-less write acks.
     pub succeeded: usize,
     /// Requests issued in total, for request-phase cost accounting.
@@ -205,7 +205,7 @@ struct Inner {
     /// Shared so a wave can invoke it with the state borrow released (an
     /// io may answer synchronously, e.g. a local store lookup).
     io: ShardIo,
-    good: Vec<(usize, Payload)>,
+    good: Vec<(usize, Item)>,
     succeeded: usize,
     outstanding: usize,
     posts: u64,
@@ -384,15 +384,15 @@ fn on_reply(
             Ok(rpc::Reply {
                 at,
                 hit: true,
-                value,
+                item,
             }) => {
-                if st.policy.hedge && st.good.is_empty() && value.is_some() {
+                if st.policy.hedge && st.good.is_empty() && item.is_some() {
                     let d = at.since(st.fetch_start);
                     st.world.note_first_chunk_latency(d);
                 }
                 st.succeeded += 1;
-                if let Some(v) = value {
-                    st.good.push((slot, v));
+                if let Some(item) = item {
+                    st.good.push((slot, item));
                 }
             }
             Ok(_) => {}
@@ -664,23 +664,23 @@ fn serve_local(world: &World, srv: usize, at: SimTime, request: rpc::Request) ->
     match request {
         rpc::Request::Set {
             key,
-            payload,
-            stale,
+            item,
+            retire_plain,
         } => {
-            debug_assert!(stale.is_none(), "only the hybrid retires keys");
-            let hit = server.store_set(at, key, payload).is_stored();
+            debug_assert!(!retire_plain, "only the hybrid retires keys");
+            let hit = server.store_set(at, key, item).is_stored();
             rpc::Reply {
                 at,
                 hit,
-                value: None,
+                item: None,
             }
         }
         rpc::Request::Get { key } => {
-            let (at, value) = server.process_get(at, &key);
+            let (at, item) = server.process_get(at, &key);
             rpc::Reply {
                 at,
-                hit: value.is_some(),
-                value,
+                hit: item.is_some(),
+                item,
             }
         }
     }

@@ -18,7 +18,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use eckv_simnet::{trace_codec, CodecOp, SimDuration, SimTime, Simulation};
-use eckv_store::{rpc, Payload, StoreKey, Xxh64};
+use eckv_store::{rpc, Item, Payload, StoreKey, Xxh64};
 
 use crate::fanout::{
     chunk_io, FanOut, FanOutSpec, Liveness, Origin, QuorumPolicy, SettleCb, Settled,
@@ -26,7 +26,7 @@ use crate::fanout::{
 use crate::flow::{finish_op, Coordinator, DoneCb, OpOutcome};
 use crate::ops::OpKind;
 use crate::scheme::{Scheme, Side};
-use crate::world::{World, Written};
+use crate::world::World;
 
 /// Client CPU time to check a server's liveness before a Get (the
 /// paper's `T_check`).
@@ -125,11 +125,11 @@ fn get_hybrid(
         move |sim, reply| match reply {
             Ok(rpc::Reply {
                 at,
-                value: Some(value),
+                item: Some(item),
                 ..
             }) => {
-                let integrity = check_value(&world2, &key, &value);
-                let len = value.len();
+                let integrity = check_value(&world2, &key, &item.payload);
+                let len = item.payload.len();
                 finish_op(
                     &world2,
                     sim,
@@ -242,10 +242,9 @@ fn get_replicated(
         io,
         Box::new(move |sim, s: Settled| {
             let ok = !s.good.is_empty();
-            let (integrity, len) = s
-                .good
-                .first()
-                .map_or((true, 0), |(_, v)| (check_value(&world2, &key, v), v.len()));
+            let (integrity, len) = s.good.first().map_or((true, 0), |(_, v)| {
+                (check_value(&world2, &key, &v.payload), v.payload.len())
+            });
             finish_op(
                 &world2,
                 sim,
@@ -299,25 +298,28 @@ fn gather_order(
     Some(order)
 }
 
-/// Verifies fetched chunks against the write record. Inline chunks are
-/// really decoded: the `k` data chunks, surviving ones in place and lost
+/// Verifies fetched chunks, and the value length their flags gave the
+/// reader, against the write record. Inline chunks are really decoded to
+/// that length: the `k` data chunks, surviving ones in place and lost
 /// ones rebuilt from borrowed survivors, stream into an [`Xxh64`] that
-/// must match the written value's digest.
-fn check_chunks(world: &World, expected: Option<Written>, chunks: &[(usize, Payload)]) -> bool {
+/// must match the written value's digest, which covers its length.
+fn check_chunks(world: &World, key: &str, value_len: u64, chunks: &[(usize, Item)]) -> bool {
     if !world.cfg.validate {
         return true;
     }
-    let Some(w) = expected else { return true };
-    let all_inline = chunks.iter().all(|(_, c)| matches!(c, Payload::Inline(_)));
+    let Some(w) = world.expected.borrow().get(key).copied() else {
+        return true;
+    };
+    let all_inline = chunks.iter().all(|(_, c)| c.payload.as_bytes().is_some());
     if all_inline {
         let striper = world.striper.as_ref().expect("erasure scheme");
         let mut shards: Vec<Option<&[u8]>> = vec![None; striper.codec().total_shards()];
         for (idx, chunk) in chunks {
-            shards[*idx] = chunk.as_bytes().map(|b| &b[..]);
+            shards[*idx] = chunk.payload.as_bytes().map(|b| &b[..]);
         }
         let mut digest = Xxh64::new();
         striper
-            .decode_value_into(&shards, w.len as usize, |piece| digest.update(piece))
+            .decode_value_into(&shards, value_len as usize, |piece| digest.update(piece))
             .is_ok()
             && digest.digest() == w.digest
     } else {
@@ -328,9 +330,10 @@ fn check_chunks(world: &World, expected: Option<Written>, chunks: &[(usize, Payl
             digest: w.digest,
         };
         let shard_len = world.shard_len(w.len);
-        chunks
-            .iter()
-            .all(|(idx, c)| c.digest() == parent.shard(*idx, shard_len).digest())
+        value_len == w.len
+            && chunks
+                .iter()
+                .all(|(idx, c)| c.payload.digest() == parent.shard(*idx, shard_len).digest())
     }
 }
 
@@ -448,8 +451,9 @@ fn get_erasure(
 
 /// The one decode tail: judges the chunks a gather settled with at `at`,
 /// decoding at `origin` when a data chunk had to be rebuilt from parity.
-/// Returns the op's outcome (its `compute` is the decode time) and the
-/// chunk bytes fetched.
+/// The value's length is the flags word of the chunks used (0 when none
+/// came back). Returns the op's outcome (its `compute` is the decode
+/// time) and the chunk bytes fetched.
 fn decode(
     world: &World,
     origin: Origin,
@@ -463,9 +467,8 @@ fn decode(
     let retryable = s.discovered || s.shed > 0;
     let mut used = s.good;
     used.truncate(k);
-    let fetched: u64 = used.iter().map(|(_, c)| c.len()).sum();
-    let expected = world.expected.borrow().get(key).copied();
-    let value_len = expected.map_or(fetched, |w| w.len);
+    let fetched: u64 = used.iter().map(|(_, c)| c.payload.len()).sum();
+    let value_len = used.first().map_or(0, |(_, c)| u64::from(c.flags));
     let erased_data = if ok {
         (0..k)
             .filter(|i| !used.iter().any(|&(idx, _)| idx == *i))
@@ -473,7 +476,7 @@ fn decode(
     } else {
         0
     };
-    let integrity_ok = !ok || check_chunks(world, expected, &used);
+    let integrity_ok = !ok || check_chunks(world, key, value_len, &used);
     let (done, compute) = if erased_data > 0 {
         // This read had to decode — the key is in degraded mode. Promote
         // it to the front of any active repair queue. A straggling decoder
@@ -564,14 +567,18 @@ mod tests {
                 assert!(!buf.contains(&chunk(i).as_ptr()), "len {len} parity {i}");
             }
 
-            let expected = Some(Written {
-                len: len as u64,
-                digest: xxh64(&bytes),
-            });
+            world.note_written("v".into(), len as u64, xxh64(&bytes));
+            let item = |c: &Payload| Item::from(c.clone());
             for used in k_subsets(n, k) {
-                let got: Vec<(usize, Payload)> =
-                    used.iter().map(|&i| (i, chunks[i].clone())).collect();
-                assert!(check_chunks(&world, expected, &got), "len {len} {used:?}");
+                let got: Vec<(usize, Item)> = used.iter().map(|&i| (i, item(&chunks[i]))).collect();
+                assert!(
+                    check_chunks(&world, "v", len as u64, &got),
+                    "len {len} {used:?}"
+                );
+                assert!(
+                    !check_chunks(&world, "v", len as u64 + 1, &got),
+                    "len {len} {used:?} read with a wrong length"
+                );
                 let survivors: Vec<Option<&[u8]>> = (0..n)
                     .map(|i| used.contains(&i).then(|| &chunk(i)[..]))
                     .collect();
@@ -598,7 +605,7 @@ mod tests {
                 }
                 let mut flipped = chunk(bad).to_vec();
                 flipped[carried / 2] ^= 0x08;
-                let got: Vec<(usize, Payload)> = used
+                let got: Vec<(usize, Item)> = used
                     .iter()
                     .map(|&i| {
                         let c = if i == bad {
@@ -606,10 +613,13 @@ mod tests {
                         } else {
                             chunks[i].clone()
                         };
-                        (i, c)
+                        (i, c.into())
                     })
                     .collect();
-                assert!(!check_chunks(&world, expected, &got), "len {len} bad {bad}");
+                assert!(
+                    !check_chunks(&world, "v", len as u64, &got),
+                    "len {len} bad {bad}"
+                );
             }
         }
     }

@@ -6,12 +6,14 @@
 //! a chunk or replica there has lost redundancy. [`start_repair`] seeds a
 //! background queue of those keys (sorted — the deterministic scan order)
 //! and rebuilds them, client-driven, while the simulation keeps serving
-//! foreground operations.
+//! foreground operations. The keys, their layout and their values'
+//! lengths are read from the items the live servers hold, as an operator
+//! would list them: the engine keeps no record of what was written.
 //!
 //! The same engine drives **repair-driven migration**: a membership
 //! change ([`join_server`], [`drain_server`]) reassigns O(1/N) of the
 //! virtual shards, and every key in a moved vshard becomes a
-//! `RepairTask::Migrate` on the same queue. Migration is repair with a
+//! migrating `RepairTask` on the same queue. Migration is repair with a
 //! different destination, so both task kinds run one pipeline — fetch
 //! from the survivors, decode if sharded, write to the destination:
 //!
@@ -43,12 +45,12 @@
 //! returned [`RepairReport`] quantifies the repair-amplification
 //! trade-off either way.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
 use eckv_simnet::{trace_codec, CodecOp, SimDuration, SimTime, Simulation, TraceEvent};
-use eckv_store::{fnv1a_64, rpc, Payload, StoreKey};
+use eckv_store::{fnv1a_64, rpc, Item, Payload, StoreKey};
 
 use crate::fanout::{
     chunk_io, FanOut, FanOutSpec, Liveness, Origin, QuorumPolicy, Settled, ShardIo,
@@ -72,68 +74,50 @@ pub struct RepairReport {
     pub elapsed: SimDuration,
 }
 
-/// One unit of background data movement on the repair queue.
+/// One unit of background data movement on the repair queue: put chunk
+/// or copy `slot` of `key` on server `to`.
 #[derive(Debug, Clone)]
-enum RepairTask {
-    /// Rebuild chunk/copy `slot` of `key` on the replaced server `to`.
-    Rebuild {
-        key: Arc<str>,
-        slot: usize,
-        to: usize,
-    },
-    /// Move chunk `slot` of `key` from its previous holder to the new
-    /// one a membership change assigned (`from` usually still serves it,
-    /// so this is a 1x copy; reconstruction is the fallback).
-    Migrate {
-        key: Arc<str>,
-        slot: usize,
-        from: usize,
-        to: usize,
-    },
+struct RepairTask {
+    key: Arc<str>,
+    slot: usize,
+    /// The previous holder a membership change vacated: it usually still
+    /// serves the slot, so a migration is a 1x copy and reconstruction
+    /// the fallback. `None` rebuilds a replaced server.
+    from: Option<usize>,
+    to: usize,
+    /// What the survivors hold of the key, when it was queued.
+    held: Held,
 }
 
-impl RepairTask {
-    fn key(&self) -> &Arc<str> {
-        match self {
-            RepairTask::Rebuild { key, .. } | RepairTask::Migrate { key, .. } => key,
-        }
-    }
+/// What the items the live servers hold of a key show: its value's
+/// length (their flags word) and, for Hybrid, whether a live replica
+/// holder keeps a plain copy.
+#[derive(Debug, Clone, Copy)]
+struct Held {
+    len: u32,
+    copies: bool,
 }
 
-/// How a key is stored on its placement group under the current scheme —
-/// the one place a hybrid value's size class is looked up.
+/// How a key is stored on its placement group.
 #[derive(Debug, Clone, Copy)]
 enum Layout {
     /// One erasure chunk per slot; any `k` of them rebuild another.
     Sharded,
-    /// Full copies on the group's first `n` slots.
+    /// Full copies on the group's first `n` slots. `NoRep` keeps one, so
+    /// its key can move, but nothing redundant exists to rebuild it from.
     Copies(usize),
-    /// One unreplicated copy (`NoRep`): it can move, but nothing
-    /// redundant exists to rebuild it from.
-    Unprotected,
 }
 
 impl Layout {
-    fn of(world: &World, key: &str) -> Layout {
-        match world.scheme {
+    /// How the current scheme stores a key whose survivors hold `held`.
+    fn of(scheme: Scheme, held: Held) -> Layout {
+        match scheme {
             Scheme::Erasure { .. } => Layout::Sharded,
-            Scheme::SyncRep { replicas } | Scheme::AsyncRep { replicas } => {
-                Layout::Copies(replicas)
+            Scheme::Hybrid { replicas, .. } if held.copies => Layout::Copies(replicas),
+            Scheme::Hybrid { .. } => Layout::Sharded,
+            Scheme::NoRep | Scheme::SyncRep { .. } | Scheme::AsyncRep { .. } => {
+                Layout::Copies(scheme.servers_per_key())
             }
-            // The class was decided by the value's size at write time.
-            Scheme::Hybrid {
-                threshold,
-                replicas,
-                ..
-            } => {
-                let len = world.expected.borrow().get(key).map_or(0, |w| w.len);
-                if len > threshold {
-                    Layout::Sharded
-                } else {
-                    Layout::Copies(replicas)
-                }
-            }
-            Scheme::NoRep => Layout::Unprotected,
         }
     }
 
@@ -142,6 +126,69 @@ impl Layout {
     fn holds(self, slot: usize) -> bool {
         !matches!(self, Layout::Copies(n) if slot >= n)
     }
+}
+
+/// Lists one task for every key that `place` (given the key and its
+/// placement) assigns a `(slot, from, to)` and that a live server other
+/// than `to` holds an item of, in RAM or on flash, sorted by key: the
+/// queue order is observable (trace determinism, and the promotion test
+/// measures against the scan position). What `to` holds of the key is a
+/// leftover about to be overwritten.
+///
+/// A key's value length is an item's flags word. Under the hybrid
+/// scheme a plain copy on a live replica holder, the vacated one
+/// included, means the key is copied, the rule the hybrid GET probe
+/// follows, and its length is the copy's; otherwise it is sharded.
+fn survivor_tasks(
+    world: &World,
+    place: impl Fn(&str, &[usize]) -> Option<(usize, Option<usize>, usize)>,
+) -> VecDeque<RepairTask> {
+    let mut found: BTreeMap<Arc<str>, Held> = BTreeMap::new();
+    for (srv, server) in world.cluster.servers.iter().enumerate() {
+        if !world.cluster.is_server_alive(srv) {
+            continue;
+        }
+        for (key, chunk, flags) in server.borrow().items() {
+            let Ok(targets) = world.try_targets(key) else {
+                continue;
+            };
+            let Some((slot, from, to)) = place(key, &targets) else {
+                continue;
+            };
+            if srv == to {
+                continue;
+            }
+            // The slot `srv` serves; a vacated holder keeps the one it left.
+            let at = targets.iter().position(|&t| t == srv);
+            let at = at.or((from == Some(srv)).then_some(slot));
+            let held = Held {
+                len: flags,
+                copies: chunk.is_none() && at.is_some_and(|i| world.scheme.is_replica_slot(i)),
+            };
+            match found.get_mut(key) {
+                // A hybrid copy outranks the chunks a larger value left.
+                Some(h) if held.copies && !h.copies => *h = held,
+                Some(_) => {}
+                None => {
+                    found.insert(key.clone(), held);
+                }
+            }
+        }
+    }
+    found
+        .into_iter()
+        .filter_map(|(key, held)| {
+            let targets = world.try_targets(&key).ok()?;
+            let (slot, from, to) = place(&key, &targets)?;
+            Some(RepairTask {
+                key,
+                slot,
+                from,
+                to,
+                held,
+            })
+        })
+        .collect()
 }
 
 /// Live state of one in-progress online repair, owned by
@@ -221,36 +268,16 @@ fn start_repair_with(world: &Rc<World>, sim: &mut Simulation, failed: usize, cfg
         world.mark_alive(c, failed);
     }
 
-    // Every written key whose placement includes the replaced server has
-    // lost redundancy in the slot it held. Sorted: HashMap iteration order
-    // is per-instance random, and the queue order is observable (trace
-    // determinism, and the promotion test measures against the scan
-    // position).
-    let mut lost: Vec<(Arc<str>, usize)> = world
-        .expected
-        .borrow()
-        .keys()
-        .filter_map(|k| {
-            Some((
-                k.clone(),
-                world.targets(k).iter().position(|&s| s == failed)?,
-            ))
-        })
-        .collect();
-    lost.sort();
-
+    // Every key the survivors hold whose placement includes the replaced
+    // server has lost redundancy in the slot it held.
+    let queue = survivor_tasks(world, |_, targets| {
+        let slot = targets.iter().position(|&s| s == failed)?;
+        Some((slot, None, failed))
+    });
     {
         let mut m = world.metrics.borrow_mut();
-        m.repair_queue_depth_hwm = m.repair_queue_depth_hwm.max(lost.len() as u64);
+        m.repair_queue_depth_hwm = m.repair_queue_depth_hwm.max(queue.len() as u64);
     }
-    let queue = lost
-        .into_iter()
-        .map(|(key, slot)| RepairTask::Rebuild {
-            key,
-            slot,
-            to: failed,
-        })
-        .collect();
     *world.repair.borrow_mut() = Some(OnlineRepair::new(true, queue, cfg, sim.now()));
     pump_repair(world, sim);
 }
@@ -287,7 +314,7 @@ pub(crate) fn note_degraded_read(world: &World, at: SimTime, key: &Arc<str>) {
     let depth = {
         let mut slot = world.repair.borrow_mut();
         let Some(s) = slot.as_mut() else { return };
-        let Some(pos) = s.queue.iter().position(|t| t.key() == key) else {
+        let Some(pos) = s.queue.iter().position(|t| t.key == *key) else {
             return;
         };
         if pos == 0 {
@@ -311,22 +338,17 @@ pub(crate) fn note_degraded_read(world: &World, at: SimTime, key: &Arc<str>) {
 /// `repair_started` event. A chunk rebuild reads `k` survivors (the
 /// repair amplification); a migration is priced as its 1x direct copy.
 fn task_cost(world: &World, task: &RepairTask) -> u64 {
-    let key = task.key();
-    let len = world.expected.borrow().get(key).map_or(0, |w| w.len);
-    let (slot, rebuild) = match *task {
-        RepairTask::Rebuild { slot, .. } => (slot, true),
-        RepairTask::Migrate { slot, .. } => (slot, false),
-    };
-    match Layout::of(world, key) {
+    let len = u64::from(task.held.len);
+    let (slot, rebuild) = (task.slot, task.from.is_none());
+    match Layout::of(world.scheme, task.held) {
         Layout::Sharded => {
             let (k, ..) = world.scheme.erasure_params().expect("erasure scheme");
             let reads = if rebuild { k as u64 } else { 1 };
             world.shard_len(len) * (reads + 1)
         }
         // The replaced server held no copy, or held the only one.
-        Layout::Copies(n) if rebuild && slot >= n => 0,
-        Layout::Unprotected if rebuild => 0,
-        Layout::Copies(_) | Layout::Unprotected => len * 2,
+        Layout::Copies(n) if rebuild && (slot >= n || n == 1) => 0,
+        Layout::Copies(_) => len * 2,
     }
 }
 
@@ -373,8 +395,6 @@ pub(crate) fn pump_repair(world: &Rc<World>, sim: &mut Simulation) {
                 PumpStep::Idle
             } else {
                 let task = s.queue.pop_front().expect("checked non-empty");
-                // world.repair and world.expected are distinct cells, so
-                // the cost estimate can read the catalogue here.
                 let cost = task_cost(world, &task);
                 let now = sim.now();
                 let earliest = if s.next_free > now { s.next_free } else { now };
@@ -468,7 +488,7 @@ fn issue_repair_task(world: &Rc<World>, sim: &mut Simulation, task: RepairTask, 
         .span_begin_op(eckv_simnet::SpanOpClass::Repair, sim.now());
     let world2 = world.clone();
     let task2 = task.clone();
-    let migrating = matches!(task, RepairTask::Migrate { .. });
+    let migrating = task.from.is_some();
     let done: RepairDone = Box::new(
         move |sim: &mut Simulation, outcome: RepairOutcome, read: u64, written: u64| {
             if let Some(op) = span {
@@ -504,12 +524,13 @@ fn issue_repair_task(world: &Rc<World>, sim: &mut Simulation, task: RepairTask, 
 }
 
 /// Where a task's bytes land: `store_key` on server `to`, retiring the
-/// plain copy `stale` there in the same request.
+/// plain copy of its user key there in the same request if
+/// `retire_plain`.
 #[derive(Clone)]
 struct Dest {
     to: usize,
     store_key: StoreKey,
-    stale: Option<StoreKey>,
+    retire_plain: bool,
 }
 
 /// What a copy falls back to when no source served the value and none
@@ -520,16 +541,14 @@ type OnMiss = Box<dyn FnOnce(&mut Simulation, RepairDone)>;
 /// sharded, write to the destination. A rebuild and a migration differ
 /// only in the source list they hand the fetch and in the destination.
 fn run_task(world: &Rc<World>, sim: &mut Simulation, task: RepairTask, done: RepairDone) {
-    let (key, slot, to, from) = match task {
-        RepairTask::Rebuild { key, slot, to } => (key, slot, to, None),
-        RepairTask::Migrate {
-            key,
-            slot,
-            from,
-            to,
-        } => (key, slot, to, Some(from)),
-    };
-    let layout = Layout::of(world, &key);
+    let RepairTask {
+        key,
+        slot,
+        from,
+        to,
+        held,
+    } = task;
+    let layout = Layout::of(world.scheme, held);
     if !layout.holds(slot) {
         // The replaced server held no copy of this small hybrid value.
         done(sim, RepairOutcome::Repaired, 0, 0);
@@ -544,8 +563,7 @@ fn run_task(world: &Rc<World>, sim: &mut Simulation, task: RepairTask, done: Rep
         let dest = Dest {
             to,
             store_key: StoreKey::chunk(key.clone(), slot),
-            stale: (from.is_some() && world.scheme.is_replica_slot(slot))
-                .then(|| StoreKey::from(&key)),
+            retire_plain: from.is_some() && world.scheme.is_replica_slot(slot),
         };
         let spec = FanOutSpec {
             candidates: from.filter(alive).map(|f| (slot, f)).into_iter().collect(),
@@ -603,7 +621,7 @@ fn run_task(world: &Rc<World>, sim: &mut Simulation, task: RepairTask, done: Rep
     let dest = Dest {
         to,
         store_key,
-        stale: None,
+        retire_plain: false,
     };
     let lost: OnMiss = Box::new(|sim, done| done(sim, RepairOutcome::Lost, 0, 0));
     copy_to(world, sim, spec, io, dest, lost, done);
@@ -659,7 +677,7 @@ fn copy_to(
                 }
                 return;
             };
-            let read = value.len();
+            let read = value.payload.len();
             let at = sim.now();
             write_to_new_holder(&world2, sim, at, value, dest, read, done);
         }),
@@ -670,7 +688,9 @@ fn copy_to(
 /// Rebuilds chunk `slot` of `key` and writes it to `dest`: fetch `k`
 /// survivors of its group through the shared fan-out core (rotated per
 /// key, topped up from untried survivors the way the GET path late-binds,
-/// hedged against stragglers), decode on the client CPU, write.
+/// hedged against stragglers), decode on the client CPU, write. The
+/// survivors' flags word gives the value's length, and the rebuilt chunk
+/// keeps it.
 fn reconstruct_to(
     world: &Rc<World>,
     sim: &mut Simulation,
@@ -719,7 +739,7 @@ fn reconstruct_to(
         now,
         io,
         Box::new(move |sim, s: Settled| {
-            let read: u64 = s.good.iter().map(|(_, c)| c.len()).sum();
+            let read: u64 = s.good.iter().map(|(_, c)| c.payload.len()).sum();
             if s.good.len() < k {
                 let outcome = if s.shed > 0 {
                     RepairOutcome::Shed
@@ -729,21 +749,17 @@ fn reconstruct_to(
                 done(sim, outcome, read, 0);
                 return;
             }
-            let chunks: Vec<(usize, Payload)> = s.good.into_iter().take(k).collect();
-            let expected = world2.expected.borrow().get(&key).copied();
-            let Some(w) = expected else {
-                done(sim, RepairOutcome::Lost, read, 0);
-                return;
-            };
+            let chunks: Vec<(usize, Item)> = s.good.into_iter().take(k).collect();
             // Survivor chunks that disagree in shape (a corrupt or
             // truncated one) cannot be decoded: the key is lost.
-            let Some(rebuilt) = rebuild_shard(&world2, &chunks, slot, w.len, w.digest) else {
+            let Some(rebuilt) = rebuild_shard(&world2, &chunks, slot) else {
                 done(sim, RepairOutcome::Lost, read, 0);
                 return;
             };
+            let len = u64::from(rebuilt.flags);
             let t_dec = world2
-                .decode_time_at(client_node, w.len, 1)
-                .max(world2.encode_time_at(client_node, w.len) / 2);
+                .decode_time_at(client_node, len, 1)
+                .max(world2.encode_time_at(client_node, len) / 2);
             let dec_done = world2.reserve_client_cpu(0, s.last, t_dec);
             trace_codec(
                 &world2.trace,
@@ -751,7 +767,7 @@ fn reconstruct_to(
                 CodecOp::Decode,
                 s.last,
                 t_dec,
-                w.len,
+                len,
             );
             write_to_new_holder(&world2, sim, dec_done, rebuilt, dest, read, done);
         }),
@@ -759,30 +775,27 @@ fn reconstruct_to(
     debug_assert!(launched, "k live survivors existed at the pre-check");
 }
 
-/// Reconstructs the payload of shard `lost_shard` from the fetched
-/// chunks, or `None` when they cannot be decoded.
-fn rebuild_shard(
-    world: &World,
-    chunks: &[(usize, Payload)],
-    lost_shard: usize,
-    value_len: u64,
-    value_digest: u64,
-) -> Option<Payload> {
-    let all_inline = chunks.iter().all(|(_, c)| matches!(c, Payload::Inline(_)));
-    if !all_inline {
-        let parent = Payload::Synthetic {
-            len: value_len,
-            digest: value_digest,
-        };
-        return Some(parent.shard(lost_shard, world.shard_len(value_len)));
-    }
-    let codec = world.striper.as_ref().expect("erasure scheme").codec();
-    let mut shards: Vec<Option<&[u8]>> = vec![None; codec.total_shards()];
-    for (idx, chunk) in chunks {
-        shards[*idx] = chunk.as_bytes().map(|b| &b[..]);
-    }
-    let mut rebuilt = codec.reconstruct(&shards, &[lost_shard]).ok()?;
-    rebuilt.pop().map(Payload::inline)
+/// Reconstructs chunk `lost_shard` from the fetched chunks, with the
+/// first one's flags word, or `None` when they cannot be decoded. A
+/// synthetic chunk derives from the first survivor alone; inline chunks
+/// decode through the codec (a synthetic one among them counts as
+/// missing).
+fn rebuild_shard(world: &World, chunks: &[(usize, Item)], lost_shard: usize) -> Option<Item> {
+    let (first, survivor) = chunks.first()?;
+    let payload = match survivor.payload {
+        Payload::Synthetic { .. } => survivor.payload.sibling_shard(*first, lost_shard),
+        Payload::Inline(_) => {
+            let codec = world.striper.as_ref().expect("erasure scheme").codec();
+            let mut shards: Vec<Option<&[u8]>> = vec![None; codec.total_shards()];
+            for (idx, chunk) in chunks {
+                shards[*idx] = chunk.payload.as_bytes().map(|b| &b[..]);
+            }
+            let mut rebuilt = codec.reconstruct(&shards, &[lost_shard]).ok()?;
+            Payload::inline(rebuilt.pop()?)
+        }
+    };
+    let flags = survivor.flags;
+    Some(Item { payload, flags })
 }
 
 /// The one write tail: stores `value` at `dest` with the same
@@ -793,19 +806,19 @@ fn write_to_new_holder(
     world: &Rc<World>,
     sim: &mut Simulation,
     at: SimTime,
-    value: Payload,
+    value: Item,
     dest: Dest,
     read: u64,
     done: RepairDone,
 ) {
     let client_node = world.cluster.client_node(0);
-    let written = value.len();
+    let written = value.payload.len();
     let to = dest.to;
     let world2 = world.clone();
     let request = rpc::Request::Set {
         key: dest.store_key,
-        payload: value,
-        stale: dest.stale,
+        item: value,
+        retire_plain: dest.retire_plain,
     };
     rpc::call(
         &world.cluster.net,
@@ -878,8 +891,8 @@ pub fn drain_server(world: &Rc<World>, sim: &mut Simulation, server: usize) {
 }
 
 /// Turns a batch of vshard reassignments into migration work: accounts
-/// the moves, emits their trace events, scans the catalogue for keys in
-/// moved vshards, and enqueues one [`RepairTask::Migrate`] per moved
+/// the moves, emits their trace events, scans the live servers for keys
+/// in moved vshards, and enqueues one migrating [`RepairTask`] per moved
 /// chunk — merging into an active migration (a second membership change
 /// extends the queue) or starting the engine fresh under the world's
 /// [`RepairConfig`].
@@ -914,23 +927,11 @@ fn apply_membership_change(
         .filter(|m| m.slot < width)
         .map(|m| (m.vshard, *m))
         .collect();
-    // Sorted scan, same as a rebuild: queue order is observable.
-    let mut keys: Vec<Arc<str>> = world.expected.borrow().keys().cloned().collect();
-    keys.sort();
-    let tasks: Vec<RepairTask> = keys
-        .into_iter()
-        .filter_map(|key| {
-            let m = by_vshard.get(&world.cluster.vshard_of(key.as_bytes()))?;
-            Layout::of(world, &key)
-                .holds(m.slot)
-                .then_some(RepairTask::Migrate {
-                    key,
-                    slot: m.slot,
-                    from: m.from,
-                    to: m.to,
-                })
-        })
-        .collect();
+    let mut tasks = survivor_tasks(world, |key, _| {
+        let m = by_vshard.get(&world.cluster.vshard_of(key.as_bytes()))?;
+        Some((m.slot, Some(m.from), m.to))
+    });
+    tasks.retain(|t| Layout::of(world.scheme, t.held).holds(t.slot));
     world.note(
         sim.now(),
         TraceEvent::MigrationStarted {
@@ -949,8 +950,7 @@ fn apply_membership_change(
             }
             None => {
                 let depth = tasks.len();
-                let queue = tasks.into();
-                *slot = Some(OnlineRepair::new(false, queue, world.cfg.repair, sim.now()));
+                *slot = Some(OnlineRepair::new(false, tasks, world.cfg.repair, sim.now()));
                 depth
             }
         };
@@ -1030,12 +1030,28 @@ mod tests {
     }
 
     #[test]
-    fn norep_repair_reports_loss() {
+    fn norep_repair_finds_nothing_to_rebuild() {
+        // An unreplicated key's only copy lived on the replaced server, so
+        // no survivor holds anything to name it by: the rebuild is empty,
+        // and the key stays unreadable.
         let (world, mut sim) = loaded_world(Scheme::NoRep);
         world.cluster.kill_server(3);
         let report = repair_server(&world, &mut sim, 3);
-        assert_eq!(report.keys_repaired, 0);
-        assert!(report.keys_lost > 0, "unreplicated data is unrecoverable");
+        assert_eq!((report.keys_repaired, report.keys_lost), (0, 0));
+        let gone: Vec<Op> = (0..30)
+            .map(|i| format!("r{i}"))
+            .filter(|key| world.targets(key) == [3])
+            .map(Op::get)
+            .collect();
+        assert!(!gone.is_empty(), "server 3 held some keys");
+        world.reset_metrics();
+        let reads = gone.len() as u64;
+        run_workload(&world, &mut sim, vec![gone]);
+        assert_eq!(
+            world.metrics.borrow().errors,
+            reads,
+            "unreplicated data is unrecoverable"
+        );
     }
 
     #[test]

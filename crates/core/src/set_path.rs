@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use eckv_erasure::Striper;
 use eckv_simnet::{trace_codec, CodecOp, SimDuration, SimTime, Simulation};
-use eckv_store::{rpc, Bytes, Payload, StoreKey};
+use eckv_store::{rpc, Bytes, Item, Payload, StoreKey};
 
 use crate::fanout::{chunk_io, FanOut, FanOutSpec, Liveness, Origin, QuorumPolicy, Settled};
 use crate::flow::{finish_op, Coordinator, DoneCb, OpOutcome};
@@ -73,7 +73,8 @@ fn fail_unwritable(world: &Rc<World>, sim: &mut Simulation, value_len: u64, done
     finish_op(world, sim, op_start, outcome, done);
 }
 
-/// Entry point: dispatches on the scheme.
+/// Entry point: dispatches on the scheme. Every item the SET stores, a
+/// whole copy or a chunk, carries the value's length in its flags word.
 pub(crate) fn start_set(
     world: &Rc<World>,
     sim: &mut Simulation,
@@ -82,23 +83,24 @@ pub(crate) fn start_set(
     payload: Payload,
     done: DoneCb,
 ) {
-    let Ok(mut targets) = world.try_targets(&key) else {
-        // The membership dropped below the scheme's group width (an
-        // over-eager drain): there is no valid placement to write to, so
-        // the operation fails cleanly instead of panicking.
-        let value_len = payload.len();
+    let value_len = payload.len();
+    let (Ok(flags), Ok(mut targets)) = (u32::try_from(value_len), world.try_targets(&key)) else {
+        // A length the flags word cannot carry is refused, not truncated;
+        // a membership below the scheme's group width (an over-eager
+        // drain) has no valid placement. The op fails cleanly.
         fail_unwritable(world, sim, value_len, done);
         return;
     };
+    let value = Item { payload, flags };
     match world.scheme {
         Scheme::NoRep | Scheme::AsyncRep { .. } => {
-            set_parallel_replicated(world, sim, client, key, payload, targets, done)
+            set_parallel_replicated(world, sim, client, key, value, targets, done)
         }
         Scheme::SyncRep { .. } => {
-            set_sync_replicated(world, sim, client, key, payload, targets, done)
+            set_sync_replicated(world, sim, client, key, value, targets, done)
         }
         Scheme::Erasure { encode_at, .. } => {
-            set_erasure(world, sim, client, key, payload, targets, encode_at, done)
+            set_erasure(world, sim, client, key, value, targets, encode_at, done)
         }
         Scheme::Hybrid {
             threshold,
@@ -107,20 +109,11 @@ pub(crate) fn start_set(
         } => {
             // Small values replicate (chunking overheads dominate there);
             // large values take the Era-CE-CD path.
-            if payload.len() <= threshold {
+            if value_len <= threshold {
                 targets.truncate(replicas);
-                set_parallel_replicated(world, sim, client, key, payload, targets, done)
+                set_parallel_replicated(world, sim, client, key, value, targets, done)
             } else {
-                set_erasure(
-                    world,
-                    sim,
-                    client,
-                    key,
-                    payload,
-                    targets,
-                    Side::Client,
-                    done,
-                )
+                set_erasure(world, sim, client, key, value, targets, Side::Client, done)
             }
         }
     }
@@ -133,14 +126,14 @@ fn set_parallel_replicated(
     sim: &mut Simulation,
     client: usize,
     key: Arc<str>,
-    payload: Payload,
+    value: Item,
     targets: Vec<usize>,
     done: DoneCb,
 ) {
     let op_start = sim.now();
     let post = world.cluster.net_config().post_overhead;
-    let value_len = payload.len();
-    let digest = payload.digest();
+    let value_len = value.payload.len();
+    let digest = value.payload.digest();
 
     if !targets.iter().any(|&s| world.view_alive(client, s)) {
         // Every believed-alive replica holder is gone; nothing new to
@@ -166,8 +159,8 @@ fn set_parallel_replicated(
         rpc::RpcPriority::Foreground,
         move |_| rpc::Request::Set {
             key: store_key.clone(),
-            payload: payload.clone(),
-            stale: None,
+            item: value.clone(),
+            retire_plain: false,
         },
     );
     let world2 = world.clone();
@@ -209,7 +202,7 @@ fn set_sync_replicated(
     sim: &mut Simulation,
     client: usize,
     key: Arc<str>,
-    payload: Payload,
+    value: Item,
     targets: Vec<usize>,
     done: DoneCb,
 ) {
@@ -218,12 +211,12 @@ fn set_sync_replicated(
         .filter(|&s| world.view_alive(client, s))
         .collect();
     if targets.is_empty() {
-        let value_len = payload.len();
+        let value_len = value.payload.len();
         fail_unwritable(world, sim, value_len, done);
         return;
     }
     let op_start = sim.now();
-    sync_step(world, sim, client, key, payload, targets, 0, op_start, done);
+    sync_step(world, sim, client, key, value, targets, 0, op_start, done);
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -232,16 +225,16 @@ fn sync_step(
     sim: &mut Simulation,
     client: usize,
     key: Arc<str>,
-    payload: Payload,
+    value: Item,
     targets: Vec<usize>,
     idx: usize,
     op_start: eckv_simnet::SimTime,
     done: DoneCb,
 ) {
     let post = world.cluster.net_config().post_overhead;
-    let value_len = payload.len();
+    let value_len = value.payload.len();
     if idx == targets.len() {
-        let digest = payload.digest();
+        let digest = value.payload.digest();
         let at = sim.now();
         finish_op(
             world,
@@ -269,8 +262,8 @@ fn sync_step(
     let world2 = world.clone();
     let request = rpc::Request::Set {
         key: StoreKey::from(&key),
-        payload: payload.clone(),
-        stale: None,
+        item: value.clone(),
+        retire_plain: false,
     };
     rpc::call(
         &world.cluster.net,
@@ -294,7 +287,7 @@ fn sync_step(
                         sim,
                         client,
                         key,
-                        payload,
+                        value,
                         targets,
                         idx + 1,
                         op_start,
@@ -334,12 +327,13 @@ fn set_erasure(
     sim: &mut Simulation,
     client: usize,
     key: Arc<str>,
-    payload: Payload,
+    value: Item,
     mut targets: Vec<usize>,
     site: Side,
     done: DoneCb,
 ) {
     let op_start = sim.now();
+    let Item { payload, flags } = value;
     let value_len = payload.len();
     let digest = payload.digest();
     let (k, m, ..) = world.scheme.erasure_params().expect("erasure or hybrid");
@@ -399,13 +393,13 @@ fn set_erasure(
             origin,
             Some(client),
             rpc::RpcPriority::Foreground,
-            move |slot| {
-                let stale = scheme.is_replica_slot(slot).then(|| StoreKey::from(&key));
-                rpc::Request::Set {
-                    key: StoreKey::chunk(key.clone(), slot),
+            move |slot| rpc::Request::Set {
+                key: StoreKey::chunk(key.clone(), slot),
+                item: Item {
                     payload: shards[slot].clone(),
-                    stale,
-                }
+                    flags,
+                },
+                retire_plain: scheme.is_replica_slot(slot),
             },
         );
         let launched = FanOut::launch(world, sim, spec, from, io, on_settle);

@@ -315,7 +315,7 @@ impl EngineConfig {
     }
 }
 
-/// What the engine remembers about a written value, for read validation.
+/// What the validation record remembers about a written value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Written {
     /// Value length in bytes.
@@ -347,7 +347,8 @@ pub struct World {
     /// it ([`World::set_client_think`], e.g. TestDFSIO's write vs read
     /// cost).
     pub client_think: std::cell::Cell<SimDuration>,
-    /// Write bookkeeping for read validation.
+    /// The read checks' record of every successful SET, kept only when
+    /// [`EngineConfig::validate`] is on: no server holds it.
     pub expected: RefCell<HashMap<Arc<str>, Written>>,
     /// Per-client failure views: `views[client][server]` is the client's
     /// *belief* that the server is alive. Clients start optimistic and
@@ -675,11 +676,12 @@ impl World {
         self.views.borrow_mut()[client][srv] = true;
     }
 
-    /// Records what a successful Set wrote, for later validation.
+    /// Records what a successful Set wrote, when reads are validated.
     pub(crate) fn note_written(&self, key: Arc<str>, len: u64, digest: u64) {
-        self.expected
-            .borrow_mut()
-            .insert(key, Written { len, digest });
+        if self.cfg.validate {
+            let written = Written { len, digest };
+            self.expected.borrow_mut().insert(key, written);
+        }
     }
 
     /// Memory usage report across the server cluster (Figure 10).

@@ -2,7 +2,7 @@
 //! conserved, and resilience invariants hold under random failures.
 
 use eckv_core::{driver, ops::Op, EngineConfig, Scheme, World};
-use eckv_simnet::check::{check_seq, vec_of};
+use eckv_simnet::check::{check, check_seq, vec_of};
 use eckv_simnet::{ClusterProfile, SimRng, Simulation};
 use eckv_store::ClusterConfig;
 
@@ -114,4 +114,91 @@ fn latency_is_positive_and_bounded_by_elapsed() {
             assert!(m.set_latency.max() <= m.elapsed());
         },
     );
+}
+
+/// A lost synthetic chunk rebuilds from any one survivor: for every codec
+/// shape, every survivor `i` and every lost index `j`, chunk `j` derived
+/// from chunk `i` is the chunk `j` the SET wrote.
+#[test]
+fn any_synthetic_survivor_rebuilds_every_lost_chunk() {
+    use eckv_erasure::{CodecKind, Striper};
+    use eckv_store::Payload;
+
+    // Every kind at (3,2) and at a wider k = 6: (6,3), or (6,2) for
+    // R6-Lib, which has two parities only.
+    let shapes = |kind| match kind {
+        CodecKind::Liberation => [(3, 2), (6, 2)],
+        _ => [(3, 2), (6, 3)],
+    };
+    let stripers: Vec<Striper> = CodecKind::ALL
+        .into_iter()
+        .flat_map(|kind| shapes(kind).map(|(k, m)| kind.build(k, m).expect("valid shape")))
+        .map(Striper::from)
+        .collect();
+    check(
+        64,
+        |rng| (rng.range_u64(0, 1 << 30), rng.next_u64()),
+        |&(len, seed)| {
+            let parent = Payload::synthetic(len, seed);
+            for striper in &stripers {
+                let n = striper.codec().total_shards();
+                let shard_len = striper.shard_len_for(len as usize) as u64;
+                for i in 0..n {
+                    let survivor = parent.shard(i, shard_len);
+                    for j in 0..n {
+                        assert_eq!(
+                            survivor.sibling_shard(i, j),
+                            parent.shard(j, shard_len),
+                            "{} len {len}: chunk {j} from chunk {i}",
+                            striper.codec().name()
+                        );
+                    }
+                }
+            }
+        },
+    );
+}
+
+/// With validation off the engine keeps no write record: loads, reads, a
+/// rebuild and a join all run on what the servers hold, on every scheme.
+#[test]
+fn without_validation_the_write_record_stays_empty() {
+    use eckv_core::{join_server, repair_server};
+
+    let schemes = [
+        Scheme::NoRep,
+        Scheme::SyncRep { replicas: 3 },
+        Scheme::AsyncRep { replicas: 3 },
+        Scheme::era_ce_cd(3, 2),
+        Scheme::era_se_sd(3, 2),
+        Scheme::era_se_cd(3, 2),
+        Scheme::era_ce_sd(3, 2),
+        Scheme::hybrid(4096, 3, 2),
+    ];
+    for scheme in schemes {
+        let cluster = ClusterConfig::new(ClusterProfile::RiQdr, 5, 1).max_servers(6);
+        let world = World::new(EngineConfig::new(cluster, scheme).validate(false));
+        let mut sim = Simulation::new();
+        let keys: Vec<String> = (0..40).map(|i| format!("k{i}")).collect();
+        let writes = keys
+            .iter()
+            .enumerate()
+            .map(|(i, key)| Op::set_synthetic(key.clone(), 1000 + 200 * i as u64, i as u64))
+            .collect();
+        driver::run_workload(&world, &mut sim, vec![writes]);
+        let reads = keys.iter().cloned().map(Op::get).collect();
+        driver::run_workload(&world, &mut sim, vec![reads]);
+        assert_eq!(world.metrics.borrow().errors, 0, "{scheme}");
+
+        world.cluster.kill_server(1);
+        let report = repair_server(&world, &mut sim, 1);
+        // An unreplicated key leaves no survivor to rebuild it from.
+        let rebuilt = scheme != Scheme::NoRep;
+        assert_eq!(report.keys_repaired > 0, rebuilt, "{scheme}");
+        join_server(&world, &mut sim).expect("a spare is provisioned");
+        sim.run();
+        let moved = world.last_repair_report().expect("the join migrated keys");
+        assert!(moved.keys_repaired > 0, "{scheme}: the join moved keys");
+        assert!(world.expected.borrow().is_empty(), "{scheme}");
+    }
 }

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use eckv_core::{driver, ops::Op, repair, EngineConfig, RepairReport, Scheme, World};
 use eckv_simnet::{SimDuration, Simulation};
-use eckv_store::{Bytes, ClusterConfig, Payload, StoreKey};
+use eckv_store::{Bytes, ClusterConfig, Item, Payload, StoreKey};
 
 /// Errors surfaced by [`KvSession`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -133,32 +133,30 @@ impl KvSession {
     }
 
     /// Rebuilds the plain bytes of `key` from its live placement holders
-    /// (a replica, or chunk `i` from holder `i`). A dead server may still
+    /// (a replica, or chunk `i` from holder `i`), as a client would: the
+    /// value's length is the chunks' flags word. A dead server may still
     /// hold a copy the writes since its death never reached, so it is
     /// never read.
     fn reassemble(&self, key: &str) -> Vec<u8> {
-        let w = *self
-            .world
-            .expected
-            .borrow()
-            .get(key)
-            .expect("validated read implies a write record");
         let cluster = &self.world.cluster;
         // Each value found is a shared view (a reference-count bump, not a
         // copy); the decode reads chunks in place.
-        let peek = |srv: usize, store_key: &StoreKey| -> Option<Bytes> {
+        let peek = |srv: usize, store_key: &StoreKey| -> Option<(Bytes, u32)> {
             if !cluster.is_server_alive(srv) {
                 return None;
             }
             match cluster.servers[srv].borrow().store().peek(store_key) {
-                Some(Payload::Inline(b)) => Some(b.clone()),
+                Some(Item {
+                    payload: Payload::Inline(b),
+                    flags,
+                }) => Some((b, flags)),
                 _ => None,
             }
         };
         let targets = self.world.targets(key);
         let key: Arc<str> = key.into();
         let plain = StoreKey::from(&key);
-        if let Some(copy) = targets.iter().find_map(|&srv| peek(srv, &plain)) {
+        if let Some((copy, _)) = targets.iter().find_map(|&srv| peek(srv, &plain)) {
             return copy.to_vec();
         }
         let striper = self
@@ -166,15 +164,22 @@ impl KvSession {
             .striper
             .as_ref()
             .expect("no replica implies an erasure scheme");
-        let shards: Vec<Option<Bytes>> = (0..striper.codec().total_shards())
+        let chunks: Vec<Option<(Bytes, u32)>> = (0..striper.codec().total_shards())
             .map(|i| {
                 targets
                     .get(i)
                     .and_then(|&srv| peek(srv, &StoreKey::chunk(key.clone(), i)))
             })
             .collect();
+        let len = chunks
+            .iter()
+            .flatten()
+            .map(|&(_, flags)| flags as usize)
+            .next()
+            .expect("a read that succeeded found chunks");
+        let shards: Vec<Option<Bytes>> = chunks.into_iter().map(|c| Some(c?.0)).collect();
         striper
-            .decode_value(&shards, w.len as usize)
+            .decode_value(&shards, len)
             .expect("validated read implies decodability")
     }
 

@@ -112,8 +112,8 @@ impl BitMatrixEngine {
         }
         let seg = self.segment(ps);
         let mut srcs: Vec<&[u8]> = Vec::new();
+        // XORs accumulate into the zeroed parity.
         for (p, out) in parity.iter_mut().enumerate() {
-            out.fill(0);
             let mut off = 0;
             while off < ps {
                 let chunk = seg.min(ps - off);

@@ -64,7 +64,10 @@ pub trait ErasureCodec: Send + Sync + fmt::Debug {
     /// Computes parity shards from data shards.
     ///
     /// `data` must contain exactly `k` equal-length slices, `parity` exactly
-    /// `m` equal-length buffers of the same length.
+    /// `m` equal-length buffers of the same length. The parity buffers must
+    /// arrive zero-filled: a codec may XOR-accumulate into them rather than
+    /// overwrite them. Zeroing them is the caller's job (see
+    /// [`Striper::encode_parity`](crate::Striper::encode_parity)).
     ///
     /// # Errors
     ///

@@ -96,12 +96,9 @@ impl ErasureCodec for RsVandermonde {
 
     fn encode(&self, data: &[&[u8]], parity: &mut [&mut [u8]]) -> Result<(), ErasureError> {
         check_encode_shape(self.k, self.m, 1, data, parity)?;
-        // One fused pass: every parity row's coefficients are applied to
-        // each source block while it is hot in cache (vs. re-streaming all
-        // sources once per row).
-        for out in parity.iter_mut() {
-            out.fill(0);
-        }
+        // One fused pass into the zeroed parity: every parity row's
+        // coefficients are applied to each source block while it is hot
+        // in cache (vs. re-streaming all sources once per row).
         let coeffs: Vec<&[u8]> = (0..self.m)
             .map(|i| self.generator.row(self.k + i))
             .collect();

@@ -82,8 +82,10 @@ impl Striper {
     /// Computes the `m` parity shards of `k` equal-length data shards.
     pub fn encode_parity(&self, data: &[&[u8]]) -> Vec<Vec<u8>> {
         let shard_len = data.first().map_or(0, |d| d.len());
-        // One zeroed allocation per shard: `vec![vec![..]; m]` would clone
-        // (allocate and copy) the first buffer for every further shard.
+        // One zeroed allocation per shard, the only zeroing the parity
+        // gets: `ErasureCodec::encode` accumulates into it. (`vec![vec![..];
+        // m]` would clone, allocate and copy, the first buffer for every
+        // further shard.)
         let mut parity: Vec<Vec<u8>> = (0..self.codec.parity_shards())
             .map(|_| vec![0u8; shard_len])
             .collect();
@@ -120,8 +122,8 @@ impl Striper {
     /// # Errors
     ///
     /// Returns [`ErasureError::TooManyErasures`] when fewer than `k` shards
-    /// survive, or a shape error on malformed input; `sink` sees nothing
-    /// then.
+    /// survive, or a shape error on malformed input or an `original_len`
+    /// longer than the `k` data shards hold; `sink` sees nothing then.
     pub fn decode_value_into<S: AsRef<[u8]>>(
         &self,
         shards: &[Option<S>],
@@ -137,6 +139,12 @@ impl Striper {
             .filter(|&i| borrowed[i].is_none())
             .collect();
         let rebuilt = self.codec.reconstruct(&borrowed, &lost)?;
+        let shard_len = borrowed.iter().flatten().next().map_or(0, |s| s.len());
+        if original_len > k * shard_len {
+            return Err(ErasureError::ShapeMismatch {
+                detail: format!("{original_len} bytes exceed {k} shards of {shard_len}"),
+            });
+        }
         let mut rebuilt = rebuilt.iter();
         let mut left = original_len;
         for shard in &borrowed[..k] {
@@ -255,6 +263,21 @@ mod tests {
         assert!(matches!(
             s.decode_value(&shards, stripe.original_len),
             Err(ErasureError::TooManyErasures { .. })
+        ));
+    }
+
+    #[test]
+    fn decode_refuses_a_length_the_stripe_cannot_hold() {
+        // A length read from outside the stripe (an item's flags word)
+        // must not come back as a silently shorter value.
+        let s = striper(CodecKind::RsVan);
+        let stripe = s.encode_value(&[1, 2, 3, 4, 5]);
+        let shards: Vec<Option<&[u8]>> = stripe.shards.iter().map(|c| Some(&c[..])).collect();
+        let room = 3 * stripe.shard_len;
+        assert_eq!(s.decode_value(&shards, room).map(|v| v.len()), Ok(room));
+        assert!(matches!(
+            s.decode_value(&shards, room + 1),
+            Err(ErasureError::ShapeMismatch { .. })
         ));
     }
 

@@ -42,13 +42,18 @@ impl StoreKey {
     /// Bytes the key takes on the wire and in an item: the key, plus
     /// `.s{i}` for a chunk.
     pub fn wire_len(&self) -> usize {
-        let suffix = match self.slot {
+        Self::wire_len_of(&self.key, self.slot)
+    }
+
+    /// [`StoreKey::wire_len`] of a key's parts.
+    pub(crate) fn wire_len_of(key: &str, slot: Option<u8>) -> usize {
+        let suffix = match slot {
             None => 0,
             Some(i) if i < 10 => 3,
             Some(i) if i < 100 => 4,
             Some(_) => 5,
         };
-        self.key.len() + suffix
+        key.len() + suffix
     }
 
     /// The key and chunk number, as the store's index compares them.

@@ -18,6 +18,8 @@
 //!   following servers", [`HashRing::servers_for`]) exactly.
 //! * [`StoreKey`] — what an item is stored under: a plain key, or chunk
 //!   `i` of a key, sharing the key's `Arc`.
+//! * [`Item`] — what is stored under a key: a [`Payload`] and memcached's
+//!   32-bit flags word.
 //! * [`StoreNode`] — one server's storage: slab-class memory accounting,
 //!   LRU eviction, hit/miss/eviction statistics (Figure 10's memory
 //!   efficiency and data-loss numbers come from here).
@@ -60,4 +62,4 @@ pub use payload::{fnv1a_64, xxh64, Payload, Xxh64};
 pub use server::{AdmissionCaps, KvServer, ServerCosts};
 pub use slab::{chunk_size_for, SlabConfig, ITEM_OVERHEAD};
 pub use ssd::{SsdSpec, SsdTier};
-pub use store_node::{SetOutcome, StoreNode, StoreStats};
+pub use store_node::{Item, SetOutcome, StoreNode, StoreStats};

@@ -279,11 +279,51 @@ impl Payload {
                 len: shard_len,
                 digest: digest
                     .rotate_left(index as u32 + 1)
-                    .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(index as u64 + 1)),
+                    .wrapping_add(SHARD_MIX.wrapping_mul(index as u64 + 1)),
             },
         }
     }
+
+    /// Derives shard `sibling` of the value whose shard `index` this
+    /// synthetic payload is, at this shard's length: it undoes
+    /// [`Payload::shard`]'s digest mix to recover the value's digest, then
+    /// shards that. So any one survivor rebuilds a lost synthetic chunk,
+    /// with no record of the value it came from.
+    ///
+    /// ```
+    /// use eckv_store::Payload;
+    ///
+    /// let value = Payload::synthetic(3000, 7);
+    /// let survivor = value.shard(4, 1000);
+    /// assert_eq!(survivor.sibling_shard(4, 1), value.shard(1, 1000));
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics on an inline payload: real chunks are rebuilt by the
+    /// erasure codec.
+    pub fn sibling_shard(&self, index: usize, sibling: usize) -> Payload {
+        match self {
+            Payload::Inline(_) => {
+                unreachable!("inline chunks are rebuilt by the erasure codec, not here")
+            }
+            Payload::Synthetic { len, digest } => {
+                let parent = digest
+                    .wrapping_sub(SHARD_MIX.wrapping_mul(index as u64 + 1))
+                    .rotate_right(index as u32 + 1);
+                Payload::Synthetic {
+                    len: *len,
+                    digest: parent,
+                }
+                .shard(sibling, *len)
+            }
+        }
+    }
 }
+
+/// The per-index offset [`Payload::shard`] adds to a synthetic shard's
+/// digest.
+const SHARD_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
 
 #[cfg(test)]
 mod tests {

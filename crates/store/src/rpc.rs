@@ -13,12 +13,14 @@ use std::rc::Rc;
 use eckv_simnet::{Delivery, Network, NodeId, SimTime, Simulation};
 
 use crate::key::StoreKey;
-use crate::payload::Payload;
 use crate::server::KvServer;
+use crate::store_node::Item;
 
 /// Wire size of a Set/Get request header (opcode, key length, flags, cas).
+/// A Set's [`Item::flags`] ride in it.
 pub const REQUEST_OVERHEAD: usize = 48;
-/// Wire size of a status-only response (ack / miss).
+/// Wire size of a status-only response (ack / miss), and the header of a
+/// Get hit, which carries the item's flags.
 pub const ACK_BYTES: usize = 32;
 
 /// Errors surfaced to the RPC caller.
@@ -100,17 +102,17 @@ impl CancelToken {
 /// What a store request asks of its server.
 #[derive(Debug, Clone)]
 pub enum Request {
-    /// Store `payload` under `key`. When admitted, the server first
-    /// deletes `stale` (another key) in the same request: the hybrid
-    /// scheme's chunked rewrite retires the plain replica an earlier small
-    /// value left on a replica holder, at no extra message.
+    /// Store `item` under `key`. With `retire_plain`, the server first
+    /// deletes the plain copy of the same user key in the same request:
+    /// the hybrid scheme's chunked rewrite retires the plain replica an
+    /// earlier small value left on a replica holder, at no extra message.
     Set {
         /// The key to store under.
         key: StoreKey,
-        /// The value.
-        payload: Payload,
-        /// A key to delete first, if any.
-        stale: Option<StoreKey>,
+        /// The value and its flags word.
+        item: Item,
+        /// Whether to delete the user key's plain copy first.
+        retire_plain: bool,
     },
     /// Fetch `key`.
     Get {
@@ -123,8 +125,8 @@ impl Request {
     /// Wire size of the request: header, key and any value.
     fn bytes(&self) -> usize {
         match self {
-            Request::Set { key, payload, .. } => {
-                REQUEST_OVERHEAD + key.wire_len() + payload.len() as usize
+            Request::Set { key, item, .. } => {
+                REQUEST_OVERHEAD + key.wire_len() + item.payload.len() as usize
             }
             Request::Get { key } => REQUEST_OVERHEAD + key.wire_len(),
         }
@@ -138,8 +140,8 @@ pub struct Reply {
     pub at: SimTime,
     /// Whether the server stored (Set) or had (Get) the item.
     pub hit: bool,
-    /// The fetched value (Gets that hit).
-    pub value: Option<Payload>,
+    /// The fetched item (Gets that hit).
+    pub item: Option<Item>,
 }
 
 /// The request leg of every server-bound message: sends `bytes` from
@@ -253,26 +255,26 @@ pub fn call<F>(
             Err(e) => return on_reply(sim, Err(e)),
         };
         let mut server = server2.borrow_mut();
-        let (done, hit, value) = match req {
+        let (done, hit, item) = match req {
             Request::Set {
                 key,
-                payload,
-                stale,
+                item,
+                retire_plain,
             } => {
-                if let Some(stale) = &stale {
-                    server.delete(stale);
+                if retire_plain {
+                    server.delete(&StoreKey::from(&key.key));
                 }
-                let (done, outcome) = server.process_set(at, key, payload);
+                let (done, outcome) = server.process_set(at, key, item);
                 (done, outcome.is_stored(), None)
             }
             Request::Get { key } => {
-                let (done, value) = server.process_get(at, &key);
-                (done, value.is_some(), value)
+                let (done, item) = server.process_get(at, &key);
+                (done, item.is_some(), item)
             }
         };
         let server_node = server.node();
         drop(server);
-        let bytes = ACK_BYTES + value.as_ref().map_or(0, |v| v.len() as usize);
+        let bytes = ACK_BYTES + item.as_ref().map_or(0, |i| i.payload.len() as usize);
         respond(
             &net2,
             sim,
@@ -280,7 +282,7 @@ pub fn call<F>(
             server_node,
             client,
             bytes,
-            move |sim, r| on_reply(sim, r.map(|at| Reply { at, hit, value })),
+            move |sim, r| on_reply(sim, r.map(|at| Reply { at, hit, item })),
         );
     };
     request(
@@ -299,14 +301,15 @@ pub fn call<F>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::payload::Payload;
     use crate::server::ServerCosts;
     use eckv_simnet::{ClusterProfile, TransportKind};
 
     fn set(key: &str, payload: Payload) -> Request {
         Request::Set {
             key: key.into(),
-            payload,
-            stale: None,
+            item: payload.into(),
+            retire_plain: false,
         }
     }
 
@@ -365,7 +368,7 @@ mod tests {
         );
         sim.run();
         let reply = got.borrow().clone().expect("get completed");
-        assert_eq!(reply.value.unwrap(), value);
+        assert_eq!(reply.item.unwrap().payload, value);
     }
 
     #[test]
@@ -385,7 +388,7 @@ mod tests {
             move |_, reply| {
                 let reply = reply.unwrap();
                 assert!(!reply.hit);
-                assert!(reply.value.is_none());
+                assert!(reply.item.is_none());
                 *seen2.borrow_mut() = true;
             },
         );

@@ -5,10 +5,9 @@ use eckv_simnet::{
 };
 
 use crate::key::StoreKey;
-use crate::payload::Payload;
 use crate::rpc::RpcPriority;
 use crate::ssd::{SsdSpec, SsdTier};
-use crate::store_node::{SetOutcome, StoreNode, StoreStats};
+use crate::store_node::{Item, SetOutcome, StoreNode, StoreStats};
 
 /// Per-class admission bounds on one server's worker queue.
 ///
@@ -162,25 +161,25 @@ impl KvServer {
         &mut self,
         now: SimTime,
         key: StoreKey,
-        payload: Payload,
+        item: Item,
     ) -> (SimTime, SetOutcome) {
-        let service = self.costs.op_time(payload.len());
+        let service = self.costs.op_time(item.payload.len());
         let (svc_start, done) = self.cpu.reserve_timed(now, service);
-        let outcome = self.store_set(done, key, payload);
+        let outcome = self.store_set(done, key, item);
         self.record_cpu_spans(now, svc_start, done);
         (done, outcome)
     }
 
     /// The storage half of [`KvServer::process_set`], with no worker
-    /// time: stores `payload` in RAM at `now`. With a flash tier, RAM
+    /// time: stores `item` in RAM at `now`. With a flash tier, RAM
     /// eviction victims overflow to it; the flash writes are asynchronous
     /// write-behind and delay nothing.
-    pub fn store_set(&mut self, now: SimTime, key: StoreKey, payload: Payload) -> SetOutcome {
+    pub fn store_set(&mut self, now: SimTime, key: StoreKey, item: Item) -> SetOutcome {
         match &mut self.ssd {
-            Some(ssd) => self.store.set_spilling(key, payload, None, &mut |k, p| {
-                ssd.spill(now, k, p);
+            Some(ssd) => self.store.set_spilling(key, item, None, &mut |k, i| {
+                ssd.spill(now, k, i);
             }),
-            None => self.store.set(key, payload),
+            None => self.store.set_spilling(key, item, None, &mut |_, _| {}),
         }
     }
 
@@ -194,10 +193,10 @@ impl KvServer {
     }
 
     /// Processes a Get arriving at `now`; returns the completion instant
-    /// and the value, if present.
-    pub fn process_get(&mut self, now: SimTime, key: &StoreKey) -> (SimTime, Option<Payload>) {
+    /// and the item, if present.
+    pub fn process_get(&mut self, now: SimTime, key: &StoreKey) -> (SimTime, Option<Item>) {
         let (flash_done, value) = self.store_get(now, key);
-        let bytes = value.as_ref().map_or(0, Payload::len);
+        let bytes = value.as_ref().map_or(0, |i| i.payload.len());
         let service = self.costs.op_time(bytes);
         let (svc_start, cpu_done) = self.cpu.reserve_timed(now, service);
         let done = cpu_done.max(flash_done);
@@ -214,8 +213,8 @@ impl KvServer {
     /// The storage half of [`KvServer::process_get`], with no worker
     /// time: looks `key` up in RAM at `now`, then in the flash tier, if
     /// any. Returns when the flash read completes (`now` when it was not
-    /// needed) and the value, if present.
-    fn store_get(&mut self, now: SimTime, key: &StoreKey) -> (SimTime, Option<Payload>) {
+    /// needed) and the item, if present.
+    fn store_get(&mut self, now: SimTime, key: &StoreKey) -> (SimTime, Option<Item>) {
         if let Some(value) = self.store.get_at(key, now) {
             return (now, Some(value));
         }
@@ -248,6 +247,13 @@ impl KvServer {
         &self.store
     }
 
+    /// Every item this server holds, in RAM and then on flash: its user
+    /// key, chunk number and flags word (see [`StoreNode::items`]).
+    pub fn items(&self) -> impl Iterator<Item = (&std::sync::Arc<str>, Option<u8>, u32)> {
+        let flash = self.ssd.iter().flat_map(|ssd| ssd.store().items());
+        self.store.items().chain(flash)
+    }
+
     /// The server's cost configuration.
     pub fn costs(&self) -> ServerCosts {
         self.costs
@@ -273,6 +279,7 @@ impl KvServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::payload::Payload;
 
     fn server(workers: usize) -> KvServer {
         KvServer::new(NodeId(0), workers, 1 << 30, ServerCosts::default())
@@ -282,21 +289,28 @@ mod tests {
     fn set_then_get_roundtrips() {
         let mut s = server(4);
         let t0 = SimTime::ZERO;
-        let (done, out) = s.process_set(t0, "k".into(), Payload::synthetic(1024, 7));
+        let (done, out) = s.process_set(t0, "k".into(), Payload::synthetic(1024, 7).into());
         assert_eq!(out, SetOutcome::Stored);
         assert!(done > t0);
         let (done2, v) = s.process_get(done, &"k".into());
         assert!(done2 > done);
-        assert_eq!(v.unwrap().digest(), Payload::synthetic(1024, 7).digest());
+        assert_eq!(v.unwrap().payload, Payload::synthetic(1024, 7));
     }
 
     #[test]
     fn larger_values_cost_more() {
         let mut s = server(1);
-        let (d_small, _) = s.process_set(SimTime::ZERO, "a".into(), Payload::synthetic(1024, 0));
+        let (d_small, _) = s.process_set(
+            SimTime::ZERO,
+            "a".into(),
+            Payload::synthetic(1024, 0).into(),
+        );
         let mut s2 = server(1);
-        let (d_large, _) =
-            s2.process_set(SimTime::ZERO, "b".into(), Payload::synthetic(1 << 20, 0));
+        let (d_large, _) = s2.process_set(
+            SimTime::ZERO,
+            "b".into(),
+            Payload::synthetic(1 << 20, 0).into(),
+        );
         assert!(d_large.since(SimTime::ZERO) > d_small.since(SimTime::ZERO) * 10);
     }
 
@@ -311,9 +325,9 @@ mod tests {
         let mut narrow_last = t0;
         for i in 0..8 {
             let key = StoreKey::from(format!("k{i}").as_str());
-            let (d, _) = wide.process_set(t0, key.clone(), Payload::synthetic(64 * 1024, 0));
+            let (d, _) = wide.process_set(t0, key.clone(), Payload::synthetic(64 * 1024, 0).into());
             wide_last = wide_last.max(d);
-            let (d, _) = narrow.process_set(t0, key, Payload::synthetic(64 * 1024, 0));
+            let (d, _) = narrow.process_set(t0, key, Payload::synthetic(64 * 1024, 0).into());
             narrow_last = narrow_last.max(d);
         }
         let wide_span = wide_last.since(t0);
@@ -328,9 +342,17 @@ mod tests {
     fn delete_reaches_a_value_spilled_to_flash() {
         let mut s = KvServer::new(NodeId(0), 1, 64 << 10, ServerCosts::default())
             .with_ssd(SsdSpec::RI_QDR_PCIE);
-        s.process_set(SimTime::ZERO, "old".into(), Payload::synthetic(40 << 10, 1));
+        s.process_set(
+            SimTime::ZERO,
+            "old".into(),
+            Payload::synthetic(40 << 10, 1).into(),
+        );
         // The second value evicts the first from RAM into flash.
-        s.process_set(SimTime::ZERO, "new".into(), Payload::synthetic(40 << 10, 2));
+        s.process_set(
+            SimTime::ZERO,
+            "new".into(),
+            Payload::synthetic(40 << 10, 2).into(),
+        );
         assert!(s.process_get(SimTime::ZERO, &"old".into()).1.is_some());
         s.delete(&"old".into());
         assert!(s.process_get(SimTime::ZERO, &"old".into()).1.is_none());

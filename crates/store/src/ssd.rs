@@ -9,8 +9,7 @@
 use eckv_simnet::{NodeId, SimDuration, SimTime, Trace, TraceEvent, WorkerPool};
 
 use crate::key::StoreKey;
-use crate::payload::Payload;
-use crate::store_node::{StoreNode, StoreStats};
+use crate::store_node::{Item, StoreNode, StoreStats};
 
 /// Performance/capacity envelope of one server's flash tier.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,11 +82,11 @@ impl SsdTier {
 
     /// Spills a RAM eviction victim to flash; returns when the device
     /// write completes. Flash overflow evicts (permanently) in LRU order.
-    pub fn spill(&mut self, now: SimTime, key: StoreKey, payload: Payload) -> SimTime {
-        let bytes = payload.len();
+    pub fn spill(&mut self, now: SimTime, key: StoreKey, item: Item) -> SimTime {
+        let bytes = item.payload.len();
         let service = self.xfer(self.spec.write_gbps, bytes);
         let done = self.device.reserve(now, service);
-        self.store.set(key, payload);
+        self.store.set_spilling(key, item, None, &mut |_, _| {});
         self.writes += 1;
         self.trace.emit(
             now,
@@ -100,11 +99,11 @@ impl SsdTier {
     }
 
     /// Reads `key` from flash, if present; returns the device completion
-    /// instant alongside the value.
-    pub fn read(&mut self, now: SimTime, key: &StoreKey) -> (SimTime, Option<Payload>) {
+    /// instant alongside the item.
+    pub fn read(&mut self, now: SimTime, key: &StoreKey) -> (SimTime, Option<Item>) {
         match self.store.get_at(key, now) {
             Some(p) => {
-                let bytes = p.len();
+                let bytes = p.payload.len();
                 let service = self.xfer(self.spec.read_gbps, bytes);
                 self.device.prune(now);
                 let done = self.device.reserve(now, service);
@@ -127,6 +126,11 @@ impl SsdTier {
         self.store.delete(key);
     }
 
+    /// The flash-resident items (see [`StoreNode::items`]).
+    pub fn store(&self) -> &StoreNode {
+        &self.store
+    }
+
     /// Flash-tier storage statistics (evictions here are true data loss).
     pub fn stats(&self) -> StoreStats {
         self.store.stats()
@@ -146,6 +150,7 @@ impl SsdTier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::payload::Payload;
 
     fn tier(capacity: u64) -> SsdTier {
         SsdTier::new(SsdSpec::RI_QDR_PCIE.with_capacity(capacity))
@@ -154,10 +159,14 @@ mod tests {
     #[test]
     fn spill_then_read_roundtrips() {
         let mut t = tier(1 << 30);
-        let done = t.spill(SimTime::ZERO, "k".into(), Payload::synthetic(1 << 20, 7));
+        let done = t.spill(
+            SimTime::ZERO,
+            "k".into(),
+            Payload::synthetic(1 << 20, 7).into(),
+        );
         assert!(done.since(SimTime::ZERO) >= SimDuration::from_micros(80));
         let (rdone, v) = t.read(done, &"k".into());
-        assert_eq!(v.unwrap().digest(), Payload::synthetic(1 << 20, 7).digest());
+        assert_eq!(v.unwrap().payload, Payload::synthetic(1 << 20, 7));
         assert!(rdone > done);
         assert_eq!(t.ops(), (1, 1));
     }
@@ -165,7 +174,11 @@ mod tests {
     #[test]
     fn reads_are_faster_than_writes_for_equal_sizes() {
         let mut t = tier(1 << 30);
-        let w = t.spill(SimTime::ZERO, "a".into(), Payload::synthetic(8 << 20, 1));
+        let w = t.spill(
+            SimTime::ZERO,
+            "a".into(),
+            Payload::synthetic(8 << 20, 1).into(),
+        );
         let (r, _) = t.read(w, &"a".into());
         assert!(r.since(w) < w.since(SimTime::ZERO));
     }
@@ -173,8 +186,16 @@ mod tests {
     #[test]
     fn device_bandwidth_is_shared() {
         let mut t = tier(1 << 30);
-        let first = t.spill(SimTime::ZERO, "a".into(), Payload::synthetic(4 << 20, 1));
-        let second = t.spill(SimTime::ZERO, "b".into(), Payload::synthetic(4 << 20, 2));
+        let first = t.spill(
+            SimTime::ZERO,
+            "a".into(),
+            Payload::synthetic(4 << 20, 1).into(),
+        );
+        let second = t.spill(
+            SimTime::ZERO,
+            "b".into(),
+            Payload::synthetic(4 << 20, 2).into(),
+        );
         assert!(
             second.since(SimTime::ZERO)
                 >= first.since(SimTime::ZERO) * 2 - SimDuration::from_micros(80)
@@ -188,7 +209,7 @@ mod tests {
             t.spill(
                 SimTime::ZERO,
                 format!("k{i}").as_str().into(),
-                Payload::synthetic(1 << 20, i),
+                Payload::synthetic(1 << 20, i).into(),
             );
         }
         assert!(t.stats().evictions > 0);

@@ -11,6 +11,7 @@
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::Arc;
 
 use eckv_simnet::SimTime;
 
@@ -65,6 +66,43 @@ pub struct StoreStats {
     pub expired: u64,
 }
 
+/// What a server keeps under a key: the value and memcached's 32-bit
+/// per-item flags word. The store never interprets the flags; the engine
+/// puts the length of the user's value there, so a chunk tells its reader
+/// how long the value it belongs to is.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Item {
+    /// The stored bytes: a whole value, or one chunk of it.
+    pub payload: Payload,
+    /// The flags word the writer set.
+    pub flags: u32,
+}
+
+impl From<Payload> for Item {
+    /// An item with flags 0, memcached's default.
+    fn from(payload: Payload) -> Self {
+        Item { payload, flags: 0 }
+    }
+}
+
+/// A live item as a slot holds it. The key is kept as a [`StoreKey`]'s
+/// parts so that the flags word fills the padding after the chunk number:
+/// a whole `StoreKey` is padded to 24 bytes, and the slot would outgrow
+/// 64.
+#[derive(Debug)]
+struct LiveItem {
+    key: Arc<str>,
+    chunk: Option<u8>,
+    flags: u32,
+    payload: Payload,
+}
+
+impl LiveItem {
+    fn parts(&self) -> KeyParts<'_> {
+        (&self.key, self.chunk)
+    }
+}
+
 /// End of a slot list.
 const NIL: u32 = u32::MAX;
 
@@ -75,8 +113,8 @@ const NEVER: SimTime = SimTime::from_nanos(u64::MAX);
 /// charge is not stored: it is a function of the key and value.
 #[derive(Debug)]
 struct Slot {
-    /// The key and its value; `None` while the slot is free.
-    entry: Option<(StoreKey, Payload)>,
+    /// The item; `None` while the slot is free.
+    entry: Option<LiveItem>,
     /// Absolute expiry instant; [`NEVER`] for none.
     expires_at: SimTime,
     /// Neighbours in the recency list. A free slot chains the free list
@@ -129,6 +167,17 @@ impl Hasher for HashIsKey {
 /// assert!(node.get("k1").is_some());
 /// assert!(node.get("nope").is_none());
 /// ```
+///
+/// An item keeps the flags word it was stored with:
+///
+/// ```
+/// use eckv_store::{Item, Payload, StoreNode};
+///
+/// let mut node = StoreNode::new(1 << 20);
+/// let item = Item { payload: Payload::synthetic(100, 1), flags: 300 };
+/// node.set_spilling("k1".into(), item.clone(), None, &mut |_, _| {});
+/// assert_eq!(node.peek(&"k1".into()), Some(item));
+/// ```
 #[derive(Debug)]
 pub struct StoreNode {
     slots: Vec<Slot>,
@@ -170,35 +219,37 @@ impl StoreNode {
         }
     }
 
-    /// Stores `payload` under `key` with no expiry, evicting LRU items if
-    /// needed.
+    /// Stores `payload` under `key` with flags 0 and no expiry, evicting
+    /// LRU items if needed.
     pub fn set(&mut self, key: impl Into<StoreKey>, payload: Payload) -> SetOutcome {
         self.set_with_expiry(key.into(), payload, None)
     }
 
-    /// Stores `payload` under `key`, optionally expiring at `expires_at`
-    /// (memcached `exptime` semantics; expiry is lazy, on access).
+    /// Stores `payload` under `key` with flags 0, optionally expiring at
+    /// `expires_at` (memcached `exptime` semantics; expiry is lazy, on
+    /// access).
     pub fn set_with_expiry(
         &mut self,
         key: StoreKey,
         payload: Payload,
         expires_at: Option<SimTime>,
     ) -> SetOutcome {
-        self.set_spilling(key, payload, expires_at, &mut |_, _| {})
+        self.set_spilling(key, payload.into(), expires_at, &mut |_, _| {})
     }
 
-    /// Like [`StoreNode::set_with_expiry`], but hands every LRU victim to
-    /// `spill` (an SSD overflow tier, in the paper's "SSD-assisted"
-    /// deployments) instead of silently dropping it.
+    /// Stores `item` under `key`, optionally expiring at `expires_at`, and
+    /// hands every LRU victim to `spill` (an SSD overflow tier, in the
+    /// paper's "SSD-assisted" deployments) instead of silently dropping
+    /// it.
     pub fn set_spilling(
         &mut self,
         key: StoreKey,
-        payload: Payload,
+        item: Item,
         expires_at: Option<SimTime>,
-        spill: &mut dyn FnMut(StoreKey, Payload),
+        spill: &mut dyn FnMut(StoreKey, Item),
     ) -> SetOutcome {
         self.stats.sets += 1;
-        let need = self.charge(&key, &payload);
+        let need = self.charge(key.wire_len(), &item.payload);
         let expires_at = expires_at.unwrap_or(NEVER);
         let h = self.hash(key.parts());
         let existing = self.find_at(h, key.parts());
@@ -225,13 +276,20 @@ impl StoreNode {
         let i = match existing {
             Some(i) => {
                 let slot = &mut self.slots[i as usize];
-                slot.entry.as_mut().expect("an indexed slot is live").1 = payload;
+                let entry = slot.entry.as_mut().expect("an indexed slot is live");
+                entry.payload = item.payload;
+                entry.flags = item.flags;
                 slot.expires_at = expires_at;
                 i
             }
             None => {
                 let i = self.occupy(Slot {
-                    entry: Some((key, payload)),
+                    entry: Some(LiveItem {
+                        key: key.key,
+                        chunk: key.slot,
+                        flags: item.flags,
+                        payload: item.payload,
+                    }),
                     expires_at,
                     prev: NIL,
                     next: NIL,
@@ -255,18 +313,19 @@ impl StoreNode {
 
     /// Looks up `key` at instant `now`, refreshing its LRU position on hit
     /// and lazily dropping it if its TTL elapsed.
-    pub fn get_at(&mut self, key: &StoreKey, now: SimTime) -> Option<Payload> {
-        self.lookup(key.parts(), now)
+    pub fn get_at(&mut self, key: &StoreKey, now: SimTime) -> Option<Item> {
+        self.lookup(key.parts(), now).map(|i| self.item(i))
     }
 
     /// Looks up the plain key `key` ignoring expiry (legacy callers and
     /// tests).
     pub fn get(&mut self, key: &str) -> Option<Payload> {
         self.lookup((key, None), SimTime::ZERO)
+            .map(|i| self.entry(i).payload.clone())
     }
 
-    /// [`StoreNode::get_at`] by key parts.
-    fn lookup(&mut self, key: KeyParts, now: SimTime) -> Option<Payload> {
+    /// [`StoreNode::get_at`] by key parts: the live slot it hit.
+    fn lookup(&mut self, key: KeyParts, now: SimTime) -> Option<u32> {
         let Some(i) = self.find(key) else {
             self.stats.misses += 1;
             return None;
@@ -283,7 +342,7 @@ impl StoreNode {
             self.push_tail(i);
         }
         self.stats.hits += 1;
-        Some(self.payload(i).clone())
+        Some(i)
     }
 
     /// Removes `key`, returning whether it existed.
@@ -316,8 +375,16 @@ impl StoreNode {
 
     /// Reads `key` without refreshing its LRU position or counting a
     /// hit/miss (inspection, not a cache access).
-    pub fn peek(&self, key: &StoreKey) -> Option<Payload> {
-        self.find(key.parts()).map(|i| self.payload(i).clone())
+    pub fn peek(&self, key: &StoreKey) -> Option<Item> {
+        self.find(key.parts()).map(|i| self.item(i))
+    }
+
+    /// Every live item's user key, chunk number and flags word, in slot
+    /// order (inspection, not a cache access).
+    pub fn items(&self) -> impl Iterator<Item = (&Arc<str>, Option<u8>, u32)> {
+        self.slots
+            .iter()
+            .filter_map(|s| s.entry.as_ref().map(|e| (&e.key, e.chunk, e.flags)))
     }
 
     /// Current statistics snapshot.
@@ -337,7 +404,7 @@ impl StoreNode {
 
     /// The live slot holding `key`, whose hash is `h`.
     fn find_at(&self, h: u64, key: KeyParts) -> Option<u32> {
-        let holds = |i: u32| self.entry(i).0.parts() == key;
+        let holds = |i: u32| self.entry(i).parts() == key;
         match self.index.get(&h) {
             Some(&i) if holds(i) => Some(i),
             _ => self.clashes.iter().copied().find(|&i| holds(i)),
@@ -356,7 +423,7 @@ impl StoreNode {
 
     /// Takes live slot `i` out of the index.
     fn unindex(&mut self, i: u32) {
-        let h = self.hash(self.entry(i).0.parts());
+        let h = self.hash(self.entry(i).parts());
         if self.index.get(&h) == Some(&i) {
             self.index.remove(&h);
         } else {
@@ -366,29 +433,36 @@ impl StoreNode {
         }
     }
 
-    /// The value in live slot `i`.
-    fn payload(&self, i: u32) -> &Payload {
-        &self.entry(i).1
+    /// The item in live slot `i`.
+    fn item(&self, i: u32) -> Item {
+        let e = self.entry(i);
+        Item {
+            payload: e.payload.clone(),
+            flags: e.flags,
+        }
     }
 
-    /// The key and value in live slot `i`.
-    fn entry(&self, i: u32) -> &(StoreKey, Payload) {
+    /// Live slot `i`'s entry.
+    fn entry(&self, i: u32) -> &LiveItem {
         self.slots[i as usize]
             .entry
             .as_ref()
             .expect("an indexed slot is live")
     }
 
-    /// The slab chunk an item of `key` and `payload` is charged.
-    fn charge(&self, key: &StoreKey, payload: &Payload) -> u64 {
+    /// The slab chunk an item of a `wire_len`-byte key and `payload` is
+    /// charged. The flags word is part of the item header
+    /// ([`ITEM_OVERHEAD`]).
+    fn charge(&self, wire_len: usize, payload: &Payload) -> u64 {
         self.classes
-            .chunk_size(payload.len() + key.wire_len() as u64 + ITEM_OVERHEAD)
+            .chunk_size(payload.len() + wire_len as u64 + ITEM_OVERHEAD)
     }
 
     /// The charge of live slot `i`.
     fn charged(&self, i: u32) -> u64 {
-        let (key, payload) = self.entry(i);
-        self.charge(key, payload)
+        let e = self.entry(i);
+        let wire_len = StoreKey::wire_len_of(&e.key, e.chunk);
+        self.charge(wire_len, &e.payload)
     }
 
     /// Places `slot` in a free slot, or a new one if none is free.
@@ -408,18 +482,26 @@ impl StoreNode {
     }
 
     /// Takes live slot `i` out of the index, the recency list and the
-    /// accounting, frees the slot, and returns the charge, key and value.
-    fn release(&mut self, i: u32) -> (u64, StoreKey, Payload) {
+    /// accounting, frees the slot, and returns the charge, key and item.
+    fn release(&mut self, i: u32) -> (u64, StoreKey, Item) {
         self.unindex(i);
         self.unlink(i);
         let charged = self.charged(i);
         let slot = &mut self.slots[i as usize];
-        let (key, payload) = slot.entry.take().expect("a released slot is live");
+        let e = slot.entry.take().expect("a released slot is live");
         slot.next = self.free;
         self.free = i;
         self.stats.used_bytes -= charged;
         self.stats.items -= 1;
-        (charged, key, payload)
+        let key = StoreKey {
+            key: e.key,
+            slot: e.chunk,
+        };
+        let item = Item {
+            payload: e.payload,
+            flags: e.flags,
+        };
+        (charged, key, item)
     }
 
     /// Detaches slot `i` from the recency list.
@@ -621,9 +703,10 @@ mod tests {
                             0 | 1 => {
                                 let expiry = (op == 1).then(|| t(step as u64 + 3));
                                 let value = Payload::synthetic(100 + 400 * (k % 5), k);
-                                let set = n.set_spilling(key(k), value, expiry, &mut |k, _| {
-                                    spilled.push(k)
-                                });
+                                let set =
+                                    n.set_spilling(key(k), value.into(), expiry, &mut |k, _| {
+                                        spilled.push(k)
+                                    });
                                 format!("{set:?}")
                             }
                             2 => format!("{:?}", n.get_at(&key(k), now)),

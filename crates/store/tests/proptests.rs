@@ -4,7 +4,7 @@
 use eckv_simnet::check::{check, check_seq, vec_of};
 use eckv_simnet::{SimRng, SimTime};
 use eckv_store::{
-    chunk_size_for, HashRing, Payload, SetOutcome, StoreKey, StoreNode, ITEM_OVERHEAD,
+    chunk_size_for, HashRing, Item, Payload, SetOutcome, StoreKey, StoreNode, ITEM_OVERHEAD,
 };
 
 /// Keys are drawn from a small space so overwrites (also of a full
@@ -158,11 +158,17 @@ fn store_matches_reference_lru_model() {
                             store.stats().used_bytes + ModelLru::charged(key, len) > capacity;
                         let existed = store.contains(&name(key));
                         let mut spilled = Vec::new();
+                        // The flags word carries the length, so a read
+                        // checks that it round-trips with the payload.
+                        let item = Item {
+                            payload: Payload::synthetic(len as u64, key as u64),
+                            flags: u32::from(len),
+                        };
                         let got = store.set_spilling(
                             name(key),
-                            Payload::synthetic(len as u64, key as u64),
+                            item,
                             expires_at.map(|t| SimTime::from_nanos(t * 1000)),
-                            &mut |k, p| spilled.push((k, p.len())),
+                            &mut |k, i| spilled.push((k, i.payload.len())),
                         );
                         let want = model.set(key, len, expires_at);
                         match &want {
@@ -195,8 +201,8 @@ fn store_matches_reference_lru_model() {
                         let got = store.get_at(&name(key), SimTime::from_nanos(now * 1000));
                         let want = model.get(key, now);
                         assert_eq!(
-                            got.map(|p| p.len()),
-                            want.map(u64::from),
+                            got.map(|i| (i.payload.len(), i.flags)),
+                            want.map(|len| (u64::from(len), u32::from(len))),
                             "get({key}) diverged"
                         );
                         seen.expired_reads += model.expired - expired;

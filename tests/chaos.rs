@@ -14,8 +14,10 @@
 //! 4. slowing a server (straggler injection) changes NO outcome — reads
 //!    and writes behave exactly as on a healthy holder, merely later, and
 //!    hedged fetches never corrupt data or flip a result;
-//! 5. a repair's outcome matches the model exactly — of the keys placed
-//!    on the replaced server, those with at least `k` chunks reachable
+//! 5. a repair's outcome matches the model exactly — the engine lists
+//!    the keys placed on the replaced server that another live server
+//!    holds any item of (a chunk a failed write left counts too); of
+//!    those, the ones with at least `k` chunks (one copy) reachable
 //!    elsewhere are rebuilt and the rest written off, and a Slow in
 //!    force while the repair runs flips NO key between the two (a
 //!    slowed survivor still serves its chunks, merely later);
@@ -225,28 +227,30 @@ impl ChunkModel {
     }
 
     /// Predicts a repair's outcome before it runs: of the keys placed on
-    /// `server`, how many can be rebuilt (enough chunks or a copy
-    /// reachable on other live servers) and how many are written off. A
-    /// replicated key whose copies `server` never held counts as
-    /// rebuilt. Slowdowns are deliberately invisible here — a straggling
+    /// `server` that `listed` (the keys another live server holds an item
+    /// of), how many can be rebuilt (enough chunks or a copy reachable on
+    /// other live servers) and how many are written off. A replicated key
+    /// with a live copy counts as rebuilt even where `server` held none;
+    /// one with no live copy left is written off, its chunks being too
+    /// few. Slowdowns are deliberately invisible here — a straggling
     /// survivor still serves its chunks, so a Slow in force must not move
     /// a key from the first count to the second. The third count is the
     /// indeterminate keys, which may land in either.
     fn repair_outcome(
         &self,
         server: usize,
+        listed: &HashSet<u8>,
         targets_of: impl Fn(u8) -> Vec<usize>,
     ) -> (u64, u64, u64) {
         let (mut repaired, mut lost, mut either) = (0u64, 0u64, 0u64);
-        for &key in self.has_chunk.keys() {
+        for &key in listed {
             let targets = targets_of(key);
             let Some(slot) = targets.iter().position(|&s| s == server) else {
                 continue;
             };
-            let (slots, need) = self.shape(key);
-            if slot < slots && self.indeterminate.contains(&key) {
+            if self.indeterminate.contains(&key) {
                 either += 1;
-            } else if slot >= slots || self.reachable_except(key, &targets, slot) >= need {
+            } else if self.reachable_except(key, &targets, slot) >= self.shape(key).1 {
                 repaired += 1;
             } else {
                 lost += 1;
@@ -310,6 +314,26 @@ impl ChunkModel {
             }
         }
     }
+}
+
+/// The keys some live server other than `server` holds any item of, in
+/// RAM: a copy or a chunk, of whatever version.
+fn held_elsewhere(world: &World, server: usize) -> HashSet<u8> {
+    (0..32)
+        .filter(|&key| {
+            let name: std::sync::Arc<str> = format!("x{key}").into();
+            let items = std::iter::once(StoreKey::from(&name))
+                .chain((0..SERVERS).map(|i| StoreKey::chunk(name.clone(), i)))
+                .collect::<Vec<_>>();
+            (0..SERVERS + SPARES).any(|s| {
+                s != server
+                    && world.cluster.is_server_alive(s)
+                    && items
+                        .iter()
+                        .any(|item| world.cluster.servers[s].borrow().store().contains(item))
+            })
+        })
+        .collect()
 }
 
 /// Replays one chaos event sequence against the engine under `scheme`
@@ -390,7 +414,9 @@ fn run_chaos(scheme: Scheme, events: &[ChaosEvent], seed: u64) {
             ChaosEvent::Repair { server } => {
                 let s = server as usize;
                 let w = world.clone();
-                let (repaired, lost, either) = model.repair_outcome(s, |key| targets_of(&w, key));
+                let listed = held_elsewhere(&world, s);
+                let (repaired, lost, either) =
+                    model.repair_outcome(s, &listed, |key| targets_of(&w, key));
                 let report = eckv::core::repair_server(&world, &mut sim, s);
                 let got = (report.keys_repaired, report.keys_lost);
                 assert!(

@@ -30,7 +30,8 @@ fn replication_places_full_copies_on_f_consecutive_servers() {
         assert_eq!(has, targets.contains(&i), "server {i}");
         if has {
             let p = srv.borrow().store().peek(&"key-x".into()).unwrap();
-            assert_eq!(p.len(), 1000, "replicas are full copies");
+            assert_eq!(p.payload.len(), 1000, "replicas are full copies");
+            assert_eq!(p.flags, 1000, "the flags word holds the value length");
         }
     }
 }
@@ -53,7 +54,11 @@ fn erasure_places_one_chunk_per_server_with_shard_sized_payloads() {
                 .store()
                 .peek(&StoreKey::chunk("key-y".into(), i))
                 .unwrap_or_else(|| panic!("{scheme}: chunk {i} missing on server {srv}"));
-            assert_eq!(chunk.len(), 1000, "{scheme}: shard = ceil(3000/3)");
+            assert_eq!(chunk.payload.len(), 1000, "{scheme}: shard = ceil(3000/3)");
+            assert_eq!(
+                chunk.flags, 3000,
+                "{scheme}: a chunk's flags hold the value length"
+            );
             // No full copy anywhere.
             assert!(
                 !store.borrow().store().contains(&"key-y".into()),
@@ -203,4 +208,30 @@ fn era_se_set_ships_full_value_once_from_client() {
     let d = 300_000f64;
     assert!((se as f64) > d * 2.2 && (se as f64) < d * 2.5, "se={se}");
     assert!((ce as f64) > d * 1.6 && (ce as f64) < d * 1.9, "ce={ce}");
+}
+
+#[test]
+fn a_value_too_long_for_the_flags_word_is_refused_unwritten() {
+    // Every item carries its value's length in a 32-bit flags word; a
+    // longer value could not be read back, so it is never stored.
+    for scheme in [
+        Scheme::AsyncRep { replicas: 3 },
+        Scheme::era_ce_cd(3, 2),
+        Scheme::hybrid(1 << 20, 3, 2),
+    ] {
+        let world = world_for(scheme);
+        let mut sim = Simulation::new();
+        let len = u64::from(u32::MAX) + 1;
+        run_ops(&world, &mut sim, vec![Op::set_synthetic("huge", len, 1)]);
+        let m = world.metrics.borrow();
+        assert_eq!(
+            (m.errors, m.retries),
+            (1, 0),
+            "{scheme}: refused, not retried"
+        );
+        assert_eq!(m.failed_bytes, len, "{scheme}");
+        for srv in &world.cluster.servers {
+            assert_eq!(srv.borrow().stats().items, 0, "{scheme}: nothing stored");
+        }
+    }
 }

@@ -252,3 +252,31 @@ fn a_plain_key_spelled_like_a_chunk_is_its_own_item() {
         assert_eq!(read_back, Ok(Some(true)), "{key}");
     }
 }
+
+#[test]
+fn a_small_overwrite_of_a_large_value_survives_the_rebuild_of_any_holder() {
+    // The small rewrite leaves the large value's chunks behind next to
+    // its copies. A rebuild reads the layout from what the survivors hold
+    // and must restore a copy, not a stale chunk, wherever the replaced
+    // holder sat; two more failures then force the read onto it.
+    for slot in 0..5 {
+        let world = hybrid_world();
+        let mut sim = Simulation::new();
+        for (len, seed) in [(4 * THRESHOLD, 1), (THRESHOLD / 4, 2)] {
+            let write = Op::set_synthetic("x", len, seed);
+            eckv::core::driver::run_workload(&world, &mut sim, vec![vec![write]]);
+        }
+        let targets = world.targets("x");
+        world.cluster.kill_server(targets[slot]);
+        let report = eckv::core::repair_server(&world, &mut sim, targets[slot]);
+        assert_eq!(report.keys_lost, 0, "slot {slot}");
+        for &other in targets[..3].iter().filter(|&&s| s != targets[slot]).take(2) {
+            world.cluster.kill_server(other);
+        }
+        world.reset_metrics();
+        eckv::core::driver::run_workload(&world, &mut sim, vec![vec![Op::get("x")]]);
+        let m = world.metrics.borrow();
+        assert_eq!((m.errors, m.integrity_errors), (0, 0), "slot {slot}");
+        assert_eq!(m.bytes_read, THRESHOLD / 4, "slot {slot} reads the copy");
+    }
+}

@@ -5,6 +5,7 @@
 //! actually fail.
 
 use eckv::prelude::*;
+use eckv::store::Item;
 use std::rc::Rc;
 
 const KEYS: usize = 8;
@@ -49,13 +50,18 @@ fn tamper(world: &World, key: &str, shard: usize) {
     let server = &world.cluster.servers[holder(world, key, shard)];
     let mut server = server.borrow_mut();
     let store = server.store_mut();
-    let Some(Payload::Inline(bytes)) = store.peek(&chunk) else {
+    let Some(Item {
+        payload: Payload::Inline(bytes),
+        flags,
+    }) = store.peek(&chunk)
+    else {
         panic!("{chunk:?} holds inline bytes");
     };
     let mut bytes = bytes.to_vec();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x10;
-    store.set(chunk, Payload::inline(bytes));
+    let payload = Payload::inline(bytes);
+    store.set_spilling(chunk, Item { payload, flags }, None, &mut |_, _| {});
 }
 
 /// One GET's outcome counters.
@@ -138,11 +144,15 @@ fn a_truncated_survivor_chunk_loses_one_key_instead_of_crashing_the_rebuild() {
     {
         let mut server = world.cluster.servers[2].borrow_mut();
         let store = server.store_mut();
-        let Some(Payload::Inline(bytes)) = store.peek(&chunk) else {
+        let Some(Item {
+            payload: Payload::Inline(bytes),
+            flags,
+        }) = store.peek(&chunk)
+        else {
             panic!("{chunk:?} holds inline bytes");
         };
-        let short = bytes[..bytes.len() / 2].to_vec();
-        store.set(chunk, Payload::inline(short));
+        let payload = Payload::inline(bytes[..bytes.len() / 2].to_vec());
+        store.set_spilling(chunk, Item { payload, flags }, None, &mut |_, _| {});
     }
     let report = repair_server(&world, &mut sim, 0);
     assert_eq!(report.keys_lost, 1, "only the truncated key is lost");
